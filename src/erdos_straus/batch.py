@@ -14,12 +14,13 @@ import logging
 import time
 from dataclasses import dataclass, field, replace
 from enum import Enum
+from itertools import chain
 from multiprocessing import Pool
 from pathlib import Path
 from typing import Callable, Optional, Sequence
 
 from .families import PolyId
-from .numutil import is_prime
+from .numutil import FactorWindow, is_prime
 from .reports import (
     SolutionRow,
     read_results,
@@ -110,11 +111,35 @@ def _prime_work(q: int):
     return q, sol, True
 
 
-def _map(pool: Optional[Pool], fn, items: Sequence[int]) -> list:
+# A pool gets a batch's work in about this many pieces.
+POOL_PARTS = 64
+
+
+def _map(pool: Optional[Pool], fn, items: Sequence) -> list:
     if pool is None or not items:
         return [fn(q) for q in items]
-    chunk = max(1, len(items) // 64)
+    chunk = max(1, len(items) // POOL_PARTS)
     return pool.map(fn, items, chunksize=chunk)
+
+
+# A coverage slice's factor window spans [q_first + 1, q_last + WINDOW_MARGIN]:
+# the sweep asks for the divisors of q + x, and nearly every q in the hard
+# class is classified at x <= WINDOW_MARGIN (larger x fall back to per-n
+# factorization).  WINDOW_SPAN caps the window, which bounds worker memory.
+WINDOW_MARGIN = 64
+WINDOW_SPAN = 1 << 16
+
+
+def _tail_slices(tail: list[int], step: int, parts: int) -> list[list[int]]:
+    """`tail` cut into about `parts` contiguous slices, each window-sized."""
+    size = max(1, min(-(-len(tail) // parts), (WINDOW_SPAN - WINDOW_MARGIN) // step + 1))
+    return [tail[i : i + size] for i in range(0, len(tail), size)]
+
+
+def _wide_slice(qs: list[int]) -> list[Optional[Witness]]:
+    """wide_search on each q of a contiguous slice, sharing one factor window."""
+    window = FactorWindow(qs[0] + 1, qs[-1] + WINDOW_MARGIN)
+    return [wide_search(q, window) for q in qs]
 
 
 CancelCheck = Callable[[], bool]
@@ -220,7 +245,8 @@ def run_coverage(
 
     Small q (below the cube-probe horizon) are classified sequentially with
     the legacy scan semantics so the artifacts match the reference CSVs;
-    everything else fans out across workers.
+    everything else fans out across workers in contiguous slices.  The
+    prefix and the pool are only set up when a batch that needs them runs.
     """
     if cfg.mode is not ScanMode.COVERAGE:
         raise ValueError("run_coverage needs mode=COVERAGE")
@@ -232,11 +258,15 @@ def run_coverage(
         )
 
     batches = _coverage_batches(cfg)
-    all_qs = [q for chunk in batches for q in chunk]
-    prefix_qs = [q for q in all_qs if q <= LEGACY_PROBE_LIMIT]
-    prefix = dict(legacy_coverage_scan(prefix_qs, SearchConfig()))
+    to_run = [qs for index, qs in enumerate(batches, start=1) if index not in cfg.skip_batches]
+    prefix = {}
+    if any(qs[0] <= LEGACY_PROBE_LIMIT for qs in to_run):
+        # The legacy scan carries state from q to q, so it always runs over
+        # the whole prefix, reloaded batches included.
+        prefix_qs = [q for chunk in batches for q in chunk if q <= LEGACY_PROBE_LIMIT]
+        prefix = dict(legacy_coverage_scan(prefix_qs, SearchConfig()))
 
-    pool = Pool(cfg.worker_count) if cfg.worker_count > 1 else None
+    pool = Pool(cfg.worker_count) if cfg.worker_count > 1 and to_run else None
     reports = []
     try:
         for index, qs in enumerate(batches, start=1):
@@ -246,7 +276,8 @@ def run_coverage(
             _check_cancel(cfg, cancel, index)
             t0 = time.perf_counter()
             tail = [q for q in qs if q not in prefix]
-            found = dict(zip(tail, _map(pool, wide_search, tail)))
+            slices = _tail_slices(tail, cfg.step, 1 if pool is None else POOL_PARTS)
+            found = dict(zip(tail, chain.from_iterable(_map(pool, _wide_slice, slices))))
             witnesses = []
             unsolved = []
             for q in qs:

@@ -176,7 +176,8 @@ def _cmd_decompose(args) -> int:
         print(f"unsolved: {exc}", file=sys.stderr)
         return EX_EXHAUSTED
     b, c, d = rec.triple
-    assert verify_exact(rec.a, rec.triple)
+    if not verify_exact(rec.a, rec.triple):
+        raise AssertionError(f"identity failed for a={rec.a}: {rec.triple}")
     print(f"a = {rec.a}")
     print(f"provenance = {rec.provenance.value}")
     if rec.witness is not None:

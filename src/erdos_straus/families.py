@@ -94,12 +94,21 @@ def shifted_value(poly: PolyId, t: WitnessTriple) -> int:
     return (2 * x - 1) ** 2
 
 
+def check_value(poly: PolyId, t: WitnessTriple, value: int) -> None:
+    """Raise AssertionError unless eval_poly(poly, t) == value.
+
+    An explicit raise, so the check also runs under `python -O`.
+    """
+    if eval_poly(poly, t) != value:
+        raise AssertionError(f"{poly.label}{tuple(t)} does not evaluate to {value}")
+
+
 def odd_family(z: int) -> int:
     """The odd number 2z - 1 reached by P2 at (1, 1, z)."""
     if z < 1:
         raise ValueError("z must be >= 1")
     value = 2 * z - 1
-    assert value == eval_poly(PolyId.P2, WitnessTriple(1, 1, z))
+    check_value(PolyId.P2, WitnessTriple(1, 1, z), value)
     return value
 
 
@@ -108,7 +117,7 @@ def even_6c4_family(c: int) -> int:
     if c < 0:
         raise ValueError("c must be >= 0")
     value = 6 * c + 4
-    assert value == eval_poly(PolyId.P2, WitnessTriple(1 + c, 2, 1))
+    check_value(PolyId.P2, WitnessTriple(1 + c, 2, 1), value)
     return value
 
 
@@ -117,7 +126,7 @@ def even_6c2_family(c: int) -> int:
     if c < 0:
         raise ValueError("c must be >= 0")
     value = 6 * c + 2
-    assert value == eval_poly(PolyId.P1, WitnessTriple(1 + 2 * c, 1, 1))
+    check_value(PolyId.P1, WitnessTriple(1 + 2 * c, 1, 1), value)
     return value
 
 

@@ -1,10 +1,13 @@
 """Integer utilities: deterministic primality, factorization, divisors.
 
 Everything here is exact integer arithmetic; no floating point anywhere.
-Primality is a deterministic Miller-Rabin with the 12-base set proven
-complete for all n < 2^64 (in fact for n < 3.3 * 10^24), so batch runs never
-depend on probabilistic answers.  Factorization is trial division for small
-targets with a Pollard-rho (Brent variant) escalation above 2^32.
+Primality is a deterministic Miller-Rabin with the 12-base set, proven
+complete for every n < 3.317 * 10^24 (which covers all n < 2^64), so batch
+runs never depend on probabilistic answers.  Factorization is trial division
+by the primes below 2^16 with a Pollard-rho (Brent variant) escalation for a
+cofactor above 2^32, and every divisor list is built from a factorization.
+`FactorWindow` sieves those small primes over a contiguous range once, so a
+scan asking about many neighbouring n factors each without trial division.
 """
 
 from __future__ import annotations
@@ -28,9 +31,13 @@ def _small_primes(limit: int = 1 << 16) -> list[int]:
 
 _PRIMES = _small_primes()
 
+# Largest n whose prime factors up to isqrt(n) all lie in _PRIMES: the next
+# prime after 2^16 is 65537.
+_WINDOW_MAX = 65537**2 - 1
+
 
 def is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin, valid for all n below 2^64 and beyond."""
+    """Deterministic Miller-Rabin, proven exact for every n < 3.317 * 10^24."""
     if n < 2:
         return False
     for p in _MR_BASES:
@@ -95,26 +102,61 @@ def factorize(n: int) -> dict[int, int]:
     return factors
 
 
-def divisors_ascending(n: int) -> list[int]:
-    """All positive divisors of n in ascending order.
+def _expand_divisors(divs: list[int], p: int, e: int) -> list[int]:
+    return [d * p**k for d in divs for k in range(e + 1)]
 
-    Uses a direct root-bounded scan for small n (cheap and cache-friendly),
-    falling back to factorization for large targets.
-    """
+
+def divisors_ascending(n: int) -> list[int]:
+    """All positive divisors of n in ascending order, built from factorize(n)."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    if n < _RHO_CUTOFF:
-        small = []
-        large = []
-        for d in range(1, isqrt(n) + 1):
-            if n % d == 0:
-                small.append(d)
-                if d * d != n:
-                    large.append(n // d)
-        small.extend(reversed(large))
-        return small
     divs = [1]
     for p, e in factorize(n).items():
-        divs = [d * p**k for d in divs for k in range(e + 1)]
+        divs = _expand_divisors(divs, p, e)
     divs.sort()
     return divs
+
+
+class FactorWindow:
+    """Divisors of every n in [lo, hi] from one sieve of the small primes.
+
+    The constructor sieves each prime p <= isqrt(hi) over the window and
+    records, per n, the primes dividing it.  Dividing those out of n leaves
+    1 or a single prime, since a composite cofactor would have a prime factor
+    <= isqrt(n).  `divisors(n)` returns exactly `divisors_ascending(n)`; for
+    n outside the window, or above the largest n the primes below 2^16 can
+    sieve, it calls that function.  Memory is about a hundred bytes per
+    value, so callers bound hi - lo.
+    """
+
+    def __init__(self, lo: int, hi: int):
+        if lo < 1 or hi < lo:
+            raise ValueError("need 1 <= lo <= hi")
+        self.lo = lo
+        self.hi = min(hi, _WINDOW_MAX)
+        size = max(0, self.hi - lo + 1)
+        root = isqrt(self.hi)
+        primes: list[list[int]] = [[] for _ in range(size)]
+        for p in _PRIMES:
+            if p > root:
+                break
+            for i in range((-lo) % p, size, p):
+                primes[i].append(p)
+        self._primes = primes
+
+    def divisors(self, n: int) -> list[int]:
+        """All positive divisors of n in ascending order."""
+        if not self.lo <= n <= self.hi:
+            return divisors_ascending(n)
+        divs = [1]
+        m = n
+        for p in self._primes[n - self.lo]:
+            e = 0
+            while m % p == 0:
+                m //= p
+                e += 1
+            divs = _expand_divisors(divs, p, e)
+        if m > 1:
+            divs = _expand_divisors(divs, m, 1)
+        divs.sort()
+        return divs

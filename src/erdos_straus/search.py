@@ -21,8 +21,8 @@ from dataclasses import dataclass
 from math import isqrt
 from typing import Iterable, Iterator, NamedTuple, Optional
 
-from .families import PolyId, WitnessTriple, eval_poly
-from .numutil import divisors_ascending
+from .families import PolyId, WitnessTriple, check_value, eval_poly
+from .numutil import FactorWindow, divisors_ascending
 
 
 class Witness(NamedTuple):
@@ -51,7 +51,7 @@ LEGACY_PROBE_LIMIT = 2048
 
 
 def _checked_witness(q: int, poly: PolyId, t: WitnessTriple) -> Witness:
-    assert eval_poly(poly, t) == q, (q, poly, t)
+    check_value(poly, t, q)
     return Witness(q, poly, t)
 
 
@@ -85,12 +85,15 @@ def solve_p1_given_x(q: int, x: int) -> Optional[tuple[int, int]]:
     return None
 
 
-def solve_p2_given_x(q: int, x: int) -> Optional[tuple[int, int]]:
+def solve_p2_given_x(
+    q: int, x: int, window: Optional[FactorWindow] = None
+) -> Optional[tuple[int, int]]:
     """First solution of P2(x, y, z) = q for fixed x, if any.
 
     P2 = q rearranges to z * M = q + x with M = y(4x-1) - x, so M runs over
     divisors of q+x that are congruent to -x mod 4x-1 and at least 3x-1
-    (y >= 1).  The smallest such divisor wins.
+    (y >= 1).  The smallest such divisor wins.  `window`, when given,
+    supplies the divisors of q+x; the result is the same either way.
     """
     if q < 1 or x < 1:
         raise ValueError("q and x must be >= 1")
@@ -98,7 +101,8 @@ def solve_p2_given_x(q: int, x: int) -> Optional[tuple[int, int]]:
     n = q + x
     lo = 3 * x - 1
     target = (-x) % m4
-    for d in divisors_ascending(n):
+    divisors = divisors_ascending(n) if window is None else window.divisors(n)
+    for d in divisors:
         if d >= lo and d % m4 == target:
             return (d + x) // m4, n // d
     return None
@@ -131,11 +135,12 @@ def x_sweep_bound(q: int) -> int:
     return (1 + isqrt(4 * q + 1)) // 2
 
 
-def wide_search(q: int) -> Optional[Witness]:
+def wide_search(q: int, window: Optional[FactorWindow] = None) -> Optional[Witness]:
     """Stages B and C only: the wide x sweep, then the x(x-1) check.
 
     This is the per-q workhorse; for q > LEGACY_PROBE_LIMIT it is the whole
-    classification (no cube probe can reach such q).
+    classification (no cube probe can reach such q).  `window` is passed on
+    to `solve_p2_given_x`; it changes the cost, never the result.
     """
     if q < 1:
         raise ValueError("q must be >= 1")
@@ -143,7 +148,7 @@ def wide_search(q: int) -> Optional[Witness]:
         yz = solve_p1_given_x(q, x)
         if yz is not None:
             return _checked_witness(q, PolyId.P1, WitnessTriple(x, *yz))
-        yz = solve_p2_given_x(q, x)
+        yz = solve_p2_given_x(q, x, window)
         if yz is not None:
             return _checked_witness(q, PolyId.P2, WitnessTriple(x, *yz))
         y = solve_p3_given_x(q, x)
@@ -213,30 +218,14 @@ def _validate_p2_prime(q: int, x: int, y: int, z: int) -> bool:
     return (4 * x - 1) * (4 * y * z - 1) - 4 * x * z == 4 * q + 1
 
 
-def _p2_divisor_instance(a: int, x: int) -> Optional[tuple[int, int]]:
-    """(y, z) with (4x-1)(4yz-1) - 4xz = a for fixed x, via divisors.
-
-    The identity rearranges to z * E = a + 4x - 1 with
-    E = (4x-1)(4y-1) - 1, so E runs over divisors whose successor is a
-    multiple of 4x-1 with quotient congruent to 3 mod 4.
-    """
-    n = a + 4 * x - 1
-    m = 4 * x - 1
-    for e in divisors_ascending(n):
-        if (e + 1) % m == 0:
-            t = (e + 1) // m
-            if t >= 3 and t % 4 == 3:
-                return (t + 1) // 4, n // e
-    return None
-
-
 def prime_witness_search(q: int) -> Optional[tuple[int, int, int]]:
     """Witness (x, y, z) with (4x-1)(4yz-1) - 4xz = 4q+1, staged.
 
     Callers gate on 4q+1 being prime; the search itself only needs q >= 1.
     Stage order matches the original prime program: x in {1,2,3} by divisor
     enumeration, then y in {1,2,3} and z in {1,2,3} by x sweeps, then
-    x in [4, xmax] by divisor enumeration.
+    x in [4, xmax] by divisor enumeration.  The identity is the second
+    family's 4*P2 + 1, so the divisor stages are `solve_p2_given_x`.
     """
     if q < 1:
         raise ValueError("q must be >= 1")
@@ -244,7 +233,7 @@ def prime_witness_search(q: int) -> Optional[tuple[int, int, int]]:
     xmax = (1 + isqrt(a)) // 2
 
     for x in (1, 2, 3):
-        yz = _p2_divisor_instance(a, x)
+        yz = solve_p2_given_x(q, x)
         if yz is not None and _validate_p2_prime(q, x, *yz):
             return (x, *yz)
     for y in (1, 2, 3):
@@ -262,7 +251,7 @@ def prime_witness_search(q: int) -> Optional[tuple[int, int, int]]:
                 if y >= 1 and _validate_p2_prime(q, x, y, z):
                     return (x, y, z)
     for x in range(4, xmax + 1):
-        yz = _p2_divisor_instance(a, x)
+        yz = solve_p2_given_x(q, x)
         if yz is not None and _validate_p2_prime(q, x, *yz):
             return (x, *yz)
     return None

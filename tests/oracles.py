@@ -8,6 +8,7 @@ equations are checked by direct evaluation over exhaustively enumerated
 from __future__ import annotations
 
 from fractions import Fraction
+from math import isqrt
 
 from erdos_straus.families import PolyId, WitnessTriple, eval_poly
 
@@ -74,4 +75,33 @@ def naive_staged_classification(q: int, cube_bound: int = 3):
         if x * (x - 1) == q:
             return PolyId.P4
         x += 1
+    return None
+
+
+def divisors_by_trial(n: int) -> list[int]:
+    """Ascending divisors of n by trial division up to isqrt(n)."""
+    small, large = [], []
+    for d in range(1, isqrt(n) + 1):
+        if n % d == 0:
+            small.append(d)
+            if d * d != n:
+                large.append(n // d)
+    return small + large[::-1]
+
+
+def p2_divisor_instance(a: int, x: int):
+    """(y, z) with (4x-1)(4yz-1) - 4xz = a for fixed x, via divisors.
+
+    The prime program's own parametrization of the second family: the
+    identity rearranges to z * E = a + 4x - 1 with E = (4x-1)(4y-1) - 1, so
+    E runs over divisors whose successor is a multiple of 4x-1 with quotient
+    congruent to 3 mod 4.  The first such divisor wins.
+    """
+    n = a + 4 * x - 1
+    m = 4 * x - 1
+    for e in divisors_by_trial(n):
+        if (e + 1) % m == 0:
+            t = (e + 1) // m
+            if t >= 3 and t % 4 == 3:
+                return (t + 1) // 4, n // e
     return None

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from erdos_straus import batch
 from erdos_straus.batch import (
     BatchConfig,
     ResumeError,
@@ -15,8 +16,14 @@ from erdos_straus.batch import (
 )
 from erdos_straus.families import PolyId
 from erdos_straus.numutil import is_prime
-from erdos_straus.reports import read_results
-from erdos_straus.search import Witness, WitnessTriple, legacy_coverage_scan, prime_witness_search
+from erdos_straus.reports import read_results, witness_to_row
+from erdos_straus.search import (
+    Witness,
+    WitnessTriple,
+    legacy_coverage_scan,
+    prime_witness_search,
+    wide_search,
+)
 
 
 def _cfg(tmp_path, **kw):
@@ -116,6 +123,52 @@ def test_run_coverage_resume_skips_completed(tmp_path):
     assert all(r.resumed for r in second)
     assert [r.solved_count for r in second] == [r.solved_count for r in first]
     assert [r.tallies for r in second] == [r.tallies for r in first]
+
+
+def _forbidden(*args, **kwargs):
+    raise AssertionError("this resume must not get here")
+
+
+def test_full_resume_computes_no_prefix_and_starts_no_pool(tmp_path, monkeypatch):
+    cfg = _cfg(tmp_path, worker_count=2)
+    first = run_coverage(cfg)
+    monkeypatch.setattr(batch, "legacy_coverage_scan", _forbidden)
+    monkeypatch.setattr(batch, "Pool", _forbidden)
+    second = run_coverage(checkpoint_resume(cfg))
+    assert all(r.resumed for r in second)
+    assert [r.tallies for r in second] == [r.tallies for r in first]
+
+
+def test_resume_past_the_prefix_skips_it(tmp_path, monkeypatch):
+    cfg = _cfg(tmp_path, q_max=2400, batch_size=2100)
+    run_coverage(cfg)
+    before = (tmp_path / "results_batch2.csv").read_bytes()
+    (tmp_path / "results_batch2.csv").unlink()
+    monkeypatch.setattr(batch, "legacy_coverage_scan", _forbidden)
+    reports = run_coverage(checkpoint_resume(cfg, completed_batches=[1]))
+    assert [r.resumed for r in reports] == [True, False]
+    assert (tmp_path / "results_batch2.csv").read_bytes() == before
+
+
+def test_chunked_coverage_matches_per_q_search_near_1e9(tmp_path, monkeypatch):
+    # a small window cap forces several factor windows per batch
+    monkeypatch.setattr(batch, "WINDOW_SPAN", 600)
+    q0 = 1_000_000_002
+    cfg = _cfg(tmp_path, q_start=q0, q_max=q0 + 6 * 299, step=6, batch_size=300)
+    run_coverage(cfg)
+    rows = read_results(tmp_path / "results_batch1.csv")
+    expected = [wide_search(q) for q in range(q0, q0 + 6 * 300, 6)]
+    assert rows == [witness_to_row(w) for w in expected]
+
+
+def test_tail_slices_are_contiguous_and_window_bounded():
+    tail = list(range(7, 7 + 6 * 50_000, 6))
+    for parts in (1, batch.POOL_PARTS):
+        slices = batch._tail_slices(tail, 6, parts)
+        assert [q for s in slices for q in s] == tail
+        assert len(slices) >= parts
+        assert all(s[-1] - s[0] + batch.WINDOW_MARGIN <= batch.WINDOW_SPAN for s in slices)
+    assert batch._tail_slices([], 1, batch.POOL_PARTS) == []
 
 
 def test_checkpoint_resume_errors(tmp_path):

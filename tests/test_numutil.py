@@ -3,7 +3,9 @@ from math import prod
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from erdos_straus.numutil import divisors_ascending, factorize, is_prime
+from erdos_straus.numutil import FactorWindow, divisors_ascending, factorize, is_prime
+
+from .oracles import divisors_by_trial
 
 
 def _trial_is_prime(n: int) -> bool:
@@ -82,9 +84,9 @@ def test_divisors_small_exhaustive():
         assert divisors_ascending(n) == _trial_divisors(n), n
 
 
-def test_divisors_large_path_matches_small_path():
-    # force the factorization path (n >= 2^32) and check against the
-    # multiplicative structure of a known factorization
+def test_divisors_of_known_factorization():
+    # n >= 2^32 with a large prime factor, checked against the
+    # multiplicative structure of its factorization
     n = 2**4 * 3**2 * 5 * 7 * 1_000_003
     assert n >= 1 << 32
     divs = divisors_ascending(n)
@@ -101,3 +103,58 @@ def test_divisors_sorted_and_closed(n):
     assert divs == sorted(set(divs))
     assert all(n % d == 0 for d in divs)
     assert len(divs) == prod(e + 1 for e in factorize(n).values())
+
+
+@given(st.integers(min_value=1, max_value=10**8))
+@settings(max_examples=100)
+def test_divisors_match_trial_division(n):
+    assert divisors_ascending(n) == divisors_by_trial(n)
+
+
+def _assert_window_matches(lo, hi, ns):
+    window = FactorWindow(lo, hi)
+    for n in ns:
+        assert window.divisors(n) == divisors_ascending(n), (lo, hi, n)
+
+
+@pytest.mark.parametrize("lo,hi", [
+    (1, 3000),
+    (10**6 - 1500, 10**6 + 1500),
+    (10**9 - 700, 10**9 + 700),
+    ((1 << 32) - 400, (1 << 32) + 400),       # straddles 2^32
+    (65537**2 - 300, 65537**2 + 300),         # straddles the sieve's reach
+])
+def test_factor_window_matches_divisors_ascending(lo, hi):
+    # every n inside, and a few just outside on either side
+    _assert_window_matches(lo, hi, range(max(1, lo - 3), hi + 4))
+
+
+def test_factor_window_edge_values():
+    # squares of primes near sqrt(hi), prime powers, and n = 1
+    p = 31_607  # the largest prime <= isqrt(10^9); each window's isqrt(hi) is p
+    assert is_prime(p) and p * p <= 10**9
+    squares = [p * p, 31_601**2, 65_521**2, 65_537**2]
+    for n in squares:
+        _assert_window_matches(n - 10, n + 10, [n - 1, n, n + 1])
+    _assert_window_matches(1, 1, [1, 2])
+    powers = [2**29, 3**18, 5**12, 7**10, 2**10 * 3**10, 65_521**2 - 1]
+    for n in powers:
+        _assert_window_matches(n - 5, n + 5, [n])
+    assert FactorWindow(999, 1001).divisors(1000) == [
+        1, 2, 4, 5, 8, 10, 20, 25, 40, 50, 100, 125, 200, 250, 500, 1000]
+    with pytest.raises(ValueError):
+        FactorWindow(0, 10)
+    with pytest.raises(ValueError):
+        FactorWindow(10, 9)
+
+
+@given(st.integers(min_value=1, max_value=5 * 10**9), st.integers(min_value=0, max_value=300),
+       st.data())
+@settings(max_examples=60, deadline=None)
+def test_factor_window_property(lo, width, data):
+    hi = lo + width
+    window = FactorWindow(lo, hi)
+    ns = data.draw(st.lists(st.integers(min_value=max(1, lo - 2), max_value=hi + 2),
+                            min_size=1, max_size=8))
+    for n in ns:
+        assert window.divisors(n) == divisors_ascending(n)

@@ -1,6 +1,13 @@
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from erdos_straus import families as families_module
 from erdos_straus.families import PolyId, WitnessTriple, eval_poly
 from erdos_straus.numutil import is_prime
 from erdos_straus.search import (
@@ -19,7 +26,13 @@ from erdos_straus.search import (
     x_sweep_bound,
 )
 
-from .oracles import _family_hits, _naive_xmax, naive_cube, naive_staged_classification
+from .oracles import (
+    _family_hits,
+    _naive_xmax,
+    naive_cube,
+    naive_staged_classification,
+    p2_divisor_instance,
+)
 
 qs = st.integers(min_value=1, max_value=50_000)
 xs = st.integers(min_value=1, max_value=200)
@@ -198,3 +211,55 @@ def test_prime_witness_search_covers_prime_targets():
         x, y, z = got
         assert min(x, y, z) >= 1
         assert (4 * x - 1) * (4 * y * z - 1) - 4 * x * z == a, q
+
+
+def test_solve_p2_given_x_is_the_prime_programs_p2_search():
+    # E = (4x-1)(4y-1) - 1 = 4M and a + 4x - 1 = 4(q+x): the same first hit
+    for q in range(1, 1500):
+        for x in range(1, 13):
+            assert solve_p2_given_x(q, x) == p2_divisor_instance(4 * q + 1, x), (q, x)
+
+
+@given(st.integers(min_value=10**9 // 6, max_value=10**9 // 6 + 10**6), st.integers(1, 40))
+@settings(max_examples=40, deadline=None)
+def test_solve_p2_given_x_matches_prime_program_near_1e9(c, x):
+    q = 6 * c
+    assert solve_p2_given_x(q, x) == p2_divisor_instance(4 * q + 1, x)
+
+
+def test_wrong_witness_raises_under_python_O():
+    # assert statements vanish under -O; the family checks must not
+    script = textwrap.dedent(
+        """
+        import sys
+        from erdos_straus import families
+        from erdos_straus.families import PolyId, WitnessTriple
+        from erdos_straus.search import _checked_witness
+
+        if not sys.flags.optimize:
+            sys.exit("not running under -O")
+        try:
+            _checked_witness(5, PolyId.P1, WitnessTriple(1, 1, 1))
+        except AssertionError:
+            pass
+        else:
+            sys.exit("wrong search witness accepted")
+        families.eval_poly = lambda poly, t: -1
+        for fn, arg in ((families.odd_family, 1), (families.even_6c4_family, 0),
+                        (families.even_6c2_family, 0)):
+            try:
+                fn(arg)
+            except AssertionError:
+                continue
+            sys.exit(f"{fn.__name__} accepted a wrong value")
+        """
+    )
+    src = str(Path(families_module.__file__).parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", script],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": src},
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
