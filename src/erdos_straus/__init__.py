@@ -29,7 +29,6 @@ from .decompose import (
     verify_exact,
 )
 from .search import (
-    SearchConfig,
     Witness,
     check_p4,
     prime_witness_search,
@@ -46,7 +45,6 @@ from .batch import (
     ScanMode,
     checkpoint_resume,
     run_coverage,
-    run_prime_coverage,
     tally,
 )
 

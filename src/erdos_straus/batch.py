@@ -1,10 +1,11 @@
 """Parallel range scans with per-batch CSV artifacts and tallies.
 
-Coverage mode classifies every q in a stepped range through the staged
-family search; prime mode restricts to q divisible by 6 with 4q+1 prime and
-searches the second family only.  Work items are pure functions of q, so
-any worker count produces byte-identical artifacts; results are always
-reduced in q order.
+One driver, `run_coverage`, runs every scan; a small table per `ScanMode`
+holds what differs between the modes.  Coverage mode classifies every q in
+a stepped range through the staged family search; prime mode restricts to
+q divisible by 6 with 4q+1 prime and searches the second family only.
+Work items are pure functions of q, so any worker count produces
+byte-identical artifacts; results are always reduced in q order.
 """
 
 from __future__ import annotations
@@ -14,16 +15,17 @@ import logging
 import time
 from dataclasses import dataclass, field, replace
 from enum import Enum
-from itertools import chain
+from itertools import chain, takewhile
 from multiprocessing import Pool
 from pathlib import Path
-from typing import Callable, Optional, Sequence
+from typing import Callable, NamedTuple, Optional, Sequence
 
-from .families import PolyId
+from .families import PolyId, WitnessTriple
 from .numutil import FactorWindow, is_prime
 from .reports import (
     SolutionRow,
     read_results,
+    read_results_q,
     results_batch_path,
     row_to_witness,
     unsolved_path,
@@ -34,7 +36,6 @@ from .reports import (
 )
 from .search import (
     LEGACY_PROBE_LIMIT,
-    SearchConfig,
     Witness,
     legacy_coverage_scan,
     prime_witness_search,
@@ -71,7 +72,6 @@ class BatchConfig:
     worker_count: int = 1
     output_dir: Path = Path(".")
     skip_batches: frozenset[int] = field(default_factory=frozenset)
-    note_analytic_closure: bool = False
 
     def __post_init__(self) -> None:
         if self.q_start < 1 or self.q_start > self.q_max:
@@ -103,12 +103,12 @@ def tally(witnesses: Sequence[Witness]) -> dict[PolyId, int]:
     return counts
 
 
-def _prime_work(q: int):
-    a = 4 * q + 1
-    if not is_prime(a):
-        return q, None, False
-    sol = prime_witness_search(q)
-    return q, sol, True
+def _prime_work(q: int) -> Optional[tuple[int, Optional[Witness]]]:
+    """(q, its second-family witness or None) if 4q+1 is prime, else None."""
+    if not is_prime(4 * q + 1):
+        return None
+    t = prime_witness_search(q)
+    return q, None if t is None else Witness(q, PolyId.P2, t)
 
 
 # A pool gets a batch's work in about this many pieces.
@@ -208,187 +208,148 @@ def checkpoint_resume(
     return replace(cfg, skip_batches=frozenset(completed_batches))
 
 
-def _coverage_batches(cfg: BatchConfig) -> list[list[int]]:
-    qs = list(range(cfg.q_start, cfg.q_max + 1, cfg.step))
-    return [qs[i : i + cfg.batch_size] for i in range(0, len(qs), cfg.batch_size)]
+def _coverage_batches(cfg: BatchConfig) -> list[range]:
+    """Runs of batch_size consecutive values of the stepped range."""
+    last = cfg.q_max - (cfg.q_max - cfg.q_start) % cfg.step
+    span = cfg.batch_size * cfg.step
+    return [
+        range(lo, min(lo + span - cfg.step, last) + 1, cfg.step)
+        for lo in range(cfg.q_start, last + 1, span)
+    ]
 
 
-def _reload_coverage_batch(cfg: BatchConfig, index: int, qs: Sequence[int]) -> BatchReport:
-    rows = read_results(results_batch_path(index, "coverage", cfg.output_dir))
-    unsolved_rows = read_results_q(unsolved_path(index, "coverage", cfg.output_dir))
-    witnesses = [row_to_witness(r) for r in rows]
-    return BatchReport(
-        batch_index=index,
-        q_range=(qs[0], qs[-1]),
-        solved_count=len(rows),
-        tallies=tally(witnesses),
-        unsolved=unsolved_rows,
-        elapsed_seconds=0.0,
-        resumed=True,
-    )
+def _prime_batches(cfg: BatchConfig) -> list[range]:
+    """Value-width blocks of q = 6c.
+
+    Block k starts at q_start + k * batch_size aligned up to a multiple of 6
+    and ends one below the next block's start; starts that align to the
+    same value make one block.
+    """
+    blocks = []
+    lo = cfg.q_start + (-cfg.q_start) % 6
+    while lo <= cfg.q_max:
+        # the first unaligned block start above lo, then aligned
+        nxt = cfg.q_start + ((lo - cfg.q_start) // cfg.batch_size + 1) * cfg.batch_size
+        nxt += (-nxt) % 6
+        blocks.append(range(lo, min(nxt, cfg.q_max + 1), 6))
+        lo = nxt
+    return blocks
 
 
-def read_results_q(path: Path) -> list[int]:
-    """Parse a single-column unsolved file back into q values."""
-    lines = Path(path).read_text(encoding="ascii").split("\n")
-    if lines and lines[-1] == "":
-        lines.pop()
-    if not lines or lines[0] != "q":
-        raise ResumeError(f"{path}: not an unsolved-q file")
-    return [int(x) for x in lines[1:]]
+# A batch's targets, in q order, each with its witness (None: unsolved).
+Hits = dict[int, Optional[Witness]]
+
+
+def _solve_coverage(pool: Optional[Pool], qs: range, prefix: Hits) -> Hits:
+    tail = [q for q in qs if q not in prefix]
+    slices = _tail_slices(tail, qs.step, 1 if pool is None else POOL_PARTS)
+    # prefix values, all <= LEGACY_PROBE_LIMIT, lead the batch
+    hits = {q: prefix[q] for q in qs[: len(qs) - len(tail)]}
+    hits.update(zip(tail, chain.from_iterable(_map(pool, _wide_slice, slices))))
+    return hits
+
+
+def _solve_primes(pool: Optional[Pool], qs: range, prefix: Hits) -> Hits:
+    return dict(hit for hit in _map(pool, _prime_work, qs) if hit is not None)
+
+
+class _Mode(NamedTuple):
+    """What differs between the scan modes."""
+
+    label: str  # the artifact names, see reports.results_batch_path
+    batches: Callable[[BatchConfig], list[range]]
+    legacy_prefix: bool  # classify q <= LEGACY_PROBE_LIMIT with the legacy scan
+    solve: Callable[[Optional[Pool], range, Hits], Hits]
+    rows: Callable[[list[Witness]], list[SolutionRow]]
+    witnesses: Callable[[list[SolutionRow]], list[Witness]]  # inverse of rows
+    aggregate: bool  # also write Results/all_solutions.csv
+
+
+_MODES = {
+    ScanMode.COVERAGE: _Mode(
+        label="coverage",
+        batches=_coverage_batches,
+        legacy_prefix=True,
+        solve=_solve_coverage,
+        rows=lambda ws: [witness_to_row(w) for w in ws],
+        witnesses=lambda rows: [row_to_witness(r) for r in rows],
+        aggregate=False,
+    ),
+    ScanMode.PRIME_COVERAGE: _Mode(
+        label="prime",
+        batches=_prime_batches,
+        legacy_prefix=False,
+        solve=_solve_primes,
+        rows=lambda ws: [SolutionRow(w.q, *w.triple) for w in ws],
+        witnesses=lambda rows: [Witness(r.q, PolyId.P2, WitnessTriple(r.x, r.y, r.z))
+                                for r in rows],
+        aggregate=True,
+    ),
+}
 
 
 def run_coverage(
     cfg: BatchConfig, cancel: Optional[CancelCheck] = None
 ) -> list[BatchReport]:
-    """Scan [q_start, q_max] with the staged family search.
+    """Scan [q_start, q_max] batch by batch in the mode `cfg.mode` names.
 
-    Small q (below the cube-probe horizon) are classified sequentially with
-    the legacy scan semantics so the artifacts match the reference CSVs;
-    everything else fans out across workers in contiguous slices.  The
-    prefix and the pool are only set up when a batch that needs them runs.
+    Batches in `cfg.skip_batches` are reloaded from their files.  In
+    coverage mode, small q (below the cube-probe horizon) are classified
+    sequentially with the legacy scan semantics so the artifacts match the
+    reference CSVs; everything else fans out across workers.  The prefix and
+    the pool are only set up when a batch that needs them runs.
     """
-    if cfg.mode is not ScanMode.COVERAGE:
-        raise ValueError("run_coverage needs mode=COVERAGE")
+    mode = _MODES[cfg.mode]
     _prepare_output(cfg)
-    if cfg.note_analytic_closure and cfg.step == 6:
-        log.info(
-            "odd q and q = 6c+2 / 6c+4 are covered analytically by the "
-            "closed family identities; scanning multiples of 6 only"
-        )
-
-    batches = _coverage_batches(cfg)
+    batches = mode.batches(cfg)
     to_run = [qs for index, qs in enumerate(batches, start=1) if index not in cfg.skip_batches]
-    prefix = {}
-    if any(qs[0] <= LEGACY_PROBE_LIMIT for qs in to_run):
+    prefix: Hits = {}
+    if mode.legacy_prefix and any(qs[0] <= LEGACY_PROBE_LIMIT for qs in to_run):
         # The legacy scan carries state from q to q, so it always runs over
         # the whole prefix, reloaded batches included.
-        prefix_qs = [q for chunk in batches for q in chunk if q <= LEGACY_PROBE_LIMIT]
-        prefix = dict(legacy_coverage_scan(prefix_qs, SearchConfig()))
+        small = takewhile(lambda q: q <= LEGACY_PROBE_LIMIT, chain.from_iterable(batches))
+        prefix = dict(legacy_coverage_scan(small))
 
     pool = Pool(cfg.worker_count) if cfg.worker_count > 1 and to_run else None
     reports = []
-    try:
-        for index, qs in enumerate(batches, start=1):
-            if index in cfg.skip_batches:
-                reports.append(_reload_coverage_batch(cfg, index, qs))
-                continue
-            _check_cancel(cfg, cancel, index)
-            t0 = time.perf_counter()
-            tail = [q for q in qs if q not in prefix]
-            slices = _tail_slices(tail, cfg.step, 1 if pool is None else POOL_PARTS)
-            found = dict(zip(tail, chain.from_iterable(_map(pool, _wide_slice, slices))))
-            witnesses = []
-            unsolved = []
-            for q in qs:
-                w = prefix.get(q) if q in prefix else found[q]
-                if w is None:
-                    unsolved.append(q)
-                else:
-                    witnesses.append(w)
-            rows = [witness_to_row(w) for w in witnesses]
-            write_results_batch(rows, index, "coverage", cfg.output_dir)
-            write_unsolved(unsolved, index, cfg.output_dir, "coverage")
-            reports.append(
-                BatchReport(
-                    batch_index=index,
-                    q_range=(qs[0], qs[-1]),
-                    solved_count=len(witnesses),
-                    tallies=tally(witnesses),
-                    unsolved=unsolved,
-                    elapsed_seconds=time.perf_counter() - t0,
-                )
-            )
-            _record_batch_done(cfg, index)
-    finally:
-        if pool is not None:
-            pool.close()
-            pool.join()
-
-    all_unsolved = sorted({q for r in reports for q in r.unsolved})
-    write_unsolved(all_unsolved, None, cfg.output_dir, "coverage")
-    return reports
-
-
-def _prime_batches(cfg: BatchConfig) -> list[tuple[int, int]]:
-    """Value-width blocks, each aligned up to a multiple of 6."""
-    blocks = []
-    b = 1
-    while True:
-        lo = cfg.q_start + cfg.batch_size * (b - 1)
-        if lo % 6:
-            lo += 6 - lo % 6
-        if lo > cfg.q_max:
-            break
-        blocks.append((lo, min(lo + cfg.batch_size - 1, cfg.q_max)))
-        b += 1
-    return blocks
-
-
-def run_prime_coverage(
-    cfg: BatchConfig, cancel: Optional[CancelCheck] = None
-) -> list[BatchReport]:
-    """Scan q = 6c for primes 4q+1 and find a second-family witness for each."""
-    if cfg.mode is not ScanMode.PRIME_COVERAGE:
-        raise ValueError("run_prime_coverage needs mode=PRIME_COVERAGE")
-    _prepare_output(cfg)
-
-    pool = Pool(cfg.worker_count) if cfg.worker_count > 1 else None
-    reports = []
     all_rows: list[SolutionRow] = []
     try:
-        for index, (lo, hi) in enumerate(_prime_batches(cfg), start=1):
-            if index in cfg.skip_batches:
-                reports.append(_reload_prime_batch(cfg, index, (lo, hi)))
-                all_rows.extend(read_results(results_batch_path(index, "prime", cfg.output_dir)))
-                continue
-            _check_cancel(cfg, cancel, index)
+        for index, qs in enumerate(batches, start=1):
+            resumed = index in cfg.skip_batches
             t0 = time.perf_counter()
-            qs = list(range(lo, hi + 1, 6))
-            results = _map(pool, _prime_work, qs)
-            rows = []
-            unsolved = []
-            for q, sol, prime in results:
-                if not prime:
-                    continue
-                if sol is None:
-                    unsolved.append(q)
-                else:
-                    rows.append(SolutionRow(q, sol[0], sol[1], sol[2]))
-            write_results_batch(rows, index, "prime", cfg.output_dir)
-            write_unsolved(unsolved, index, cfg.output_dir, "prime")
-            all_rows.extend(rows)
+            if resumed:
+                rows = read_results(results_batch_path(index, mode.label, cfg.output_dir))
+                witnesses = mode.witnesses(rows)
+                unsolved = read_results_q(unsolved_path(index, mode.label, cfg.output_dir))
+            else:
+                _check_cancel(cfg, cancel, index)
+                hits = mode.solve(pool, qs, prefix)
+                witnesses = [w for w in hits.values() if w is not None]
+                unsolved = [q for q, w in hits.items() if w is None]
+                rows = mode.rows(witnesses)
+                write_results_batch(rows, index, mode.label, cfg.output_dir)
+                write_unsolved(unsolved, index, cfg.output_dir, mode.label)
+                _record_batch_done(cfg, index)
             reports.append(
                 BatchReport(
                     batch_index=index,
-                    q_range=(lo, hi),
+                    q_range=(qs.start, qs.stop - 1),
                     solved_count=len(rows),
-                    tallies={},
+                    tallies=tally(witnesses),
                     unsolved=unsolved,
-                    elapsed_seconds=time.perf_counter() - t0,
+                    elapsed_seconds=0.0 if resumed else time.perf_counter() - t0,
+                    resumed=resumed,
                 )
             )
-            _record_batch_done(cfg, index)
+            if mode.aggregate:
+                all_rows.extend(rows)
     finally:
         if pool is not None:
             pool.close()
             pool.join()
 
-    write_results_aggregate(all_rows, cfg.output_dir)
+    if mode.aggregate:
+        write_results_aggregate(all_rows, cfg.output_dir)
     all_unsolved = sorted({q for r in reports for q in r.unsolved})
-    write_unsolved(all_unsolved, None, cfg.output_dir, "prime")
+    write_unsolved(all_unsolved, None, cfg.output_dir, mode.label)
     return reports
-
-
-def _reload_prime_batch(cfg: BatchConfig, index: int, q_range: tuple[int, int]) -> BatchReport:
-    rows = read_results(results_batch_path(index, "prime", cfg.output_dir))
-    unsolved = read_results_q(unsolved_path(index, "prime", cfg.output_dir))
-    return BatchReport(
-        batch_index=index,
-        q_range=q_range,
-        solved_count=len(rows),
-        tallies={},
-        unsolved=unsolved,
-        elapsed_seconds=0.0,
-        resumed=True,
-    )

@@ -24,12 +24,11 @@ from .batch import (
     ScanMode,
     checkpoint_resume,
     run_coverage,
-    run_prime_coverage,
 )
 from .decompose import UnsolvedError, decompose_any, verify_exact
-from .families import PolyId, eval_poly, WitnessTriple
+from .families import PolyId, WitnessTriple, eval_poly
 from .numutil import is_prime
-from .reports import ReportFormatError, read_results, split_by_family
+from .reports import ReportFormatError, read_results, row_to_witness, split_by_family
 from .search import staged_search
 
 EX_UNSOLVED = 2
@@ -100,22 +99,28 @@ def _install_cancel():
     return lambda: flag["stop"]
 
 
-def _cmd_cover(args) -> int:
-    if args.q_start > args.q_max:
-        print("error: q-start must not exceed q-max", file=sys.stderr)
-        return EX_USAGE
+def _scan_config(args, mode: ScanMode, q_start: int, step: int) -> BatchConfig:
+    """The scan's config, resumed if asked; prints the range header line."""
     cfg = BatchConfig(
-        q_start=args.q_start,
+        q_start=q_start,
         q_max=args.q_max,
-        step=args.step,
+        step=step,
         batch_size=args.batch_size,
-        mode=ScanMode.COVERAGE,
+        mode=mode,
         worker_count=args.workers,
         output_dir=args.out_dir,
     )
     if args.resume:
         cfg = checkpoint_resume(cfg)
     print(f"qStart = {cfg.q_start}, qMax = {cfg.q_max}, step = {cfg.step}")
+    return cfg
+
+
+def _cmd_cover(args) -> int:
+    if args.q_start > args.q_max:
+        print("error: q-start must not exceed q-max", file=sys.stderr)
+        return EX_USAGE
+    cfg = _scan_config(args, ScanMode.COVERAGE, args.q_start, args.step)
     print(f"Batch size (number of q values per batch) = {cfg.batch_size}")
     reports = run_coverage(cfg, cancel=_install_cancel())
     for r in reports:
@@ -132,24 +137,13 @@ def _cmd_cover(args) -> int:
 
 
 def _cmd_primes(args) -> int:
-    if args.q_start > args.q_max:
+    q_start = max(args.q_start + (-args.q_start) % 6, 6)  # align upward to 6c
+    if q_start > args.q_max:
         print("error: q-start must not exceed q-max", file=sys.stderr)
         return EX_USAGE
-    q_start = args.q_start + (-args.q_start) % 6  # align upward to 6c
-    cfg = BatchConfig(
-        q_start=max(q_start, 6),
-        q_max=args.q_max,
-        step=6,
-        batch_size=args.batch_size,
-        mode=ScanMode.PRIME_COVERAGE,
-        worker_count=args.workers,
-        output_dir=args.out_dir,
-    )
-    if args.resume:
-        cfg = checkpoint_resume(cfg)
-    print(f"qStart = {cfg.q_start}, qMax = {cfg.q_max}, step = {cfg.step}")
+    cfg = _scan_config(args, ScanMode.PRIME_COVERAGE, q_start, 6)
     print(f"Batch size = {cfg.batch_size}")
-    reports = run_prime_coverage(cfg, cancel=_install_cancel())
+    reports = run_coverage(cfg, cancel=_install_cancel())
     for r in reports:
         print(
             f"Processing batch {r.batch_index}/{len(reports)}: "
@@ -211,12 +205,11 @@ def _cmd_witness(args) -> int:
 
 
 def _verify_row(row) -> bool:
-    if row.pi is None:  # prime schema
-        ok = (4 * row.x - 1) * (4 * row.y * row.z - 1) - 4 * row.x * row.z == 4 * row.q + 1
-        return ok and is_prime(4 * row.q + 1)
-    poly = PolyId.from_label(row.pi)
-    t = WitnessTriple(row.x, row.y if row.y is not None else 1, row.z if row.z is not None else 1)
-    return eval_poly(poly, t) == row.q
+    if row.pi is None:  # prime schema: a second-family witness, 4q+1 prime
+        t = WitnessTriple(row.x, row.y, row.z)
+        return eval_poly(PolyId.P2, t) == row.q and is_prime(4 * row.q + 1)
+    w = row_to_witness(row)
+    return eval_poly(w.poly, w.triple) == row.q
 
 
 def _cmd_verify_csv(args) -> int:
@@ -250,10 +243,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
-    except ReportFormatError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EX_DATAERR
-    except ResumeError as exc:
+    except (ReportFormatError, ResumeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EX_DATAERR
     except ScanCancelled as exc:

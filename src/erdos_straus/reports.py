@@ -30,7 +30,8 @@ class ReportFormatError(Exception):
 @dataclass(frozen=True)
 class SolutionRow:
     """One solved q.  y/z are None where the family does not use them;
-    pi is None in prime-mode files."""
+    pi is None in prime-mode files, whose rows use x, y and z.  Every
+    coordinate the row's family uses is present and >= 1."""
 
     q: int
     x: int
@@ -41,10 +42,12 @@ class SolutionRow:
     def __post_init__(self) -> None:
         if self.pi is not None and self.pi not in FAMILY_LABELS:
             raise ValueError(f"bad family label {self.pi!r}")
-        if self.pi == "p3" and self.z is not None:
-            raise ValueError("p3 rows must leave z empty")
-        if self.pi == "p4" and (self.y is not None or self.z is not None):
-            raise ValueError("p4 rows must leave y and z empty")
+        y_used = self.pi != "p4"
+        z_used = y_used and self.pi != "p3"
+        if (self.y is not None and not y_used) or (self.z is not None and not z_used):
+            raise ValueError(f"{self.pi} rows must leave {'z' if y_used else 'y and z'} empty")
+        if self.x < 1 or (y_used and (self.y or 0) < 1) or (z_used and (self.z or 0) < 1):
+            raise ValueError(f"{self.pi or 'prime'} rows must give every coordinate they use, >= 1")
 
 
 def witness_to_row(w: Witness) -> SolutionRow:
@@ -135,13 +138,18 @@ def _write_lines(path: Path, lines: Iterable[str]) -> None:
         raise OSError(f"cannot write report file {path}: {exc}") from exc
 
 
-def read_results(path: Path) -> list[SolutionRow]:
-    """Parse either schema by header; raises with a line number on bad rows."""
-    path = Path(path)
+def _read_lines(path: Path) -> list[str]:
     with open(path, "r", encoding="ascii", newline="") as fh:
         lines = fh.read().split("\n")
     if lines and lines[-1] == "":
         lines.pop()
+    return lines
+
+
+def read_results(path: Path) -> list[SolutionRow]:
+    """Parse either schema by header; raises with a line number on bad rows."""
+    path = Path(path)
+    lines = _read_lines(path)
     if not lines:
         raise ReportFormatError(f"{path}: empty file")
     header = lines[0]
@@ -166,6 +174,14 @@ def read_results(path: Path) -> list[SolutionRow]:
         except ValueError as exc:
             raise ReportFormatError(f"{path}:{lineno}: {exc}") from None
     return rows
+
+
+def read_results_q(path: Path) -> list[int]:
+    """Parse a single-column unsolved file back into q values."""
+    lines = _read_lines(path)
+    if not lines or lines[0] != "q":
+        raise ReportFormatError(f"{path}: not an unsolved-q file")
+    return [int(x) for x in lines[1:]]
 
 
 def split_by_family(results_path: Path, out_dir: Path) -> list[Path]:

@@ -9,15 +9,19 @@ that fixed order, is the classification that drives all tallies.
 coverage program: its cube stage evaluated the family equations with a
 leftover numeric x from the previous q's wide sweep (the loop variable was
 global), so after the first wide dispatch the "cube" degrades to a probe
-over (y, z) at that single stale x.  The published tallies and CSVs include
-the handful of small-q classifications that quirk produces, so coverage
-scans emulate it; the effect is provably confined to q <= 35*(sqrt(q)+2),
-i.e. nothing beyond q ~ 1400 can ever be touched.
+over (y, z) at that single stale x, which is `small_cube_search` with x
+fixed.  The published tallies and CSVs include the handful of small-q
+classifications that quirk produces, so coverage scans emulate it; the
+effect is provably confined to q <= 35*(sqrt(q)+2), i.e. nothing beyond
+q ~ 1400 can ever be touched.
+
+`prime_witness_search` is the prime program's staged second-family search.
+Every witness any of these searches returns has passed
+`families.check_value`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import isqrt
 from typing import Iterable, Iterator, NamedTuple, Optional
 
@@ -31,19 +35,8 @@ class Witness(NamedTuple):
     triple: WitnessTriple
 
 
-@dataclass(frozen=True)
-class SearchConfig:
-    """Knobs of the staged search; the defaults reproduce the original runs."""
-
-    cube_bound: int = 3
-    record_first_only: bool = True
-
-    def __post_init__(self) -> None:
-        if self.cube_bound < 1:
-            raise ValueError("cube_bound must be >= 1")
-
-
-_DEFAULT = SearchConfig()
+# The cube probe covers x, y, z in [1, CUBE_BOUND], as the original runs did.
+CUBE_BOUND = 3
 
 # Above this q no cube probe (proper or stale-x) can match: a cube value at
 # probe x0 is at most 35*x0, and x0 never exceeds sqrt(q) + 2.
@@ -55,16 +48,20 @@ def _checked_witness(q: int, poly: PolyId, t: WitnessTriple) -> Witness:
     return Witness(q, poly, t)
 
 
-def small_cube_search(q: int, cfg: SearchConfig = _DEFAULT) -> Optional[Witness]:
-    """Family-major probe of P1..P3 over the cube [1, cube_bound]^3."""
+def small_cube_search(q: int, x: Optional[int] = None) -> Optional[Witness]:
+    """Family-major probe of P1..P3 over the cube [1, CUBE_BOUND]^3.
+
+    With `x` given, only the (y, z) square at that x is probed, in the same
+    order: family, then y, then z.
+    """
     if q < 1:
         raise ValueError("q must be >= 1")
-    b = cfg.cube_bound
+    side = range(1, CUBE_BOUND + 1)
     for poly in (PolyId.P1, PolyId.P2, PolyId.P3):
-        for x in range(1, b + 1):
-            for y in range(1, b + 1):
-                for z in range(1, b + 1):
-                    t = WitnessTriple(x, y, z)
+        for x0 in side if x is None else (x,):
+            for y in side:
+                for z in side:
+                    t = WitnessTriple(x0, y, z)
                     if eval_poly(poly, t) == q:
                         return _checked_witness(q, poly, t)
     return None
@@ -160,36 +157,15 @@ def wide_search(q: int, window: Optional[FactorWindow] = None) -> Optional[Witne
     return None
 
 
-def staged_search(q: int, cfg: SearchConfig = _DEFAULT) -> Optional[Witness]:
+def staged_search(q: int) -> Optional[Witness]:
     """Full staged pipeline: cube probe, wide sweep, x(x-1) check."""
-    hit = small_cube_search(q, cfg)
+    hit = small_cube_search(q)
     if hit is not None:
         return hit
     return wide_search(q)
 
 
-def _wide_solved_x(q: int) -> tuple[Optional[Witness], int]:
-    """wide_search plus the x value the sweep stopped at (for scan state)."""
-    w = wide_search(q)
-    if w is None:
-        return None, x_sweep_bound(q) + 1
-    return w, w.triple.x
-
-
-def _probe_cube(q: int, x0: int, bound: int) -> Optional[Witness]:
-    """The degraded cube: families in order at the single stale x0."""
-    for poly in (PolyId.P1, PolyId.P2, PolyId.P3):
-        for y in range(1, bound + 1):
-            for z in range(1, bound + 1):
-                t = WitnessTriple(x0, y, z)
-                if eval_poly(poly, t) == q:
-                    return _checked_witness(q, poly, t)
-    return None
-
-
-def legacy_coverage_scan(
-    qs: Iterable[int], cfg: SearchConfig = _DEFAULT
-) -> Iterator[tuple[int, Optional[Witness]]]:
+def legacy_coverage_scan(qs: Iterable[int]) -> Iterator[tuple[int, Optional[Witness]]]:
     """Classify a q sequence with the original program's scan semantics.
 
     The proper cube runs until the first wide dispatch; from then on the
@@ -203,55 +179,54 @@ def legacy_coverage_scan(
             # No probe can reach here; state no longer matters.
             yield q, wide_search(q)
             continue
-        if stale is None:
-            hit = small_cube_search(q, cfg)
-        else:
-            hit = _probe_cube(q, stale, cfg.cube_bound)
-        if hit is not None:
-            yield q, hit
-        else:
-            w, stale = _wide_solved_x(q)
-            yield q, w
+        hit = small_cube_search(q, stale)
+        if hit is None:
+            hit = wide_search(q)
+            # the x the sweep stopped at
+            stale = x_sweep_bound(q) + 1 if hit is None else hit.triple.x
+        yield q, hit
 
 
-def _validate_p2_prime(q: int, x: int, y: int, z: int) -> bool:
-    return (4 * x - 1) * (4 * y * z - 1) - 4 * x * z == 4 * q + 1
+def _first_prime_candidate(q: int) -> Optional[WitnessTriple]:
+    """First second-family candidate for q, in the prime program's stage order."""
+    a = 4 * q + 1
+    xmax = x_sweep_bound(q)
+    for x in (1, 2, 3):
+        yz = solve_p2_given_x(q, x)
+        if yz is not None:
+            return WitnessTriple(x, *yz)
+    for y in (1, 2, 3):
+        for x in range(1, xmax + 1):
+            e = (4 * x - 1) * (4 * y - 1) - 1
+            n = a + 4 * x - 1
+            if n % e == 0:
+                return WitnessTriple(x, y, n // e)
+    for z in (1, 2, 3):
+        for x in range(1, xmax + 1):
+            den = 4 * z * (4 * x - 1)
+            num = a - 1 + 4 * x + 4 * x * z
+            if num % den == 0:
+                return WitnessTriple(x, num // den, z)
+    for x in range(4, xmax + 1):
+        yz = solve_p2_given_x(q, x)
+        if yz is not None:
+            return WitnessTriple(x, *yz)
+    return None
 
 
-def prime_witness_search(q: int) -> Optional[tuple[int, int, int]]:
+def prime_witness_search(q: int) -> Optional[WitnessTriple]:
     """Witness (x, y, z) with (4x-1)(4yz-1) - 4xz = 4q+1, staged.
 
     Callers gate on 4q+1 being prime; the search itself only needs q >= 1.
     Stage order matches the original prime program: x in {1,2,3} by divisor
     enumeration, then y in {1,2,3} and z in {1,2,3} by x sweeps, then
     x in [4, xmax] by divisor enumeration.  The identity is the second
-    family's 4*P2 + 1, so the divisor stages are `solve_p2_given_x`.
+    family's 4*P2 + 1, so the divisor stages are `solve_p2_given_x`, and the
+    first candidate is checked as P2(x, y, z) = q.
     """
     if q < 1:
         raise ValueError("q must be >= 1")
-    a = 4 * q + 1
-    xmax = (1 + isqrt(a)) // 2
-
-    for x in (1, 2, 3):
-        yz = solve_p2_given_x(q, x)
-        if yz is not None and _validate_p2_prime(q, x, *yz):
-            return (x, *yz)
-    for y in (1, 2, 3):
-        for x in range(1, xmax + 1):
-            e = (4 * x - 1) * (4 * y - 1) - 1
-            n = a + 4 * x - 1
-            if n % e == 0 and _validate_p2_prime(q, x, y, n // e):
-                return (x, y, n // e)
-    for z in (1, 2, 3):
-        for x in range(1, xmax + 1):
-            den = 4 * z * (4 * x - 1)
-            num = a - 1 + 4 * x + 4 * x * z
-            if num % den == 0:
-                y = num // den
-                if y >= 1 and _validate_p2_prime(q, x, y, z):
-                    return (x, y, z)
-    for x in range(4, xmax + 1):
-        yz = solve_p2_given_x(q, x)
-        if yz is not None and _validate_p2_prime(q, x, *yz):
-            return (x, *yz)
-    return None
+    t = _first_prime_candidate(q)
+    if t is not None:
+        check_value(PolyId.P2, t, q)
+    return t

@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from erdos_straus.batch import BatchConfig, ScanMode, run_coverage, run_prime_coverage
+from erdos_straus.batch import BatchConfig, ScanMode, run_coverage
 from erdos_straus.decompose import (
     decompose_4q2,
     decompose_4q3,
@@ -79,7 +79,6 @@ def step6_coverage(tmp_path_factory):
         mode=ScanMode.COVERAGE,
         worker_count=1,
         output_dir=out,
-        note_analytic_closure=True,
     )
     return run_coverage(cfg), out
 
@@ -130,7 +129,7 @@ def test_criterion_3_prime_scan(tmp_path_factory, capsys):
         worker_count=1,
         output_dir=out,
     )
-    reports = run_prime_coverage(cfg)
+    reports = run_coverage(cfg)
     solved = sum(r.solved_count for r in reports)
     unsolved = sum(len(r.unsolved) for r in reports)
     rows = read_results(out / "Results" / "all_solutions.csv")

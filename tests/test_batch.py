@@ -9,14 +9,12 @@ from erdos_straus.batch import (
     ScanCancelled,
     ScanMode,
     checkpoint_resume,
-    read_results_q,
     run_coverage,
-    run_prime_coverage,
     tally,
 )
 from erdos_straus.families import PolyId
 from erdos_straus.numutil import is_prime
-from erdos_straus.reports import read_results, witness_to_row
+from erdos_straus.reports import read_results, read_results_q, witness_to_row
 from erdos_straus.search import (
     Witness,
     WitnessTriple,
@@ -207,20 +205,13 @@ def test_unwritable_output_dir_raises_before_compute(tmp_path):
         run_coverage(cfg)
 
 
-def test_mode_mismatch(tmp_path):
-    cfg = _cfg(tmp_path)
-    with pytest.raises(ValueError):
-        run_prime_coverage(cfg)
-    pcfg = _cfg(tmp_path, mode=ScanMode.PRIME_COVERAGE, step=6, q_start=6, q_max=600)
-    with pytest.raises(ValueError):
-        run_coverage(pcfg)
+def _prime_cfg(tmp_path, q_start=6, **kw):
+    return _cfg(tmp_path, mode=ScanMode.PRIME_COVERAGE, step=6, q_start=q_start, **kw)
 
 
 def test_run_prime_coverage_small(tmp_path):
-    cfg = _cfg(
-        tmp_path, mode=ScanMode.PRIME_COVERAGE, step=6, q_start=6, q_max=600, batch_size=300
-    )
-    reports = run_prime_coverage(cfg)
+    cfg = _prime_cfg(tmp_path, q_max=600, batch_size=300)
+    reports = run_coverage(cfg)
     assert [r.batch_index for r in reports] == [1, 2]
     assert all(not r.unsolved for r in reports)
 
@@ -237,12 +228,45 @@ def test_run_prime_coverage_small(tmp_path):
 
 
 def test_run_prime_coverage_resume(tmp_path):
-    cfg = _cfg(
-        tmp_path, mode=ScanMode.PRIME_COVERAGE, step=6, q_start=6, q_max=600, batch_size=300
-    )
-    first = run_prime_coverage(cfg)
+    cfg = _prime_cfg(tmp_path, q_max=600, batch_size=300)
+    first = run_coverage(cfg)
     agg = (tmp_path / "Results" / "all_solutions.csv").read_bytes()
-    second = run_prime_coverage(checkpoint_resume(cfg))
+    second = run_coverage(checkpoint_resume(cfg))
     assert all(r.resumed for r in second)
     assert [r.solved_count for r in second] == [r.solved_count for r in first]
+    assert [r.tallies for r in second] == [r.tallies for r in first]
     assert (tmp_path / "Results" / "all_solutions.csv").read_bytes() == agg
+
+
+def test_full_prime_resume_starts_no_pool(tmp_path, monkeypatch):
+    cfg = _prime_cfg(tmp_path, q_max=600, batch_size=300, worker_count=2)
+    first = run_coverage(cfg)
+    monkeypatch.setattr(batch, "Pool", _forbidden)
+    second = run_coverage(checkpoint_resume(cfg))
+    assert all(r.resumed for r in second)
+    assert [r.tallies for r in second] == [r.tallies for r in first]
+
+
+@pytest.mark.parametrize("batch_size", [1, 7, 8, 20, 301])
+def test_prime_batches_write_every_target_once(tmp_path, batch_size):
+    reports = run_coverage(_prime_cfg(tmp_path, q_max=600, batch_size=batch_size))
+    targets = [q for q in range(6, 601, 6) if is_prime(4 * q + 1)]
+    batch_files = sorted((tmp_path / "Results").glob("results_batch*.csv"))
+    assert len(batch_files) == len(reports)
+    assert [row.q for path in batch_files for row in read_results(path)] == targets
+    assert [row.q for row in read_results(tmp_path / "Results" / "all_solutions.csv")] == targets
+    for r, nxt in zip(reports, reports[1:]):
+        assert r.q_range[1] + 1 == nxt.q_range[0]
+    assert (reports[0].q_range[0], reports[-1].q_range[1]) == (6, 600)
+
+
+def test_prime_batches_keep_blocks_of_multiples_of_6(tmp_path):
+    # block b starts at q_start + (b-1)*batch_size aligned up to 6 and ends
+    # batch_size - 1 later, as the reference runs cut them
+    for q_start, q_max, size in ((6, 10**6, 10**6), (6, 600, 300), (7, 1000, 120), (6, 6, 1)):
+        blocks = batch._prime_batches(_prime_cfg(tmp_path, q_start, q_max=q_max, batch_size=size))
+        lo = [q_start + size * b + (-(q_start + size * b)) % 6 for b in range(len(blocks))]
+        assert [(r.start, r.stop - 1) for r in blocks] == [
+            (s, min(s + size - 1, q_max)) for s in lo
+        ]
+        assert blocks[-1].stop - 1 == q_max

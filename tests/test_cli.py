@@ -91,6 +91,34 @@ def test_primes_small_run(capsys, tmp_path):
     assert (tmp_path / "Results" / "all_solutions.csv").exists()
 
 
+def test_primes_worker_counts_identical(capsys, tmp_path):
+    runs = {}
+    for workers in ("1", "2"):
+        out = tmp_path / f"w{workers}"
+        code, stdout, _ = run(
+            capsys, "primes", "--q-max", "3000", "--batch-size", "700",
+            "--workers", workers, "--out-dir", str(out),
+        )
+        assert code == 0
+        lines = [
+            line for line in stdout.splitlines()
+            if not line.startswith(("time:", "All results saved to:"))
+        ]
+        files = {p.relative_to(out): p.read_bytes() for p in sorted(out.rglob("*.csv"))}
+        runs[workers] = (lines, files)
+    assert runs["1"] == runs["2"]
+    assert len(runs["1"][1]) == 2 * 5 + 2  # 5 batches, each solutions and unsolved
+
+
+def test_primes_range_without_a_target_is_usage_error(capsys, tmp_path):
+    # q-start 7 aligns up to 12, past q-max
+    code, _, err = run(
+        capsys, "primes", "--q-start", "7", "--q-max", "10", "--out-dir", str(tmp_path)
+    )
+    assert code == 64
+    assert "q-start" in err
+
+
 def test_decompose(capsys):
     code, out, _ = run(capsys, "decompose", "5")
     assert code == 0
@@ -149,6 +177,19 @@ def test_verify_csv_prime_schema(capsys, tmp_path):
     bad = write_results_batch([SolutionRow(36, 2, 3, 2)], 2, "prime", tmp_path)
     code, out, _ = run(capsys, "verify-csv", str(bad))
     assert code == 1
+
+
+@pytest.mark.parametrize("text", [
+    "q,x,y,z,pi\n2,0,1,1,p1\n",  # x = 0
+    "q,x,y,z\n18,2,,4\n",  # prime row without y
+    "q,x,y,z,pi\n2,1,1,,p1\n",  # p1 row without z
+])
+def test_verify_csv_rejects_malformed_rows(capsys, tmp_path, text):
+    path = tmp_path / "bad.csv"
+    path.write_text(text)
+    code, _, err = run(capsys, "verify-csv", str(path))
+    assert code == 65
+    assert f"{path}:2:" in err
 
 
 def test_verify_csv_malformed_file(capsys, tmp_path):

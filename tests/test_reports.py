@@ -8,6 +8,7 @@ from erdos_straus.reports import (
     ReportFormatError,
     SolutionRow,
     read_results,
+    read_results_q,
     results_batch_path,
     row_to_witness,
     split_by_family,
@@ -104,8 +105,6 @@ def test_write_rejects_unsorted(tmp_path):
 def test_unsolved_bytes_and_read_back(tmp_path):
     path = write_unsolved([4, 9, 11], None, tmp_path)
     assert path.read_bytes() == b"q\n4\n9\n11\n"
-    from erdos_straus.batch import read_results_q
-
     assert read_results_q(path) == [4, 9, 11]
 
 
@@ -127,6 +126,9 @@ def test_read_results_prime_round_trip(tmp_path):
     ("q,x,y,z,pi\n1,2\n", "expected 5 fields"),
     ("q,x,y,z,pi\n1,2,3,4,p9\n", "p9"),
     ("q,x,y,z\n1,a,3,4\n", "invalid literal"),
+    ("q,x,y,z,pi\n2,0,1,1,p1\n", ":2: p1 rows must give every coordinate"),
+    ("q,x,y,z\n18,2,,4\n", ":2: prime rows must give every coordinate"),
+    ("q,x,y,z,pi\n2,1,1,,p1\n", ":2: p1 rows must give every coordinate"),
 ])
 def test_read_results_errors(tmp_path, text, fragment):
     path = tmp_path / "bad.csv"
@@ -165,8 +167,6 @@ def test_split_rejects_prime_schema(tmp_path):
 
 @given(st.lists(st.integers(1, 10**6), unique=True, min_size=0, max_size=50))
 def test_unsolved_round_trip(tmp_path_factory, qs):
-    from erdos_straus.batch import read_results_q
-
     out = tmp_path_factory.mktemp("unsolved")
     path = write_unsolved(sorted(qs), 3, out)
     assert read_results_q(path) == sorted(qs)

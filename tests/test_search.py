@@ -8,11 +8,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from erdos_straus import families as families_module
+from erdos_straus import search as search_module
 from erdos_straus.families import PolyId, WitnessTriple, eval_poly
 from erdos_straus.numutil import is_prime
 from erdos_straus.search import (
     LEGACY_PROBE_LIMIT,
-    SearchConfig,
     Witness,
     check_p4,
     legacy_coverage_scan,
@@ -38,12 +38,6 @@ qs = st.integers(min_value=1, max_value=50_000)
 xs = st.integers(min_value=1, max_value=200)
 
 
-def test_search_config_validation():
-    with pytest.raises(ValueError):
-        SearchConfig(cube_bound=0)
-    assert SearchConfig().cube_bound == 3
-
-
 def test_small_cube_examples():
     assert small_cube_search(1) == Witness(1, PolyId.P2, WitnessTriple(1, 1, 1))
     assert small_cube_search(2) == Witness(2, PolyId.P1, WitnessTriple(1, 1, 1))
@@ -57,12 +51,19 @@ def test_small_cube_matches_naive_oracle():
         assert (got.poly if got else None) == expect, q
 
 
-def test_small_cube_respects_bound():
-    cfg = SearchConfig(cube_bound=1)
-    # with bound 1 only the three unit-point values are reachable
-    hits = {q: small_cube_search(q, cfg) for q in range(1, 30)}
-    assert {q for q, w in hits.items() if w} == {1, 2}
-    assert all(w.triple == WitnessTriple(1, 1, 1) for w in hits.values() if w)
+def _naive_square(q, x):
+    for poly in (PolyId.P1, PolyId.P2, PolyId.P3):
+        for y in (1, 2, 3):
+            for z in (1, 2, 3):
+                if eval_poly(poly, WitnessTriple(x, y, z)) == q:
+                    return Witness(q, poly, WitnessTriple(x, y, z))
+    return None
+
+
+def test_small_cube_at_fixed_x_probes_one_square():
+    for x in range(1, 40):
+        for q in range(1, 400):
+            assert small_cube_search(q, x) == _naive_square(q, x), (q, x)
 
 
 @given(qs, xs)
@@ -227,6 +228,16 @@ def test_solve_p2_given_x_matches_prime_program_near_1e9(c, x):
     assert solve_p2_given_x(q, x) == p2_divisor_instance(4 * q + 1, x)
 
 
+def _wrong_p2(q, x, window=None):
+    return (1, 1)
+
+
+def test_prime_witness_search_rejects_a_wrong_triple(monkeypatch):
+    monkeypatch.setattr(search_module, "solve_p2_given_x", _wrong_p2)
+    with pytest.raises(AssertionError, match="p2"):
+        prime_witness_search(36)
+
+
 def test_wrong_witness_raises_under_python_O():
     # assert statements vanish under -O; the family checks must not
     script = textwrap.dedent(
@@ -234,6 +245,7 @@ def test_wrong_witness_raises_under_python_O():
         import sys
         from erdos_straus import families
         from erdos_straus.families import PolyId, WitnessTriple
+        from erdos_straus import search
         from erdos_straus.search import _checked_witness
 
         if not sys.flags.optimize:
@@ -244,6 +256,13 @@ def test_wrong_witness_raises_under_python_O():
             pass
         else:
             sys.exit("wrong search witness accepted")
+        search.solve_p2_given_x = lambda q, x, window=None: (1, 1)
+        try:
+            search.prime_witness_search(36)
+        except AssertionError:
+            pass
+        else:
+            sys.exit("wrong prime witness accepted")
         families.eval_poly = lambda poly, t: -1
         for fn, arg in ((families.odd_family, 1), (families.even_6c4_family, 0),
                         (families.even_6c2_family, 0)):
