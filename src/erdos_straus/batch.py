@@ -10,9 +10,11 @@ byte-identical artifacts; results are always reduced in q order.
 
 from __future__ import annotations
 
+import heapq
 import json
 import logging
 import time
+from collections import Counter
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from itertools import chain, takewhile
@@ -20,16 +22,16 @@ from multiprocessing import Pool
 from pathlib import Path
 from typing import Callable, NamedTuple, Optional, Sequence
 
-from .families import PolyId, WitnessTriple
+from .families import PolyId
 from .numutil import FactorWindow, is_prime
 from .reports import (
     SolutionRow,
     read_results,
     read_results_q,
     results_batch_path,
-    row_to_witness,
     unsolved_path,
     witness_to_row,
+    write_lines,
     write_results_aggregate,
     write_results_batch,
     write_unsolved,
@@ -75,7 +77,7 @@ class BatchConfig:
 
     def __post_init__(self) -> None:
         if self.q_start < 1 or self.q_start > self.q_max:
-            raise ValueError("need 1 <= q_start <= q_max")
+            raise ValueError(f"need 1 <= q_start <= q_max, got {self.q_start} and {self.q_max}")
         if self.step < 1 or self.batch_size < 1 or self.worker_count < 1:
             raise ValueError("step, batch_size and worker_count must be >= 1")
         if self.mode is ScanMode.PRIME_COVERAGE and self.step != 6:
@@ -95,20 +97,13 @@ class BatchReport:
     resumed: bool = False
 
 
-def tally(witnesses: Sequence[Witness]) -> dict[PolyId, int]:
-    """Per-family counts; every family is present, sum equals the input."""
-    counts = {p: 0 for p in PolyId}
-    for w in witnesses:
-        counts[w.poly] += 1
+def tally(rows: Sequence[SolutionRow]) -> dict[PolyId, int]:
+    """Per-family counts of result rows; every family is present, sum equals
+    the input.  Prime rows carry no label: they are second-family witnesses."""
+    labels = Counter(r.pi for r in rows)
+    counts = {p: labels[p.label] for p in PolyId}
+    counts[PolyId.P2] += labels[None]
     return counts
-
-
-def _prime_work(q: int) -> Optional[tuple[int, Optional[Witness]]]:
-    """(q, its second-family witness or None) if 4q+1 is prime, else None."""
-    if not is_prime(4 * q + 1):
-        return None
-    t = prime_witness_search(q)
-    return q, None if t is None else Witness(q, PolyId.P2, t)
 
 
 # A pool gets a batch's work in about this many pieces.
@@ -116,10 +111,9 @@ POOL_PARTS = 64
 
 
 def _map(pool: Optional[Pool], fn, items: Sequence) -> list:
-    if pool is None or not items:
-        return [fn(q) for q in items]
-    chunk = max(1, len(items) // POOL_PARTS)
-    return pool.map(fn, items, chunksize=chunk)
+    if pool is None:
+        return [fn(item) for item in items]
+    return pool.map(fn, items, chunksize=1)
 
 
 # A coverage slice's factor window spans [q_first + 1, q_last + WINDOW_MARGIN]:
@@ -130,26 +124,30 @@ WINDOW_MARGIN = 64
 WINDOW_SPAN = 1 << 16
 
 
-def _tail_slices(tail: list[int], step: int, parts: int) -> list[list[int]]:
-    """`tail` cut into about `parts` contiguous slices, each window-sized."""
-    size = max(1, min(-(-len(tail) // parts), (WINDOW_SPAN - WINDOW_MARGIN) // step + 1))
-    return [tail[i : i + size] for i in range(0, len(tail), size)]
+def _slices(qs: range, parts: int) -> list[range]:
+    """`qs` cut into about `parts` contiguous slices, each window-sized."""
+    size = max(1, min(-(-len(qs) // parts), (WINDOW_SPAN - WINDOW_MARGIN) // qs.step + 1))
+    return [qs[i : i + size] for i in range(0, len(qs), size)]
 
 
-def _wide_slice(qs: list[int]) -> list[Optional[Witness]]:
+def _row(w: Optional[Witness]) -> Optional[SolutionRow]:
+    return None if w is None else witness_to_row(w)
+
+
+def _wide_slice(qs: range) -> list[tuple[int, Optional[SolutionRow]]]:
     """wide_search on each q of a contiguous slice, sharing one factor window."""
     window = FactorWindow(qs[0] + 1, qs[-1] + WINDOW_MARGIN)
-    return [wide_search(q, window) for q in qs]
+    return [(q, _row(wide_search(q, window))) for q in qs]
 
 
-CancelCheck = Callable[[], bool]
-
-
-def _check_cancel(cfg: BatchConfig, cancel: Optional[CancelCheck], batch_index: int) -> None:
-    if cancel is not None and cancel():
-        marker = cfg.output_dir / f"partial_batch{batch_index}.marker"
-        marker.write_text("cancelled\n")
-        raise ScanCancelled(f"cancelled before batch {batch_index} completed")
+def _prime_slice(qs: range) -> list[tuple[int, Optional[SolutionRow]]]:
+    """prime_witness_search on each q of a slice with 4q+1 prime."""
+    hits = []
+    for q in qs:
+        if is_prime(4 * q + 1):
+            t = prime_witness_search(q)
+            hits.append((q, None if t is None else SolutionRow(q, *t)))
+    return hits
 
 
 def _prepare_output(cfg: BatchConfig) -> None:
@@ -172,40 +170,25 @@ def _manifest_params(cfg: BatchConfig) -> dict:
     }
 
 
-def _record_batch_done(cfg: BatchConfig, batch_index: int) -> None:
-    path = cfg.output_dir / MANIFEST_NAME
-    data = _manifest_params(cfg)
-    done = {batch_index}
-    if path.exists():
-        try:
-            old = json.loads(path.read_text())
-            if {k: old.get(k) for k in data} == data:
-                done.update(old.get("completed", []))
-        except (ValueError, TypeError):
-            pass  # stale manifest from another run; overwrite
-    data["completed"] = sorted(done)
-    path.write_text(json.dumps(data, indent=1) + "\n")
+def _write_manifest(cfg: BatchConfig, completed: set[int]) -> None:
+    data = _manifest_params(cfg) | {"completed": sorted(completed)}
+    write_lines(cfg.output_dir / MANIFEST_NAME, [json.dumps(data, indent=1)])
 
 
-def checkpoint_resume(
-    cfg: BatchConfig, completed_batches: Optional[Sequence[int]] = None
-) -> BatchConfig:
+def checkpoint_resume(cfg: BatchConfig) -> BatchConfig:
     """Config that skips batches already recorded complete in output_dir."""
-    if completed_batches is None:
-        path = cfg.output_dir / MANIFEST_NAME
-        if not path.exists():
-            raise ResumeError(f"no checkpoint manifest at {path}")
-        try:
-            data = json.loads(path.read_text())
-            completed_batches = [int(b) for b in data["completed"]]
-            params = {k: data[k] for k in _manifest_params(cfg)}
-        except (ValueError, TypeError, KeyError) as exc:
-            raise ResumeError(f"corrupt checkpoint manifest {path}: {exc}") from exc
-        if params != _manifest_params(cfg):
-            raise ResumeError(
-                f"checkpoint {path} was written by a different scan: {params}"
-            )
-    return replace(cfg, skip_batches=frozenset(completed_batches))
+    path = cfg.output_dir / MANIFEST_NAME
+    if not path.exists():
+        raise ResumeError(f"no checkpoint manifest at {path}")
+    try:
+        data = json.loads(path.read_text())
+        completed = frozenset(int(b) for b in data["completed"])
+        params = {k: data[k] for k in _manifest_params(cfg)}
+    except (ValueError, TypeError, KeyError) as exc:
+        raise ResumeError(f"corrupt checkpoint manifest {path}: {exc}") from exc
+    if params != _manifest_params(cfg):
+        raise ResumeError(f"checkpoint {path} was written by a different scan: {params}")
+    return replace(cfg, skip_batches=completed)
 
 
 def _coverage_batches(cfg: BatchConfig) -> list[range]:
@@ -236,81 +219,73 @@ def _prime_batches(cfg: BatchConfig) -> list[range]:
     return blocks
 
 
-# A batch's targets, in q order, each with its witness (None: unsolved).
-Hits = dict[int, Optional[Witness]]
-
-
-def _solve_coverage(pool: Optional[Pool], qs: range, prefix: Hits) -> Hits:
-    tail = [q for q in qs if q not in prefix]
-    slices = _tail_slices(tail, qs.step, 1 if pool is None else POOL_PARTS)
-    # prefix values, all <= LEGACY_PROBE_LIMIT, lead the batch
-    hits = {q: prefix[q] for q in qs[: len(qs) - len(tail)]}
-    hits.update(zip(tail, chain.from_iterable(_map(pool, _wide_slice, slices))))
-    return hits
-
-
-def _solve_primes(pool: Optional[Pool], qs: range, prefix: Hits) -> Hits:
-    return dict(hit for hit in _map(pool, _prime_work, qs) if hit is not None)
-
-
 class _Mode(NamedTuple):
-    """What differs between the scan modes."""
+    """What differs between the scan modes; `ScanMode.value` names the artifacts."""
 
-    label: str  # the artifact names, see reports.results_batch_path
     batches: Callable[[BatchConfig], list[range]]
     legacy_prefix: bool  # classify q <= LEGACY_PROBE_LIMIT with the legacy scan
-    solve: Callable[[Optional[Pool], range, Hits], Hits]
-    rows: Callable[[list[Witness]], list[SolutionRow]]
-    witnesses: Callable[[list[SolutionRow]], list[Witness]]  # inverse of rows
+    solve: Callable[[range], list]  # a slice's targets in q order, each with its row or None
+    every_q: bool  # every q of a batch is a target, solved or unsolved
     aggregate: bool  # also write Results/all_solutions.csv
 
 
 _MODES = {
     ScanMode.COVERAGE: _Mode(
-        label="coverage",
         batches=_coverage_batches,
         legacy_prefix=True,
-        solve=_solve_coverage,
-        rows=lambda ws: [witness_to_row(w) for w in ws],
-        witnesses=lambda rows: [row_to_witness(r) for r in rows],
+        solve=_wide_slice,
+        every_q=True,
         aggregate=False,
     ),
     ScanMode.PRIME_COVERAGE: _Mode(
-        label="prime",
         batches=_prime_batches,
         legacy_prefix=False,
-        solve=_solve_primes,
-        rows=lambda ws: [SolutionRow(w.q, *w.triple) for w in ws],
-        witnesses=lambda rows: [Witness(r.q, PolyId.P2, WitnessTriple(r.x, r.y, r.z))
-                                for r in rows],
+        solve=_prime_slice,
+        every_q=False,
         aggregate=True,
     ),
 }
 
 
-def run_coverage(
-    cfg: BatchConfig, cancel: Optional[CancelCheck] = None
-) -> list[BatchReport]:
+def _reload(cfg: BatchConfig, index: int, qs: range) -> tuple[list[SolutionRow], list[int]]:
+    """A completed batch's rows and unsolved q, checked against its range."""
+    label, where = cfg.mode.value, f"batch {index}, q in [{qs.start}, {qs.stop - 1}]"
+    rows = read_results(results_batch_path(index, label, cfg.output_dir), label)
+    unsolved = read_results_q(unsolved_path(index, label, cfg.output_dir))
+    last = 0
+    for q in heapq.merge((r.q for r in rows), unsolved):
+        if q <= last or q not in qs:
+            raise ResumeError(f"{where}: q = {q} repeats, is out of order or lies outside the batch")
+        last = q
+    if _MODES[cfg.mode].every_q and len(rows) + len(unsolved) != len(qs):
+        raise ResumeError(f"{where}: its files hold {len(rows) + len(unsolved)} q, not {len(qs)}")
+    return rows, unsolved
+
+
+def run_coverage(cfg: BatchConfig, cancel: Optional[Callable[[], bool]] = None) -> list[BatchReport]:
     """Scan [q_start, q_max] batch by batch in the mode `cfg.mode` names.
 
-    Batches in `cfg.skip_batches` are reloaded from their files.  In
-    coverage mode, small q (below the cube-probe horizon) are classified
-    sequentially with the legacy scan semantics so the artifacts match the
-    reference CSVs; everything else fans out across workers.  The prefix and
-    the pool are only set up when a batch that needs them runs.
+    Batches in `cfg.skip_batches` are reloaded from their files and checked
+    against their range.  In coverage mode, small q (below the cube-probe
+    horizon) are classified sequentially with the legacy scan semantics so
+    the artifacts match the reference CSVs.  The rest of each batch is cut
+    into contiguous range slices that fan out across workers.  The prefix
+    and the pool are only set up when a batch that needs them runs.
     """
-    mode = _MODES[cfg.mode]
+    mode, label = _MODES[cfg.mode], cfg.mode.value
     _prepare_output(cfg)
     batches = mode.batches(cfg)
     to_run = [qs for index, qs in enumerate(batches, start=1) if index not in cfg.skip_batches]
-    prefix: Hits = {}
+    prefix: dict[int, Optional[SolutionRow]] = {}
     if mode.legacy_prefix and any(qs[0] <= LEGACY_PROBE_LIMIT for qs in to_run):
         # The legacy scan carries state from q to q, so it always runs over
         # the whole prefix, reloaded batches included.
-        small = takewhile(lambda q: q <= LEGACY_PROBE_LIMIT, chain.from_iterable(batches))
-        prefix = dict(legacy_coverage_scan(small))
+        small = range(cfg.q_start, min(cfg.q_max, LEGACY_PROBE_LIMIT) + 1, cfg.step)
+        prefix = {q: _row(w) for q, w in legacy_coverage_scan(small)}
 
     pool = Pool(cfg.worker_count) if cfg.worker_count > 1 and to_run else None
+    parts = 1 if pool is None else POOL_PARTS
+    completed = set(cfg.skip_batches)
     reports = []
     all_rows: list[SolutionRow] = []
     try:
@@ -318,24 +293,26 @@ def run_coverage(
             resumed = index in cfg.skip_batches
             t0 = time.perf_counter()
             if resumed:
-                rows = read_results(results_batch_path(index, mode.label, cfg.output_dir))
-                witnesses = mode.witnesses(rows)
-                unsolved = read_results_q(unsolved_path(index, mode.label, cfg.output_dir))
+                rows, unsolved = _reload(cfg, index, qs)
             else:
-                _check_cancel(cfg, cancel, index)
-                hits = mode.solve(pool, qs, prefix)
-                witnesses = [w for w in hits.values() if w is not None]
-                unsolved = [q for q, w in hits.items() if w is None]
-                rows = mode.rows(witnesses)
-                write_results_batch(rows, index, mode.label, cfg.output_dir)
-                write_unsolved(unsolved, index, cfg.output_dir, mode.label)
-                _record_batch_done(cfg, index)
+                if cancel is not None and cancel():
+                    raise ScanCancelled(f"cancelled before batch {index} completed")
+                # prefix values, all <= LEGACY_PROBE_LIMIT, lead the batch
+                hits = [(q, prefix[q]) for q in takewhile(prefix.__contains__, qs)]
+                tail = _slices(qs[len(hits) :], parts)
+                hits.extend(chain.from_iterable(_map(pool, mode.solve, tail)))
+                rows = [row for _, row in hits if row is not None]
+                unsolved = [q for q, row in hits if row is None]
+                write_results_batch(rows, index, label, cfg.output_dir)
+                write_unsolved(unsolved, index, label, cfg.output_dir)
+                completed.add(index)
+                _write_manifest(cfg, completed)
             reports.append(
                 BatchReport(
                     batch_index=index,
                     q_range=(qs.start, qs.stop - 1),
                     solved_count=len(rows),
-                    tallies=tally(witnesses),
+                    tallies=tally(rows),
                     unsolved=unsolved,
                     elapsed_seconds=0.0 if resumed else time.perf_counter() - t0,
                     resumed=resumed,
@@ -350,6 +327,5 @@ def run_coverage(
 
     if mode.aggregate:
         write_results_aggregate(all_rows, cfg.output_dir)
-    all_unsolved = sorted({q for r in reports for q in r.unsolved})
-    write_unsolved(all_unsolved, None, cfg.output_dir, mode.label)
+    write_unsolved([q for r in reports for q in r.unsolved], None, label, cfg.output_dir)
     return reports

@@ -39,6 +39,10 @@ EX_DATAERR = 65
 EX_IOERR = 74
 
 
+class UsageError(Exception):
+    """Arguments that parse but make no valid request (exit 64)."""
+
+
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # argparse defaults to exit 2
         self.print_usage(sys.stderr)
@@ -101,15 +105,18 @@ def _install_cancel():
 
 def _scan_config(args, mode: ScanMode, q_start: int, step: int) -> BatchConfig:
     """The scan's config, resumed if asked; prints the range header line."""
-    cfg = BatchConfig(
-        q_start=q_start,
-        q_max=args.q_max,
-        step=step,
-        batch_size=args.batch_size,
-        mode=mode,
-        worker_count=args.workers,
-        output_dir=args.out_dir,
-    )
+    try:
+        cfg = BatchConfig(
+            q_start=q_start,
+            q_max=args.q_max,
+            step=step,
+            batch_size=args.batch_size,
+            mode=mode,
+            worker_count=args.workers,
+            output_dir=args.out_dir,
+        )
+    except ValueError as exc:
+        raise UsageError(str(exc).replace("_", "-")) from None  # the flags' spelling
     if args.resume:
         cfg = checkpoint_resume(cfg)
     print(f"qStart = {cfg.q_start}, qMax = {cfg.q_max}, step = {cfg.step}")
@@ -117,9 +124,6 @@ def _scan_config(args, mode: ScanMode, q_start: int, step: int) -> BatchConfig:
 
 
 def _cmd_cover(args) -> int:
-    if args.q_start > args.q_max:
-        print("error: q-start must not exceed q-max", file=sys.stderr)
-        return EX_USAGE
     cfg = _scan_config(args, ScanMode.COVERAGE, args.q_start, args.step)
     print(f"Batch size (number of q values per batch) = {cfg.batch_size}")
     reports = run_coverage(cfg, cancel=_install_cancel())
@@ -138,9 +142,6 @@ def _cmd_cover(args) -> int:
 
 def _cmd_primes(args) -> int:
     q_start = max(args.q_start + (-args.q_start) % 6, 6)  # align upward to 6c
-    if q_start > args.q_max:
-        print("error: q-start must not exceed q-max", file=sys.stderr)
-        return EX_USAGE
     cfg = _scan_config(args, ScanMode.PRIME_COVERAGE, q_start, 6)
     print(f"Batch size = {cfg.batch_size}")
     reports = run_coverage(cfg, cancel=_install_cancel())
@@ -162,8 +163,7 @@ def _cmd_primes(args) -> int:
 
 def _cmd_decompose(args) -> int:
     if args.a < 2:
-        print("error: a must be >= 2", file=sys.stderr)
-        return EX_USAGE
+        raise UsageError("a must be >= 2")
     try:
         rec = decompose_any(args.a)
     except UnsolvedError as exc:
@@ -188,8 +188,7 @@ def _cmd_decompose(args) -> int:
 
 def _cmd_witness(args) -> int:
     if args.q < 1:
-        print("error: q must be >= 1", file=sys.stderr)
-        return EX_USAGE
+        raise UsageError("q must be >= 1")
     w = staged_search(args.q)
     if w is None:
         print(f"no witness found for q = {args.q}")
@@ -243,6 +242,9 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
+    except UsageError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EX_USAGE
     except (ReportFormatError, ResumeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EX_DATAERR

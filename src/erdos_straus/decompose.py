@@ -11,9 +11,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, NamedTuple, Optional
+from typing import NamedTuple, Optional
 
 from .families import KzsPoint, PolyId, WitnessTriple, kzs_condition, kzs_q, shifted_value
+from .search import staged_search
 
 
 class UnitFractionTriple(NamedTuple):
@@ -164,13 +165,10 @@ def decompose_case_p3(t: WitnessTriple) -> UnitFractionTriple:
     return _checked(a, triple)
 
 
-Resolver = Callable[[int], DecompositionRecord]
-
-
-def decompose_square(x: int, resolver: Resolver) -> DecompositionRecord:
+def decompose_square(x: int) -> DecompositionRecord:
     """Decomposition of 4/a for a = (2x-1)^2, x >= 2.
 
-    Scales a decomposition of 4/(2x-1) by n = 2x-1.  The reduced target is
+    Scales decompose_any(2x-1) by n = 2x-1.  The reduced target is
     strictly smaller than a, so recursion terminates.
     """
     if x < 2:
@@ -181,7 +179,7 @@ def decompose_square(x: int, resolver: Resolver) -> DecompositionRecord:
         base = decompose_4q3((n - 3) // 4)
         depth = 1
     else:
-        inner = resolver(n)
+        inner = decompose_any(n)
         base = inner.triple
         depth = inner.recursion_depth + 1
     triple = UnitFractionTriple(n * base.b, n * base.c, n * base.d)
@@ -194,12 +192,12 @@ def decompose_square(x: int, resolver: Resolver) -> DecompositionRecord:
     )
 
 
-def decompose_any(a: int, search=None) -> DecompositionRecord:
+def decompose_any(a: int) -> DecompositionRecord:
     """Decomposition of 4/a for any a >= 2, dispatched on a mod 4.
 
-    `search` maps q to an optional witness for the 1-mod-4 branch; it
-    defaults to the staged family search.  Raises UnsolvedError if the
-    search exhausts (never happens for a mod 4 != 1, which are closed form).
+    The 1-mod-4 branch takes its witness from the staged family search.
+    Raises UnsolvedError if the search exhausts (never happens for
+    a mod 4 != 1, which are closed form).
     """
     if a < 2:
         raise ValueError("a must be >= 2")
@@ -211,17 +209,13 @@ def decompose_any(a: int, search=None) -> DecompositionRecord:
     if r == 3:
         return DecompositionRecord(a, decompose_4q3((a - 3) // 4), Provenance.ODD_4Q3)
 
-    if search is None:
-        from .search import staged_search
-
-        search = staged_search
     q = (a - 1) // 4
-    witness = search(q)
+    witness = staged_search(q)
     if witness is None:
         raise UnsolvedError(f"no family witness found for q={q} (a={a})")
     poly, t = witness.poly, witness.triple
     if poly is PolyId.P4:
-        return decompose_square(t.x, lambda n: decompose_any(n, search))
+        return decompose_square(t.x)
     case = {
         PolyId.P1: (decompose_case_p1, Provenance.CASE_P1),
         PolyId.P2: (decompose_case_p2, Provenance.CASE_P2),

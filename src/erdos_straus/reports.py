@@ -10,6 +10,7 @@ ASCII, comma separated, never quoted; rows end with a newline.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Optional, Sequence
@@ -19,6 +20,7 @@ from .search import Witness
 
 COVERAGE_HEADER = "q,x,y,z,pi"
 PRIME_HEADER = "q,x,y,z"
+HEADERS = {"coverage": COVERAGE_HEADER, "prime": PRIME_HEADER}
 
 FAMILY_LABELS = ("p1", "p2", "p3", "p4")
 
@@ -98,44 +100,47 @@ def write_results_batch(
     rows: Sequence[SolutionRow], batch_index: int, mode: str, out_dir: Path
 ) -> Path:
     """Write one batch's solution rows; rows must already be sorted by q."""
-    if mode not in ("coverage", "prime"):
+    if mode not in HEADERS:
         raise ValueError(f"unknown mode {mode!r}")
     if any(rows[i].q > rows[i + 1].q for i in range(len(rows) - 1)):
         raise ValueError("rows must be sorted ascending by q")
     prime = mode == "prime"
     path = results_batch_path(batch_index, mode, Path(out_dir))
-    header = PRIME_HEADER if prime else COVERAGE_HEADER
-    _write_lines(path, [header] + [_format_row(r, prime) for r in rows])
+    write_lines(path, [HEADERS[mode]] + [_format_row(r, prime) for r in rows])
     return path
 
 
 def write_results_aggregate(rows: Sequence[SolutionRow], out_dir: Path) -> Path:
     """Prime mode's all_solutions.csv under Results/."""
     path = Path(out_dir) / "Results" / "all_solutions.csv"
-    _write_lines(path, [PRIME_HEADER] + [_format_row(r, True) for r in rows])
+    write_lines(path, [PRIME_HEADER] + [_format_row(r, True) for r in rows])
     return path
 
 
-def write_unsolved(
-    qs: Sequence[int], batch_index: Optional[int], out_dir: Path, mode: str = "coverage"
-) -> Path:
+def write_unsolved(qs: Sequence[int], batch_index: Optional[int], mode: str, out_dir: Path) -> Path:
     """Single-column unsolved file; batch_index None means the aggregate."""
     if any(qs[i] >= qs[i + 1] for i in range(len(qs) - 1)):
         raise ValueError("unsolved q values must be sorted and deduplicated")
     path = unsolved_path(batch_index, mode, Path(out_dir))
-    _write_lines(path, ["q"] + [str(q) for q in qs])
+    write_lines(path, ["q"] + [str(q) for q in qs])
     return path
 
 
-def _write_lines(path: Path, lines: Iterable[str]) -> None:
+def write_lines(path: Path, lines: Iterable[str]) -> None:
+    """Write newline-terminated lines to a temp file beside `path`, then
+    rename it over `path`: a crash leaves the old file or the new one."""
     path.parent.mkdir(parents=True, exist_ok=True)
+    tmp = path.with_name(f".{path.name}.tmp")
     try:
-        with open(path, "w", encoding="ascii", newline="") as fh:
+        with open(tmp, "w", encoding="ascii", newline="") as fh:
             for line in lines:
                 fh.write(line)
                 fh.write("\n")
+        os.replace(tmp, path)
     except OSError as exc:
         raise OSError(f"cannot write report file {path}: {exc}") from exc
+    finally:
+        tmp.unlink(missing_ok=True)
 
 
 def _read_lines(path: Path) -> list[str]:
@@ -146,19 +151,19 @@ def _read_lines(path: Path) -> list[str]:
     return lines
 
 
-def read_results(path: Path) -> list[SolutionRow]:
-    """Parse either schema by header; raises with a line number on bad rows."""
+def read_results(path: Path, mode: Optional[str] = None) -> list[SolutionRow]:
+    """Parse either schema by header, or only `mode`'s schema if given;
+    raises with a line number on bad rows."""
     path = Path(path)
     lines = _read_lines(path)
     if not lines:
         raise ReportFormatError(f"{path}: empty file")
     header = lines[0]
-    if header == COVERAGE_HEADER:
-        prime = False
-    elif header == PRIME_HEADER:
-        prime = True
-    else:
+    if header not in HEADERS.values():
         raise ReportFormatError(f"{path}: unrecognized header {header!r}")
+    if mode is not None and header != HEADERS[mode]:
+        raise ReportFormatError(f"{path}: need the {mode} schema {HEADERS[mode]!r}")
+    prime = header == PRIME_HEADER
     rows = []
     width = 4 if prime else 5
     for lineno, line in enumerate(lines[1:], start=2):
@@ -181,7 +186,13 @@ def read_results_q(path: Path) -> list[int]:
     lines = _read_lines(path)
     if not lines or lines[0] != "q":
         raise ReportFormatError(f"{path}: not an unsolved-q file")
-    return [int(x) for x in lines[1:]]
+    qs = []
+    for lineno, line in enumerate(lines[1:], start=2):
+        try:
+            qs.append(int(line))
+        except ValueError:
+            raise ReportFormatError(f"{path}:{lineno}: not an integer q: {line!r}") from None
+    return qs
 
 
 def split_by_family(results_path: Path, out_dir: Path) -> list[Path]:
@@ -190,14 +201,11 @@ def split_by_family(results_path: Path, out_dir: Path) -> list[Path]:
     Each output is a headerless single column of q values in file order,
     replicating the original analysis script.
     """
-    with open(results_path, encoding="ascii") as fh:
-        if fh.readline().rstrip("\n") != COVERAGE_HEADER:
-            raise ReportFormatError(f"{results_path}: need the 5-column coverage schema")
-    rows = read_results(results_path)
+    rows = read_results(results_path, "coverage")
     out = []
     out_dir = Path(out_dir)
     for label in FAMILY_LABELS:
         path = out_dir / f"q_with_{label}.csv"
-        _write_lines(path, [str(r.q) for r in rows if r.pi == label])
+        write_lines(path, [str(r.q) for r in rows if r.pi == label])
         out.append(path)
     return out

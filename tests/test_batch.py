@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 
 import pytest
 
@@ -14,14 +15,13 @@ from erdos_straus.batch import (
 )
 from erdos_straus.families import PolyId
 from erdos_straus.numutil import is_prime
-from erdos_straus.reports import read_results, read_results_q, witness_to_row
-from erdos_straus.search import (
-    Witness,
-    WitnessTriple,
-    legacy_coverage_scan,
-    prime_witness_search,
-    wide_search,
+from erdos_straus.reports import (
+    SolutionRow,
+    read_results,
+    read_results_q,
+    witness_to_row,
 )
+from erdos_straus.search import legacy_coverage_scan, prime_witness_search, wide_search
 
 
 def _cfg(tmp_path, **kw):
@@ -58,14 +58,19 @@ def test_nonreference_step_warns(tmp_path, caplog):
 
 
 def test_tally():
-    ws = [
-        Witness(1, PolyId.P2, WitnessTriple(1, 1, 1)),
-        Witness(2, PolyId.P1, WitnessTriple(1, 1, 1)),
-        Witness(8, PolyId.P1, WitnessTriple(3, 1, 1)),
+    coverage = [
+        SolutionRow(1, 1, 1, 1, "p2"),
+        SolutionRow(2, 1, 1, 1, "p1"),
+        SolutionRow(8, 3, 1, 1, "p1"),
+        SolutionRow(72, 9, None, None, "p4"),
     ]
-    counts = tally(ws)
-    assert counts == {PolyId.P1: 2, PolyId.P2: 1, PolyId.P3: 0, PolyId.P4: 0}
-    assert sum(counts.values()) == len(ws)
+    counts = tally(coverage)
+    assert counts == {PolyId.P1: 2, PolyId.P2: 1, PolyId.P3: 0, PolyId.P4: 1}
+    assert sum(counts.values()) == len(coverage)
+    # prime rows carry no label; each is a second-family witness
+    prime = [SolutionRow(6, 1, 1, 6), SolutionRow(18, 1, 3, 2)]
+    assert tally(prime) == {PolyId.P1: 0, PolyId.P2: 2, PolyId.P3: 0, PolyId.P4: 0}
+    assert tally([]) == {p: 0 for p in PolyId}
 
 
 def test_run_coverage_small(tmp_path):
@@ -143,7 +148,7 @@ def test_resume_past_the_prefix_skips_it(tmp_path, monkeypatch):
     before = (tmp_path / "results_batch2.csv").read_bytes()
     (tmp_path / "results_batch2.csv").unlink()
     monkeypatch.setattr(batch, "legacy_coverage_scan", _forbidden)
-    reports = run_coverage(checkpoint_resume(cfg, completed_batches=[1]))
+    reports = run_coverage(replace(cfg, skip_batches=frozenset({1})))
     assert [r.resumed for r in reports] == [True, False]
     assert (tmp_path / "results_batch2.csv").read_bytes() == before
 
@@ -159,14 +164,16 @@ def test_chunked_coverage_matches_per_q_search_near_1e9(tmp_path, monkeypatch):
     assert rows == [witness_to_row(w) for w in expected]
 
 
-def test_tail_slices_are_contiguous_and_window_bounded():
-    tail = list(range(7, 7 + 6 * 50_000, 6))
-    for parts in (1, batch.POOL_PARTS):
-        slices = batch._tail_slices(tail, 6, parts)
-        assert [q for s in slices for q in s] == tail
-        assert len(slices) >= parts
-        assert all(s[-1] - s[0] + batch.WINDOW_MARGIN <= batch.WINDOW_SPAN for s in slices)
-    assert batch._tail_slices([], 1, batch.POOL_PARTS) == []
+@pytest.mark.parametrize("step", [1, 6])
+@pytest.mark.parametrize("parts", [1, batch.POOL_PARTS])
+def test_slices_are_contiguous_and_window_bounded(step, parts):
+    qs = range(7, 7 + step * 50_000, step)
+    slices = batch._slices(qs, parts)
+    assert all(isinstance(s, range) and s.step == step for s in slices)
+    assert [q for s in slices for q in s] == list(qs)
+    assert len(slices) >= parts
+    assert all(s[-1] - s[0] + batch.WINDOW_MARGIN <= batch.WINDOW_SPAN for s in slices)
+    assert batch._slices(range(7, 7, step), parts) == []
 
 
 def test_checkpoint_resume_errors(tmp_path):
@@ -184,16 +191,25 @@ def test_checkpoint_resume_errors(tmp_path):
 def test_explicit_completed_batches(tmp_path):
     cfg = _cfg(tmp_path)
     run_coverage(cfg)
-    resumed = checkpoint_resume(cfg, completed_batches=[2])
-    reports = run_coverage(resumed)
+    reports = run_coverage(replace(cfg, skip_batches=frozenset({2})))
     assert [r.resumed for r in reports] == [False, True, False]
 
 
-def test_cancellation_leaves_marker(tmp_path):
+def test_fresh_run_records_only_the_batches_it_wrote(tmp_path):
+    cfg = _cfg(tmp_path)
+    run_coverage(cfg)
+    calls = iter([False, True])  # batch 1 runs, then a cancel
+    with pytest.raises(ScanCancelled):
+        run_coverage(cfg, cancel=lambda: next(calls))
+    manifest = json.loads((tmp_path / "checkpoint.json").read_text())
+    assert manifest["completed"] == [1]
+
+
+def test_cancellation_writes_nothing_for_the_cancelled_batch(tmp_path):
     cfg = _cfg(tmp_path)
     with pytest.raises(ScanCancelled):
         run_coverage(cfg, cancel=lambda: True)
-    assert (tmp_path / "partial_batch1.marker").exists()
+    assert sorted(p.name for p in tmp_path.iterdir()) == []
 
 
 def test_unwritable_output_dir_raises_before_compute(tmp_path):

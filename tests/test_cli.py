@@ -30,6 +30,20 @@ def test_cover_inverted_range(capsys, tmp_path):
     assert "q-start" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["cover", "--q-start", "0", "--q-max", "10"],
+    ["cover", "--q-max", "10", "--step", "0"],
+    ["cover", "--q-max", "10", "--batch-size", "0"],
+    ["cover", "--q-max", "10", "--workers", "0"],
+    ["primes", "--q-max", "10", "--workers", "0"],
+])
+def test_bad_scan_arguments_are_usage_errors(capsys, tmp_path, argv):
+    code, out, err = run(capsys, *argv, "--out-dir", str(tmp_path))
+    assert code == 64
+    assert err.startswith("error: ") and out == ""
+    assert not any(tmp_path.iterdir())
+
+
 def test_cover_small_run(capsys, tmp_path):
     code, out, _ = run(
         capsys,
@@ -70,6 +84,63 @@ def test_cover_resume_without_checkpoint(capsys, tmp_path):
     )
     assert code == 65
     assert "checkpoint" in err
+
+
+def _cover_then_tamper(capsys, tmp_path, tamper):
+    argv = ["cover", "--q-max", "30", "--batch-size", "10", "--workers", "1", "--out-dir", str(tmp_path)]
+    assert run(capsys, *argv)[0] == 0
+    tamper(tmp_path)
+    return run(capsys, *argv, "--resume")
+
+
+def test_resume_rejects_a_non_integer_unsolved_q(capsys, tmp_path):
+    def tamper(out):
+        (out / "unsolved_batch2.csv").write_text("q\n1x\n")
+
+    code, _, err = _cover_then_tamper(capsys, tmp_path, tamper)
+    assert code == 65
+    assert "unsolved_batch2.csv:2:" in err
+
+
+def test_resume_rejects_another_batchs_file(capsys, tmp_path):
+    def tamper(out):
+        (out / "results_batch2.csv").write_bytes((out / "results_batch1.csv").read_bytes())
+
+    code, _, err = _cover_then_tamper(capsys, tmp_path, tamper)
+    assert code == 65
+    assert "batch 2, q in [11, 20]: q = 1 repeats, is out of order or lies outside" in err
+
+
+def test_resume_rejects_a_truncated_batch_file(capsys, tmp_path):
+    def tamper(out):
+        path = out / "results_batch3.csv"
+        path.write_text("".join(path.read_text().splitlines(keepends=True)[:-1]))
+
+    code, _, err = _cover_then_tamper(capsys, tmp_path, tamper)
+    assert code == 65
+    assert "batch 3, q in [21, 30]: its files hold 9 q, not 10" in err
+
+
+def test_resume_rejects_a_q_both_solved_and_unsolved(capsys, tmp_path):
+    def tamper(out):
+        (out / "unsolved_batch1.csv").write_text("q\n4\n")
+
+    code, _, err = _cover_then_tamper(capsys, tmp_path, tamper)
+    assert code == 65
+    assert "q = 4 repeats" in err
+
+
+def test_prime_resume_rejects_a_coverage_file(capsys, tmp_path):
+    argv = ["primes", "--q-max", "60", "--workers", "1", "--out-dir", str(tmp_path)]
+    assert run(capsys, *argv)[0] == 0
+    rows = [SolutionRow(1, 1, 1, 1, "p2"), SolutionRow(2, 1, 1, 1, "p1")]
+    write_results_batch(rows, 1, "coverage", tmp_path / "Results")
+    (tmp_path / "Results" / "results_batch1.csv").replace(tmp_path / "Results" / "results_batch001.csv")
+    solutions = (tmp_path / "Results" / "all_solutions.csv").read_bytes()
+    code, _, err = run(capsys, *argv, "--resume")
+    assert code == 65
+    assert "need the prime schema" in err
+    assert (tmp_path / "Results" / "all_solutions.csv").read_bytes() == solutions
 
 
 def test_primes_small_run(capsys, tmp_path):

@@ -1,6 +1,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from erdos_straus import decompose
 from erdos_straus.decompose import (
     DecompositionRecord,
     InadmissiblePointError,
@@ -146,7 +147,7 @@ def test_square_scale_law(n, t):
 
 
 def test_decompose_square_direct_branch():
-    rec = decompose_square(2, resolver=None)  # a = 9, base 3 is handled closed form
+    rec = decompose_square(2)  # a = 9, base 3 is handled closed form
     assert rec.a == 9
     assert rec.recursion_depth == 1
     assert rec.provenance is Provenance.SQUARE_RECURSIVE
@@ -164,7 +165,7 @@ def test_decompose_square_recursive_branch():
 
 def test_decompose_square_rejects_x1():
     with pytest.raises(ValueError):
-        decompose_square(1, resolver=None)
+        decompose_square(1)
 
 
 @pytest.mark.parametrize("a,triple,prov", [
@@ -201,9 +202,10 @@ def test_decompose_any_rejects_small_a():
         decompose_any(1)
 
 
-def test_decompose_any_unsolved_propagates():
+def test_decompose_any_unsolved_propagates(monkeypatch):
+    monkeypatch.setattr(decompose, "staged_search", lambda q: None)
     with pytest.raises(UnsolvedError):
-        decompose_any(13, search=lambda q: None)
+        decompose_any(13)
 
 
 def test_record_is_frozen():

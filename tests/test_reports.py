@@ -15,6 +15,7 @@ from erdos_straus.reports import (
     unsolved_path,
     witness_to_row,
     write_results_aggregate,
+    write_lines,
     write_results_batch,
     write_unsolved,
 )
@@ -97,15 +98,47 @@ def test_write_rejects_unsorted(tmp_path):
     with pytest.raises(ValueError):
         write_results_batch(rows, 1, "coverage", tmp_path)
     with pytest.raises(ValueError):
-        write_unsolved([3, 3], 1, tmp_path)
+        write_unsolved([3, 3], 1, "coverage", tmp_path)
     with pytest.raises(ValueError):
         write_results_batch([], 1, "bogus", tmp_path)
 
 
 def test_unsolved_bytes_and_read_back(tmp_path):
-    path = write_unsolved([4, 9, 11], None, tmp_path)
+    path = write_unsolved([4, 9, 11], None, "coverage", tmp_path)
     assert path.read_bytes() == b"q\n4\n9\n11\n"
     assert read_results_q(path) == [4, 9, 11]
+
+
+def test_read_results_q_names_the_bad_line(tmp_path):
+    path = tmp_path / "unsolved.csv"
+    path.write_text("q\n4\n9.5\n")
+    with pytest.raises(ReportFormatError, match=r":3: not an integer q: '9.5'"):
+        read_results_q(path)
+
+
+def test_read_results_checks_the_schema_it_is_asked_for(tmp_path):
+    prime = write_results_batch([SolutionRow(36, 2, 3, 2)], 1, "prime", tmp_path)
+    assert read_results(prime, "prime") == [SolutionRow(36, 2, 3, 2)]
+    with pytest.raises(ReportFormatError, match="need the coverage schema"):
+        read_results(prime, "coverage")
+    coverage = write_results_batch([], 1, "coverage", tmp_path)
+    with pytest.raises(ReportFormatError, match="need the prime schema"):
+        read_results(coverage, "prime")
+
+
+def test_failed_write_keeps_the_previous_file(tmp_path):
+    path = write_unsolved([4, 9], 1, "coverage", tmp_path)
+    before = path.read_bytes()
+
+    def lines():
+        yield "q"
+        yield "5"
+        raise OSError("disk full")
+
+    with pytest.raises(OSError, match="disk full"):
+        write_lines(path, lines())
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == [path.name]
 
 
 def test_read_results_round_trip(tmp_path):
@@ -168,5 +201,5 @@ def test_split_rejects_prime_schema(tmp_path):
 @given(st.lists(st.integers(1, 10**6), unique=True, min_size=0, max_size=50))
 def test_unsolved_round_trip(tmp_path_factory, qs):
     out = tmp_path_factory.mktemp("unsolved")
-    path = write_unsolved(sorted(qs), 3, out)
+    path = write_unsolved(sorted(qs), 3, "coverage", out)
     assert read_results_q(path) == sorted(qs)
