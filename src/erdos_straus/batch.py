@@ -17,20 +17,21 @@ import time
 from collections import Counter
 from dataclasses import dataclass, field, replace
 from enum import Enum
-from itertools import chain, takewhile
-from multiprocessing import Pool
+from itertools import takewhile
 from pathlib import Path
-from typing import Callable, NamedTuple, Optional, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, NamedTuple, Optional, Sequence
 
 from .families import PolyId
-from .numutil import FactorWindow, is_prime
+from .numutil import FactorWindow, is_prime, window_prime_count
 from .reports import (
     SolutionRow,
+    coverage_line,
+    file_sha256,
+    prime_line,
     read_results,
     read_results_q,
     results_batch_path,
     unsolved_path,
-    witness_to_row,
     write_lines,
     write_results_aggregate,
     write_results_batch,
@@ -43,6 +44,9 @@ from .search import (
     prime_witness_search,
     wide_search,
 )
+
+if TYPE_CHECKING:
+    from multiprocessing.pool import Pool as _Pool
 
 log = logging.getLogger(__name__)
 
@@ -110,7 +114,16 @@ def tally(rows: Sequence[SolutionRow]) -> dict[PolyId, int]:
 POOL_PARTS = 64
 
 
-def _map(pool: Optional[Pool], fn, items: Sequence) -> list:
+def Pool(processes: int) -> _Pool:
+    """A worker pool.  multiprocessing is imported here, not at module
+    import, because loading it takes about 10 ms that single-worker scans
+    and the other commands would pay for nothing."""
+    from multiprocessing import Pool as pool_of
+
+    return pool_of(processes)
+
+
+def _map(pool: Optional[_Pool], fn, items: Sequence) -> list:
     if pool is None:
         return [fn(item) for item in items]
     return pool.map(fn, items, chunksize=1)
@@ -125,29 +138,58 @@ WINDOW_SPAN = 1 << 16
 
 
 def _slices(qs: range, parts: int) -> list[range]:
-    """`qs` cut into about `parts` contiguous slices, each window-sized."""
-    size = max(1, min(-(-len(qs) // parts), (WINDOW_SPAN - WINDOW_MARGIN) // qs.step + 1))
+    """`qs` cut into about `parts` contiguous slices, each window-sized.
+
+    A slice holds at least as many q as its window sieves primes, so the
+    sieve costs at most about one prime per q, unless the window cap is
+    smaller.
+    """
+    if not qs:
+        return []
+    cap = (WINDOW_SPAN - WINDOW_MARGIN) // qs.step + 1
+    least = window_prime_count(qs[-1] + WINDOW_MARGIN)
+    size = min(max(-(-len(qs) // parts), least), cap)
     return [qs[i : i + size] for i in range(0, len(qs), size)]
 
 
-def _row(w: Optional[Witness]) -> Optional[SolutionRow]:
-    return None if w is None else witness_to_row(w)
+class SliceResult(NamedTuple):
+    """A slice solver's answer: the solved rows as CSV text in q order, the
+    unsolved q, and the row count per family, P1 to P4."""
+
+    text: str
+    unsolved: list[int]
+    counts: list[int]
 
 
-def _wide_slice(qs: range) -> list[tuple[int, Optional[SolutionRow]]]:
+def _coverage_result(hits: Iterable[tuple[int, Optional[Witness]]]) -> SliceResult:
+    """The slice result of coverage witnesses (None: unsolved) in q order."""
+    lines, unsolved, counts = [], [], [0] * len(PolyId)
+    for q, w in hits:
+        if w is None:
+            unsolved.append(q)
+        else:
+            lines.append(coverage_line(w))
+            counts[w.poly - 1] += 1
+    return SliceResult("".join(lines), unsolved, counts)
+
+
+def _wide_slice(qs: range) -> SliceResult:
     """wide_search on each q of a contiguous slice, sharing one factor window."""
     window = FactorWindow(qs[0] + 1, qs[-1] + WINDOW_MARGIN)
-    return [(q, _row(wide_search(q, window))) for q in qs]
+    return _coverage_result((q, wide_search(q, window)) for q in qs)
 
 
-def _prime_slice(qs: range) -> list[tuple[int, Optional[SolutionRow]]]:
+def _prime_slice(qs: range) -> SliceResult:
     """prime_witness_search on each q of a slice with 4q+1 prime."""
-    hits = []
+    lines, unsolved = [], []
     for q in qs:
         if is_prime(4 * q + 1):
             t = prime_witness_search(q)
-            hits.append((q, None if t is None else SolutionRow(q, *t)))
-    return hits
+            if t is None:
+                unsolved.append(q)
+            else:
+                lines.append(prime_line(q, t))
+    return SliceResult("".join(lines), unsolved, [0, len(lines), 0, 0])
 
 
 def _prepare_output(cfg: BatchConfig) -> None:
@@ -170,25 +212,37 @@ def _manifest_params(cfg: BatchConfig) -> dict:
     }
 
 
-def _write_manifest(cfg: BatchConfig, completed: set[int]) -> None:
-    data = _manifest_params(cfg) | {"completed": sorted(completed)}
-    write_lines(cfg.output_dir / MANIFEST_NAME, [json.dumps(data, indent=1)])
+def _write_manifest(cfg: BatchConfig, records: dict[int, str]) -> None:
+    """Write checkpoint.json: the scan's parameters, the completed batches,
+    and per batch its files' record, one line each.  `records` holds each
+    record already JSON-encoded, so a rewrite after every batch only joins
+    lines."""
+    head = json.dumps(_manifest_params(cfg) | {"completed": sorted(records)})
+    body = ",\n".join(f'"{b}": {records[b]}' for b in sorted(records))
+    # head without its closing brace, then the batches object
+    write_lines(cfg.output_dir / MANIFEST_NAME, [f'{head[:-1]},\n"batches": {{\n{body}\n}}}}'])
 
 
-def checkpoint_resume(cfg: BatchConfig) -> BatchConfig:
-    """Config that skips batches already recorded complete in output_dir."""
+def _read_manifest(cfg: BatchConfig) -> dict[int, dict]:
+    """The file records of the batches the manifest in output_dir lists as
+    complete, after checking that the manifest belongs to this scan."""
     path = cfg.output_dir / MANIFEST_NAME
     if not path.exists():
         raise ResumeError(f"no checkpoint manifest at {path}")
     try:
         data = json.loads(path.read_text())
-        completed = frozenset(int(b) for b in data["completed"])
         params = {k: data[k] for k in _manifest_params(cfg)}
+        records = {int(b): dict(data["batches"][str(b)]) for b in data["completed"]}
     except (ValueError, TypeError, KeyError) as exc:
         raise ResumeError(f"corrupt checkpoint manifest {path}: {exc}") from exc
     if params != _manifest_params(cfg):
         raise ResumeError(f"checkpoint {path} was written by a different scan: {params}")
-    return replace(cfg, skip_batches=completed)
+    return records
+
+
+def checkpoint_resume(cfg: BatchConfig) -> BatchConfig:
+    """Config that skips batches already recorded complete in output_dir."""
+    return replace(cfg, skip_batches=frozenset(_read_manifest(cfg)))
 
 
 def _coverage_batches(cfg: BatchConfig) -> list[range]:
@@ -224,7 +278,7 @@ class _Mode(NamedTuple):
 
     batches: Callable[[BatchConfig], list[range]]
     legacy_prefix: bool  # classify q <= LEGACY_PROBE_LIMIT with the legacy scan
-    solve: Callable[[range], list]  # a slice's targets in q order, each with its row or None
+    solve: Callable[[range], SliceResult]  # a slice's rows as text, unsolved q and counts
     every_q: bool  # every q of a batch is a target, solved or unsolved
     aggregate: bool  # also write Results/all_solutions.csv
 
@@ -247,11 +301,24 @@ _MODES = {
 }
 
 
-def _reload(cfg: BatchConfig, index: int, qs: range) -> tuple[list[SolutionRow], list[int]]:
-    """A completed batch's rows and unsolved q, checked against its range."""
+def _files_record(results: Path, rows: int, unsolved: Path, n_unsolved: int) -> dict:
+    """What the manifest records of a completed batch's two files."""
+    return {
+        "rows": rows,
+        "sha256": file_sha256(results),
+        "unsolved": n_unsolved,
+        "unsolved_sha256": file_sha256(unsolved),
+    }
+
+
+def _reload(cfg: BatchConfig, index: int, qs: range, record: dict) -> tuple[list[SolutionRow], list[int]]:
+    """A completed batch's rows and unsolved q, checked against its range and
+    against the row counts and sha256 digests its manifest record holds."""
     label, where = cfg.mode.value, f"batch {index}, q in [{qs.start}, {qs.stop - 1}]"
-    rows = read_results(results_batch_path(index, label, cfg.output_dir), label)
-    unsolved = read_results_q(unsolved_path(index, label, cfg.output_dir))
+    results = results_batch_path(index, label, cfg.output_dir)
+    unsolved_file = unsolved_path(index, label, cfg.output_dir)
+    rows = read_results(results, label)
+    unsolved = read_results_q(unsolved_file)
     last = 0
     for q in heapq.merge((r.q for r in rows), unsolved):
         if q <= last or q not in qs:
@@ -259,6 +326,15 @@ def _reload(cfg: BatchConfig, index: int, qs: range) -> tuple[list[SolutionRow],
         last = q
     if _MODES[cfg.mode].every_q and len(rows) + len(unsolved) != len(qs):
         raise ResumeError(f"{where}: its files hold {len(rows) + len(unsolved)} q, not {len(qs)}")
+    counts, recorded = (len(rows), len(unsolved)), (record.get("rows"), record.get("unsolved"))
+    if counts != recorded:
+        raise ResumeError(
+            f"{where}: its files hold {counts[0]} rows and {counts[1]} unsolved q, "
+            f"the checkpoint recorded {recorded[0]} and {recorded[1]}"
+        )
+    for key, path in (("sha256", results), ("unsolved_sha256", unsolved_file)):
+        if file_sha256(path) != record.get(key):
+            raise ResumeError(f"{where}: {path.name} is not the file the checkpoint recorded (sha256 differs)")
     return rows, unsolved
 
 
@@ -266,66 +342,77 @@ def run_coverage(cfg: BatchConfig, cancel: Optional[Callable[[], bool]] = None) 
     """Scan [q_start, q_max] batch by batch in the mode `cfg.mode` names.
 
     Batches in `cfg.skip_batches` are reloaded from their files and checked
-    against their range.  In coverage mode, small q (below the cube-probe
-    horizon) are classified sequentially with the legacy scan semantics so
-    the artifacts match the reference CSVs.  The rest of each batch is cut
-    into contiguous range slices that fan out across workers.  The prefix
-    and the pool are only set up when a batch that needs them runs.
+    against their range and against the manifest in output_dir.  In
+    coverage mode, small q (below the cube-probe horizon) are classified
+    sequentially with the legacy scan semantics so the artifacts match the
+    reference CSVs.  The rest of each batch is cut into contiguous range
+    slices that fan out across workers; each comes back as CSV text, its
+    unsolved q and its per-family counts, and the texts are written in q
+    order.  The prefix and the pool are only set up when a batch that needs
+    them runs; a scan inside the prefix needs no pool.
     """
     mode, label = _MODES[cfg.mode], cfg.mode.value
     _prepare_output(cfg)
     batches = mode.batches(cfg)
     to_run = [qs for index, qs in enumerate(batches, start=1) if index not in cfg.skip_batches]
-    prefix: dict[int, Optional[SolutionRow]] = {}
+    recorded = _read_manifest(cfg) if cfg.skip_batches else {}
+    missing = sorted(cfg.skip_batches - recorded.keys())
+    if missing:
+        raise ResumeError(f"the checkpoint manifest records no files for batches {missing}")
+    # the completed batches' file records, JSON-encoded for the manifest
+    records = {b: json.dumps(recorded[b]) for b in cfg.skip_batches}
+    prefix: dict[int, Optional[Witness]] = {}
     if mode.legacy_prefix and any(qs[0] <= LEGACY_PROBE_LIMIT for qs in to_run):
         # The legacy scan carries state from q to q, so it always runs over
         # the whole prefix, reloaded batches included.
         small = range(cfg.q_start, min(cfg.q_max, LEGACY_PROBE_LIMIT) + 1, cfg.step)
-        prefix = {q: _row(w) for q, w in legacy_coverage_scan(small)}
+        prefix = dict(legacy_coverage_scan(small))
 
-    pool = Pool(cfg.worker_count) if cfg.worker_count > 1 and to_run else None
+    # the prefix is a leading run of q, so a batch ending in it has no slices
+    sliced = any(qs[-1] not in prefix for qs in to_run)
+    pool = Pool(cfg.worker_count) if cfg.worker_count > 1 and sliced else None
     parts = 1 if pool is None else POOL_PARTS
-    completed = set(cfg.skip_batches)
     reports = []
-    all_rows: list[SolutionRow] = []
     try:
         for index, qs in enumerate(batches, start=1):
             resumed = index in cfg.skip_batches
             t0 = time.perf_counter()
             if resumed:
-                rows, unsolved = _reload(cfg, index, qs)
+                rows, unsolved = _reload(cfg, index, qs, recorded[index])
+                tallies = tally(rows)
             else:
                 if cancel is not None and cancel():
                     raise ScanCancelled(f"cancelled before batch {index} completed")
                 # prefix values, all <= LEGACY_PROBE_LIMIT, lead the batch
-                hits = [(q, prefix[q]) for q in takewhile(prefix.__contains__, qs)]
-                tail = _slices(qs[len(hits) :], parts)
-                hits.extend(chain.from_iterable(_map(pool, mode.solve, tail)))
-                rows = [row for _, row in hits if row is not None]
-                unsolved = [q for q, row in hits if row is None]
-                write_results_batch(rows, index, label, cfg.output_dir)
-                write_unsolved(unsolved, index, label, cfg.output_dir)
-                completed.add(index)
-                _write_manifest(cfg, completed)
+                lead = [(q, prefix[q]) for q in takewhile(prefix.__contains__, qs)]
+                pieces = [_coverage_result(lead)] if lead else []
+                pieces += _map(pool, mode.solve, _slices(qs[len(lead) :], parts))
+                unsolved = [q for r in pieces for q in r.unsolved]
+                tallies = {p: sum(r.counts[p - 1] for r in pieces) for p in PolyId}
+                results = write_results_batch((r.text for r in pieces), index, label, cfg.output_dir)
+                unsolved_file = write_unsolved(unsolved, index, label, cfg.output_dir)
+                record = _files_record(results, sum(tallies.values()), unsolved_file, len(unsolved))
+                records[index] = json.dumps(record)
+                _write_manifest(cfg, records)
             reports.append(
                 BatchReport(
                     batch_index=index,
                     q_range=(qs.start, qs.stop - 1),
-                    solved_count=len(rows),
-                    tallies=tally(rows),
+                    solved_count=sum(tallies.values()),
+                    tallies=tallies,
                     unsolved=unsolved,
                     elapsed_seconds=0.0 if resumed else time.perf_counter() - t0,
                     resumed=resumed,
                 )
             )
-            if mode.aggregate:
-                all_rows.extend(rows)
     finally:
         if pool is not None:
             pool.close()
             pool.join()
 
     if mode.aggregate:
-        write_results_aggregate(all_rows, cfg.output_dir)
+        write_results_aggregate(
+            (results_batch_path(r.batch_index, label, cfg.output_dir) for r in reports), cfg.output_dir
+        )
     write_unsolved([q for r in reports for q in r.unsolved], None, label, cfg.output_dir)
     return reports

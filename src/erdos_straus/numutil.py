@@ -12,6 +12,8 @@ scan asking about many neighbouring n factors each without trial division.
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
+from itertools import compress
 from math import gcd, isqrt
 
 # Complete for every n < 3_317_044_064_679_887_385_961_981 (> 2^64).
@@ -26,7 +28,7 @@ def _small_primes(limit: int = 1 << 16) -> list[int]:
     for p in range(2, isqrt(limit) + 1):
         if sieve[p]:
             sieve[p * p :: p] = bytearray(len(range(p * p, limit, p)))
-    return [i for i in range(limit) if sieve[i]]
+    return list(compress(range(limit), sieve))
 
 
 _PRIMES = _small_primes()
@@ -102,31 +104,37 @@ def factorize(n: int) -> dict[int, int]:
     return factors
 
 
-def _expand_divisors(divs: list[int], p: int, e: int) -> list[int]:
-    return [d * p**k for d in divs for k in range(e + 1)]
+def _divisors_of(factors: dict[int, int]) -> list[int]:
+    divs = [1]
+    for p, e in factors.items():
+        divs = [d * p**k for d in divs for k in range(e + 1)]
+    divs.sort()
+    return divs
 
 
 def divisors_ascending(n: int) -> list[int]:
     """All positive divisors of n in ascending order, built from factorize(n)."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    divs = [1]
-    for p, e in factorize(n).items():
-        divs = _expand_divisors(divs, p, e)
-    divs.sort()
-    return divs
+    return _divisors_of(factorize(n))
+
+
+def window_prime_count(hi: int) -> int:
+    """How many primes a FactorWindow whose top is hi sieves with."""
+    return bisect_right(_PRIMES, isqrt(min(hi, _WINDOW_MAX)))
 
 
 class FactorWindow:
-    """Divisors of every n in [lo, hi] from one sieve of the small primes.
+    """Factorizations of every n in [lo, hi] from one sieve of the small primes.
 
     The constructor sieves each prime p <= isqrt(hi) over the window and
     records, per n, the primes dividing it.  Dividing those out of n leaves
     1 or a single prime, since a composite cofactor would have a prime factor
-    <= isqrt(n).  `divisors(n)` returns exactly `divisors_ascending(n)`; for
-    n outside the window, or above the largest n the primes below 2^16 can
-    sieve, it calls that function.  Memory is about a hundred bytes per
-    value, so callers bound hi - lo.
+    <= isqrt(n).  `factorize(n)` and `divisors(n)` return exactly what the
+    module functions of the same names return; for n outside the window, or
+    above the largest n the primes below 2^16 can sieve, they call those
+    functions.  Memory is about a hundred bytes per value, so callers bound
+    hi - lo.
     """
 
     def __init__(self, lo: int, hi: int):
@@ -135,28 +143,35 @@ class FactorWindow:
         self.lo = lo
         self.hi = min(hi, _WINDOW_MAX)
         size = max(0, self.hi - lo + 1)
-        root = isqrt(self.hi)
+        count = window_prime_count(self.hi)
+        short = bisect_left(_PRIMES, size, 0, count)
         primes: list[list[int]] = [[] for _ in range(size)]
-        for p in _PRIMES:
-            if p > root:
-                break
+        for p in _PRIMES[:short]:
             for i in range((-lo) % p, size, p):
+                primes[i].append(p)
+        # a prime at least as long as the window hits it at most once
+        for p in _PRIMES[short:count]:
+            i = (-lo) % p
+            if i < size:
                 primes[i].append(p)
         self._primes = primes
 
-    def divisors(self, n: int) -> list[int]:
-        """All positive divisors of n in ascending order."""
+    def factorize(self, n: int) -> dict[int, int]:
+        """Prime factorization of n >= 1 as {prime: exponent}."""
         if not self.lo <= n <= self.hi:
-            return divisors_ascending(n)
-        divs = [1]
+            return factorize(n)
+        factors = {}
         m = n
         for p in self._primes[n - self.lo]:
             e = 0
             while m % p == 0:
                 m //= p
                 e += 1
-            divs = _expand_divisors(divs, p, e)
+            factors[p] = e
         if m > 1:
-            divs = _expand_divisors(divs, m, 1)
-        divs.sort()
-        return divs
+            factors[m] = 1
+        return factors
+
+    def divisors(self, n: int) -> list[int]:
+        """All positive divisors of n in ascending order."""
+        return _divisors_of(self.factorize(n))

@@ -5,13 +5,16 @@ fields for families that do not use them, prime files carry q,x,y,z only.
 Coverage batch files are named results_batch<B>.csv with an unpadded index
 at the output root; prime batch files are results_batch<BBB>.csv, zero
 padded to three digits, under a Results/ subdirectory.  Fields are plain
-ASCII, comma separated, never quoted; rows end with a newline.
+ASCII, comma separated, never quoted; rows end with a newline.  Scans
+write rows as text (`coverage_line`, `prime_line`); `SolutionRow` is what
+the readers return.
 """
 
 from __future__ import annotations
 
 import os
 from dataclasses import dataclass
+from itertools import chain
 from pathlib import Path
 from typing import Iterable, Optional, Sequence
 
@@ -69,15 +72,19 @@ def row_to_witness(row: SolutionRow) -> Witness:
     return Witness(row.q, poly, WitnessTriple(row.x, row.y or 1, row.z or 1))
 
 
-def _cell(v: Optional[int]) -> str:
-    return "" if v is None else str(v)
+def coverage_line(w: Witness) -> str:
+    """A witness's coverage row as newline-terminated CSV text."""
+    q, (x, y, z) = w.q, w.triple
+    if w.poly is PolyId.P4:
+        return f"{q},{x},,,p4\n"
+    if w.poly is PolyId.P3:
+        return f"{q},{x},{y},,p3\n"
+    return f"{q},{x},{y},{z},{FAMILY_LABELS[w.poly - 1]}\n"
 
 
-def _format_row(row: SolutionRow, prime_mode: bool) -> str:
-    cells = [str(row.q), str(row.x), _cell(row.y), _cell(row.z)]
-    if not prime_mode:
-        cells.append(row.pi or "")
-    return ",".join(cells)
+def prime_line(q: int, t: WitnessTriple) -> str:
+    """A prime target's row as newline-terminated CSV text."""
+    return f"{q},{t.x},{t.y},{t.z}\n"
 
 
 def results_batch_path(batch_index: int, mode: str, out_dir: Path) -> Path:
@@ -96,24 +103,29 @@ def unsolved_path(batch_index: Optional[int], mode: str, out_dir: Path) -> Path:
     return base / name
 
 
-def write_results_batch(
-    rows: Sequence[SolutionRow], batch_index: int, mode: str, out_dir: Path
-) -> Path:
-    """Write one batch's solution rows; rows must already be sorted by q."""
+def write_results_batch(text: Iterable[str], batch_index: int, mode: str, out_dir: Path) -> Path:
+    """Write one batch's results file: the schema header, then `text`,
+    blocks of newline-terminated rows already in q order."""
     if mode not in HEADERS:
         raise ValueError(f"unknown mode {mode!r}")
-    if any(rows[i].q > rows[i + 1].q for i in range(len(rows) - 1)):
-        raise ValueError("rows must be sorted ascending by q")
-    prime = mode == "prime"
     path = results_batch_path(batch_index, mode, Path(out_dir))
-    write_lines(path, [HEADERS[mode]] + [_format_row(r, prime) for r in rows])
+    write_text(path, chain([HEADERS[mode] + "\n"], text))
     return path
 
 
-def write_results_aggregate(rows: Sequence[SolutionRow], out_dir: Path) -> Path:
-    """Prime mode's all_solutions.csv under Results/."""
+def write_results_aggregate(batch_paths: Iterable[Path], out_dir: Path) -> Path:
+    """Prime mode's all_solutions.csv under Results/: the rows of the prime
+    batch files, in the order given, under one header."""
+
+    def text():
+        yield PRIME_HEADER + "\n"
+        for batch_path in batch_paths:
+            with open(batch_path, "r", encoding="ascii", newline="") as fh:
+                fh.readline()  # its header
+                yield from iter(lambda: fh.read(1 << 20), "")
+
     path = Path(out_dir) / "Results" / "all_solutions.csv"
-    write_lines(path, [PRIME_HEADER] + [_format_row(r, True) for r in rows])
+    write_text(path, text())
     return path
 
 
@@ -127,20 +139,35 @@ def write_unsolved(qs: Sequence[int], batch_index: Optional[int], mode: str, out
 
 
 def write_lines(path: Path, lines: Iterable[str]) -> None:
-    """Write newline-terminated lines to a temp file beside `path`, then
-    rename it over `path`: a crash leaves the old file or the new one."""
+    """`write_text` with a newline after each line."""
+    write_text(path, (line + "\n" for line in lines))
+
+
+def write_text(path: Path, text: Iterable[str]) -> None:
+    """Write the text blocks to a temp file beside `path`, then rename it
+    over `path`: a crash leaves the old file or the new one."""
     path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_name(f".{path.name}.tmp")
     try:
         with open(tmp, "w", encoding="ascii", newline="") as fh:
-            for line in lines:
-                fh.write(line)
-                fh.write("\n")
+            for block in text:
+                fh.write(block)
         os.replace(tmp, path)
     except OSError as exc:
         raise OSError(f"cannot write report file {path}: {exc}") from exc
     finally:
         tmp.unlink(missing_ok=True)
+
+
+def file_sha256(path: Path) -> str:
+    """Hex sha256 of a file's bytes."""
+    import hashlib  # loads OpenSSL (a few ms and MB), which only scans need
+
+    digest = hashlib.sha256()
+    with open(path, "rb") as fh:
+        for block in iter(lambda: fh.read(1 << 20), b""):
+            digest.update(block)
+    return digest.hexdigest()
 
 
 def _read_lines(path: Path) -> list[str]:

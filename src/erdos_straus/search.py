@@ -3,7 +3,9 @@
 The pipeline mirrors the original notebook programs: a small cube probe
 over {1..3}^3, then a wide sweep over x up to (1 + sqrt(4q+1))/2 trying the
 first three families in order, then the x(x-1) check.  The first hit, in
-that fixed order, is the classification that drives all tallies.
+that fixed order, is the classification that drives all tallies.  The
+sweep's first step, x = 1, has a closed form that settles about 90% of q
+from the residue of q and the prime factors of q+1 alone.
 
 `legacy_coverage_scan` additionally reproduces a quirk of the original
 coverage program: its cube stage evaluated the family equations with a
@@ -26,7 +28,7 @@ from math import isqrt
 from typing import Iterable, Iterator, NamedTuple, Optional
 
 from .families import PolyId, WitnessTriple, check_value, eval_poly
-from .numutil import FactorWindow, divisors_ascending
+from .numutil import FactorWindow, divisors_ascending, factorize
 
 
 class Witness(NamedTuple):
@@ -132,16 +134,39 @@ def x_sweep_bound(q: int) -> int:
     return (1 + isqrt(4 * q + 1)) // 2
 
 
+def _first_at_x1(q: int, window: Optional[FactorWindow]) -> Optional[tuple[PolyId, WitnessTriple]]:
+    """The sweep's hit at x = 1, if any, without a divisor list.
+
+    With n = q+1: P1 needs 3 | n and gives (1, 1, n/3).  P2 takes the
+    smallest divisor d >= 2 of n with d % 3 == 2, as (1, (d+1)/3, n/d):
+    d = 2 for even n, and for odd n the smallest prime p with p % 3 == 2
+    dividing n, since every such d has a prime factor p % 3 == 2 no larger
+    than itself.  P3 needs 2 | n, where P2 has already answered.
+    """
+    n = q + 1
+    if n % 3 == 0:
+        return PolyId.P1, WitnessTriple(1, 1, n // 3)
+    if n % 2 == 0:
+        return PolyId.P2, WitnessTriple(1, 1, n // 2)
+    factors = factorize(n) if window is None else window.factorize(n)
+    p = min((p for p in factors if p % 3 == 2), default=None)
+    return None if p is None else (PolyId.P2, WitnessTriple(1, (p + 1) // 3, n // p))
+
+
 def wide_search(q: int, window: Optional[FactorWindow] = None) -> Optional[Witness]:
     """Stages B and C only: the wide x sweep, then the x(x-1) check.
 
     This is the per-q workhorse; for q > LEGACY_PROBE_LIMIT it is the whole
-    classification (no cube probe can reach such q).  `window` is passed on
-    to `solve_p2_given_x`; it changes the cost, never the result.
+    classification (no cube probe can reach such q).  x = 1 is settled in
+    closed form; the sweep proper starts at x = 2.  `window` supplies the
+    factorizations of q + x; it changes the cost, never the result.
     """
     if q < 1:
         raise ValueError("q must be >= 1")
-    for x in range(1, x_sweep_bound(q) + 1):
+    hit = _first_at_x1(q, window)
+    if hit is not None:
+        return _checked_witness(q, *hit)
+    for x in range(2, x_sweep_bound(q) + 1):
         yz = solve_p1_given_x(q, x)
         if yz is not None:
             return _checked_witness(q, PolyId.P1, WitnessTriple(x, *yz))

@@ -105,3 +105,18 @@ def p2_divisor_instance(a: int, x: int):
             if t >= 3 and t % 4 == 3:
                 return (t + 1) // 4, n // e
     return None
+
+
+def rows_text(rows) -> list[str]:
+    """Result rows as newline-terminated CSV lines, written out independently
+    of the library: unused coordinates are empty cells, prime rows (no
+    label) have no pi cell."""
+
+    def cell(v):
+        return "" if v is None else str(v)
+
+    lines = []
+    for r in rows:
+        cells = [str(r.q), str(r.x), cell(r.y), cell(r.z)] + ([] if r.pi is None else [r.pi])
+        lines.append(",".join(cells) + "\n")
+    return lines

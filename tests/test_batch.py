@@ -1,3 +1,4 @@
+import hashlib
 import json
 from dataclasses import replace
 
@@ -14,7 +15,7 @@ from erdos_straus.batch import (
     tally,
 )
 from erdos_straus.families import PolyId
-from erdos_straus.numutil import is_prime
+from erdos_straus.numutil import is_prime, window_prime_count
 from erdos_straus.reports import (
     SolutionRow,
     read_results,
@@ -22,6 +23,8 @@ from erdos_straus.reports import (
     witness_to_row,
 )
 from erdos_straus.search import legacy_coverage_scan, prime_witness_search, wide_search
+
+from .oracles import rows_text
 
 
 def _cfg(tmp_path, **kw):
@@ -174,6 +177,94 @@ def test_slices_are_contiguous_and_window_bounded(step, parts):
     assert len(slices) >= parts
     assert all(s[-1] - s[0] + batch.WINDOW_MARGIN <= batch.WINDOW_SPAN for s in slices)
     assert batch._slices(range(7, 7, step), parts) == []
+
+
+def test_small_pooled_batch_near_1e9_is_one_slice():
+    # a slice near 10^9 sieves 3401 primes; 64 slices of 47 q would each pay for that
+    qs = range(1_000_000_002, 1_000_000_002 + 6 * 3001, 6)
+    assert batch._slices(qs, batch.POOL_PARTS) == [qs]
+
+
+@pytest.mark.parametrize("count", [3401, 20_000, 100_000])
+def test_pooled_slices_pay_for_their_sieve(count):
+    qs = range(1_000_000_002, 1_000_000_002 + 6 * count, 6)
+    slices = batch._slices(qs, batch.POOL_PARTS)
+    assert [q for s in slices for q in s] == list(qs)
+    cap = (batch.WINDOW_SPAN - batch.WINDOW_MARGIN) // 6 + 1
+    for s in slices[:-1]:
+        assert len(s) >= min(cap, window_prime_count(s[-1] + batch.WINDOW_MARGIN))
+
+
+def _rows_of(witnesses):
+    return "".join(rows_text(witness_to_row(w) for w in witnesses if w is not None))
+
+
+@pytest.mark.parametrize("qs", [
+    range(2049, 6049),
+    range(1_000_000_002, 1_000_000_002 + 6 * 400, 6),
+    range(65537**2 - 200, 65537**2 + 200),
+])
+def test_coverage_slice_text_is_the_row_rendering(qs):
+    got = batch._wide_slice(qs)
+    witnesses = [wide_search(q) for q in qs]
+    assert got.text == _rows_of(witnesses)
+    assert got.unsolved == [q for q, w in zip(qs, witnesses) if w is None]
+    assert got.counts == [sum(w.poly is p for w in witnesses if w) for p in PolyId]
+
+
+def test_prefix_text_is_the_row_rendering():
+    hits = list(legacy_coverage_scan(range(1, 2049)))
+    got = batch._coverage_result(hits)
+    assert got.text == _rows_of(w for _, w in hits)
+    assert all(got.counts)  # rows of every family, p3 and p4 included
+    assert got.unsolved == []
+
+
+def test_prime_slice_text_is_the_row_rendering():
+    qs = range(6, 6007, 6)
+    got = batch._prime_slice(qs)
+    rows = [SolutionRow(q, *prime_witness_search(q)) for q in qs if is_prime(4 * q + 1)]
+    assert got.text == "".join(rows_text(rows))
+    assert (got.unsolved, got.counts) == ([], [0, len(rows), 0, 0])
+
+
+def test_scans_build_no_solution_rows(tmp_path, monkeypatch):
+    monkeypatch.setattr(SolutionRow, "__post_init__", _forbidden)
+    run_coverage(_cfg(tmp_path / "cover", q_max=2400, batch_size=1000))
+    run_coverage(_prime_cfg(tmp_path / "primes", q_max=600, batch_size=300))
+
+
+def _sha256(path):
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+def test_manifest_records_each_batchs_files(tmp_path):
+    run_coverage(_cfg(tmp_path))
+    manifest = json.loads((tmp_path / "checkpoint.json").read_text())
+    for i in (1, 2, 3):
+        results = tmp_path / f"results_batch{i}.csv"
+        unsolved = tmp_path / f"unsolved_batch{i}.csv"
+        assert manifest["batches"][str(i)] == {
+            "rows": len(read_results(results)),
+            "sha256": _sha256(results),
+            "unsolved": 0,
+            "unsolved_sha256": _sha256(unsolved),
+        }
+
+
+def test_resume_needs_a_record_for_each_skipped_batch(tmp_path):
+    cfg = _cfg(tmp_path)
+    run_coverage(cfg)
+    path = tmp_path / "checkpoint.json"
+    manifest = json.loads(path.read_text())
+    del manifest["batches"]["2"]
+    path.write_text(json.dumps(manifest))
+    with pytest.raises(ResumeError, match="corrupt checkpoint manifest"):
+        checkpoint_resume(cfg)
+    manifest["completed"] = [1, 3]
+    path.write_text(json.dumps(manifest))
+    with pytest.raises(ResumeError, match=r"records no files for batches \[2\]"):
+        run_coverage(replace(cfg, skip_batches=frozenset({2})))
 
 
 def test_checkpoint_resume_errors(tmp_path):

@@ -1,7 +1,12 @@
+import json
+import re
+
 import pytest
 
 from erdos_straus.cli import main
 from erdos_straus.reports import SolutionRow, write_results_batch
+
+from .oracles import rows_text
 
 
 def run(capsys, *argv):
@@ -130,11 +135,50 @@ def test_resume_rejects_a_q_both_solved_and_unsolved(capsys, tmp_path):
     assert "q = 4 repeats" in err
 
 
+def test_resume_rejects_an_edited_batch_file(capsys, tmp_path):
+    def tamper(out):
+        # same rows and q, one witness changed: only the digest can tell
+        path = out / "results_batch2.csv"
+        lines = path.read_text().splitlines(keepends=True)
+        q, x, y, z, pi = lines[1].rstrip("\n").split(",")
+        lines[1] = ",".join([q, x, str(int(y) + 1), z, pi]) + "\n"
+        path.write_text("".join(lines))
+
+    code, _, err = _cover_then_tamper(capsys, tmp_path, tamper)
+    assert code == 65
+    assert "batch 2, q in [11, 20]: results_batch2.csv is not the file the checkpoint recorded" in err
+
+
+def test_resume_rejects_a_manifest_without_file_records(capsys, tmp_path):
+    def tamper(out):
+        manifest = json.loads((out / "checkpoint.json").read_text())
+        del manifest["batches"]
+        (out / "checkpoint.json").write_text(json.dumps(manifest))
+
+    code, _, err = _cover_then_tamper(capsys, tmp_path, tamper)
+    assert code == 65
+    assert "corrupt checkpoint manifest" in err
+
+
+def test_prime_resume_rejects_a_truncated_batch_file(capsys, tmp_path):
+    argv = ["primes", "--q-max", "600", "--batch-size", "300", "--workers", "1", "--out-dir", str(tmp_path)]
+    assert run(capsys, *argv)[0] == 0
+    solutions = (tmp_path / "Results" / "all_solutions.csv").read_bytes()
+    path = tmp_path / "Results" / "results_batch001.csv"
+    path.write_text("".join(path.read_text().splitlines(keepends=True)[:-1]))
+    code, _, err = run(capsys, *argv, "--resume")
+    assert code == 65
+    found = re.search(r"batch 1, q in \[6, 305\]: its files hold (\d+) rows and 0 unsolved q, "
+                      r"the checkpoint recorded (\d+) and 0", err)
+    assert found and int(found[2]) == int(found[1]) + 1
+    assert (tmp_path / "Results" / "all_solutions.csv").read_bytes() == solutions
+
+
 def test_prime_resume_rejects_a_coverage_file(capsys, tmp_path):
     argv = ["primes", "--q-max", "60", "--workers", "1", "--out-dir", str(tmp_path)]
     assert run(capsys, *argv)[0] == 0
     rows = [SolutionRow(1, 1, 1, 1, "p2"), SolutionRow(2, 1, 1, 1, "p1")]
-    write_results_batch(rows, 1, "coverage", tmp_path / "Results")
+    write_results_batch(rows_text(rows), 1, "coverage", tmp_path / "Results")
     (tmp_path / "Results" / "results_batch1.csv").replace(tmp_path / "Results" / "results_batch001.csv")
     solutions = (tmp_path / "Results" / "all_solutions.csv").read_bytes()
     code, _, err = run(capsys, *argv, "--resume")
@@ -225,7 +269,7 @@ def test_witness(capsys):
 
 def test_verify_csv_good(capsys, tmp_path):
     rows = [SolutionRow(2, 1, 1, 1, "p1"), SolutionRow(6, 2, 1, None, "p3")]
-    path = write_results_batch(rows, 1, "coverage", tmp_path)
+    path = write_results_batch(rows_text(rows), 1, "coverage", tmp_path)
     code, out, _ = run(capsys, "verify-csv", str(path))
     assert code == 0
     assert "2 rows verified" in out
@@ -233,7 +277,7 @@ def test_verify_csv_good(capsys, tmp_path):
 
 def test_verify_csv_detects_bad_row(capsys, tmp_path):
     rows = [SolutionRow(2, 1, 1, 1, "p2")]  # p2(1,1,1) = 1, not 2
-    path = write_results_batch(rows, 1, "coverage", tmp_path)
+    path = write_results_batch(rows_text(rows), 1, "coverage", tmp_path)
     code, out, _ = run(capsys, "verify-csv", str(path))
     assert code == 1
     assert ":2:" in out
@@ -241,11 +285,11 @@ def test_verify_csv_detects_bad_row(capsys, tmp_path):
 
 def test_verify_csv_prime_schema(capsys, tmp_path):
     # 4*18+1 = 73 is prime and (2,1,4) satisfies the second-family identity
-    path = write_results_batch([SolutionRow(18, 2, 1, 4)], 1, "prime", tmp_path)
+    path = write_results_batch(rows_text([SolutionRow(18, 2, 1, 4)]), 1, "prime", tmp_path)
     code, out, _ = run(capsys, "verify-csv", str(path))
     assert code == 0
     # same shape but a composite target must be rejected
-    bad = write_results_batch([SolutionRow(36, 2, 3, 2)], 2, "prime", tmp_path)
+    bad = write_results_batch(rows_text([SolutionRow(36, 2, 3, 2)]), 2, "prime", tmp_path)
     code, out, _ = run(capsys, "verify-csv", str(bad))
     assert code == 1
 
@@ -277,7 +321,7 @@ def test_verify_csv_missing_file(capsys, tmp_path):
 
 def test_split(capsys, tmp_path):
     rows = [SolutionRow(2, 1, 1, 1, "p1"), SolutionRow(6, 1, 1, None, "p3")]
-    path = write_results_batch(rows, 1, "coverage", tmp_path)
+    path = write_results_batch(rows_text(rows), 1, "coverage", tmp_path)
     code, out, _ = run(capsys, "split", str(path), "--out-dir", str(tmp_path))
     assert code == 0
     assert (tmp_path / "q_with_p1.csv").read_bytes() == b"2\n"
@@ -286,7 +330,7 @@ def test_split(capsys, tmp_path):
 
 
 def test_split_rejects_prime_schema(capsys, tmp_path):
-    path = write_results_batch([SolutionRow(36, 2, 3, 2)], 1, "prime", tmp_path)
+    path = write_results_batch(rows_text([SolutionRow(36, 2, 3, 2)]), 1, "prime", tmp_path)
     code, _, err = run(capsys, "split", str(path), "--out-dir", str(tmp_path))
     assert code == 65
 

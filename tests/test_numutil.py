@@ -1,9 +1,15 @@
-from math import prod
+from math import isqrt, prod
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from erdos_straus.numutil import FactorWindow, divisors_ascending, factorize, is_prime
+from erdos_straus.numutil import (
+    FactorWindow,
+    divisors_ascending,
+    factorize,
+    is_prime,
+    window_prime_count,
+)
 
 from .oracles import divisors_by_trial
 
@@ -158,3 +164,38 @@ def test_factor_window_property(lo, width, data):
                             min_size=1, max_size=8))
     for n in ns:
         assert window.divisors(n) == divisors_ascending(n)
+
+
+def _sieve_by_ranges(lo, hi):
+    """Per-n prime lists of a window, every prime sieved with a range."""
+    hi = min(hi, 65537**2 - 1)
+    size = max(0, hi - lo + 1)
+    primes = [[] for _ in range(size)]
+    for p in range(2, isqrt(hi) + 1):
+        if is_prime(p):
+            for i in range((-lo) % p, size, p):
+                primes[i].append(p)
+    return primes
+
+
+@pytest.mark.parametrize("lo,hi", [
+    (1, 1),
+    (1, 3000),
+    (10**6 - 40, 10**6 + 40),
+    (1_000_000_003, 1_000_000_003 + 963),  # a scan-hard window: 964 values, 3401 primes
+    (10**9, 10**9 + 5),                     # shorter than every prime but 2, 3 and 5
+    (65537**2 - 300, 65537**2 + 300),       # straddles the sieve's reach
+])
+def test_window_sieve_matches_the_range_sieve(lo, hi):
+    window = FactorWindow(lo, hi)
+    assert window._primes == _sieve_by_ranges(lo, hi)
+    root = isqrt(min(hi, 65537**2 - 1))
+    assert window_prime_count(hi) == sum(map(is_prime, range(root + 1)))
+
+
+@given(st.integers(min_value=1, max_value=5 * 10**9), st.integers(min_value=0, max_value=300))
+@settings(max_examples=40, deadline=None)
+def test_window_factorize_matches_factorize(lo, width):
+    window = FactorWindow(lo, lo + width)
+    for n in range(max(1, lo - 2), lo + width + 3):
+        assert window.factorize(n) == factorize(n)

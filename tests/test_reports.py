@@ -21,6 +21,8 @@ from erdos_straus.reports import (
 )
 from erdos_straus.search import Witness, staged_search
 
+from .oracles import rows_text
+
 
 def test_row_validation():
     SolutionRow(6, 1, 1, None, "p3")
@@ -79,24 +81,21 @@ def test_coverage_file_bytes(tmp_path):
         SolutionRow(6, 1, 1, None, "p3"),
         SolutionRow(72, 9, None, None, "p4"),
     ]
-    path = write_results_batch(rows, 1, "coverage", tmp_path)
+    path = write_results_batch(rows_text(rows), 1, "coverage", tmp_path)
     assert path.read_bytes() == b"q,x,y,z,pi\n1,1,1,1,p2\n6,1,1,,p3\n72,9,,,p4\n"
 
 
 def test_prime_file_bytes(tmp_path):
     rows = [SolutionRow(36, 2, 3, 2), SolutionRow(90, 1, 31, 3)]
-    path = write_results_batch(rows, 7, "prime", tmp_path)
+    path = write_results_batch(rows_text(rows), 7, "prime", tmp_path)
     assert path == tmp_path / "Results" / "results_batch007.csv"
     assert path.read_bytes() == b"q,x,y,z\n36,2,3,2\n90,1,31,3\n"
-    agg = write_results_aggregate(rows, tmp_path)
+    agg = write_results_aggregate([path], tmp_path)
     assert agg.read_bytes() == path.read_bytes()
     assert agg.name == "all_solutions.csv"
 
 
 def test_write_rejects_unsorted(tmp_path):
-    rows = [SolutionRow(5, 1, 1, 1, "p2"), SolutionRow(2, 1, 1, 1, "p1")]
-    with pytest.raises(ValueError):
-        write_results_batch(rows, 1, "coverage", tmp_path)
     with pytest.raises(ValueError):
         write_unsolved([3, 3], 1, "coverage", tmp_path)
     with pytest.raises(ValueError):
@@ -117,11 +116,11 @@ def test_read_results_q_names_the_bad_line(tmp_path):
 
 
 def test_read_results_checks_the_schema_it_is_asked_for(tmp_path):
-    prime = write_results_batch([SolutionRow(36, 2, 3, 2)], 1, "prime", tmp_path)
+    prime = write_results_batch(rows_text([SolutionRow(36, 2, 3, 2)]), 1, "prime", tmp_path)
     assert read_results(prime, "prime") == [SolutionRow(36, 2, 3, 2)]
     with pytest.raises(ReportFormatError, match="need the coverage schema"):
         read_results(prime, "coverage")
-    coverage = write_results_batch([], 1, "coverage", tmp_path)
+    coverage = write_results_batch(rows_text([]), 1, "coverage", tmp_path)
     with pytest.raises(ReportFormatError, match="need the prime schema"):
         read_results(coverage, "prime")
 
@@ -143,13 +142,13 @@ def test_failed_write_keeps_the_previous_file(tmp_path):
 
 def test_read_results_round_trip(tmp_path):
     rows = _coverage_rows()
-    path = write_results_batch(rows, 1, "coverage", tmp_path)
+    path = write_results_batch(rows_text(rows), 1, "coverage", tmp_path)
     assert read_results(path) == rows
 
 
 def test_read_results_prime_round_trip(tmp_path):
     rows = [SolutionRow(36, 2, 3, 2)]
-    path = write_results_batch(rows, 1, "prime", tmp_path)
+    path = write_results_batch(rows_text(rows), 1, "prime", tmp_path)
     assert read_results(path) == rows
 
 
@@ -178,7 +177,7 @@ def test_split_by_family(tmp_path):
         SolutionRow(8, 3, 1, 1, "p1"),
         SolutionRow(72, 9, None, None, "p4"),
     ]
-    src = write_results_batch(rows, 1, "coverage", tmp_path)
+    src = write_results_batch(rows_text(rows), 1, "coverage", tmp_path)
     paths = split_by_family(src, tmp_path)
     assert [p.name for p in paths] == [
         "q_with_p1.csv",
@@ -193,7 +192,7 @@ def test_split_by_family(tmp_path):
 
 
 def test_split_rejects_prime_schema(tmp_path):
-    src = write_results_batch([SolutionRow(36, 2, 3, 2)], 1, "prime", tmp_path)
+    src = write_results_batch(rows_text([SolutionRow(36, 2, 3, 2)]), 1, "prime", tmp_path)
     with pytest.raises(ReportFormatError):
         split_by_family(src, tmp_path)
 

@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 from erdos_straus import families as families_module
 from erdos_straus import search as search_module
 from erdos_straus.families import PolyId, WitnessTriple, eval_poly
-from erdos_straus.numutil import is_prime
+from erdos_straus.numutil import FactorWindow, is_prime
 from erdos_straus.search import (
     LEGACY_PROBE_LIMIT,
     Witness,
@@ -134,6 +134,63 @@ def test_domain_errors():
 def test_wide_search_examples():
     assert wide_search(72) == Witness(72, PolyId.P4, WitnessTriple(9, 1, 1))
     assert wide_search(6) == Witness(6, PolyId.P3, WitnessTriple(2, 1, 1))
+
+
+def _sweep_at_x1(q, window=None):
+    """The sweep's x = 1 step through the per-family solvers."""
+    yz = solve_p1_given_x(q, 1)
+    if yz is not None:
+        return PolyId.P1, WitnessTriple(1, *yz)
+    yz = solve_p2_given_x(q, 1, window)
+    if yz is not None:
+        return PolyId.P2, WitnessTriple(1, *yz)
+    y = solve_p3_given_x(q, 1)
+    return None if y is None else (PolyId.P3, WitnessTriple(1, y, 1))
+
+
+def _sweep_from_x1(q, window=None):
+    """wide_search as a plain sweep from x = 1, without the closed form."""
+    for x in range(1, x_sweep_bound(q) + 1):
+        yz = solve_p1_given_x(q, x)
+        if yz is not None:
+            return Witness(q, PolyId.P1, WitnessTriple(x, *yz))
+        yz = solve_p2_given_x(q, x, window)
+        if yz is not None:
+            return Witness(q, PolyId.P2, WitnessTriple(x, *yz))
+        y = solve_p3_given_x(q, x)
+        if y is not None:
+            return Witness(q, PolyId.P3, WitnessTriple(x, y, 1))
+    x = check_p4(q)
+    return None if x is None else Witness(q, PolyId.P4, WitnessTriple(x, 1, 1))
+
+
+@pytest.mark.parametrize("lo,count", [
+    (1, 3000),
+    (10**6 - 1500, 3000),
+    (10**9 - 700, 1400),
+    (65537**2 - 400, 800),  # q+1 beyond the window's reach falls back to factorize
+])
+def test_x1_closed_form_matches_the_solvers(lo, count):
+    window = FactorWindow(lo + 1, lo + count + 64)
+    for q in range(lo, lo + count):
+        expect = _sweep_at_x1(q)
+        assert search_module._first_at_x1(q, window) == expect, q
+        assert search_module._first_at_x1(q, None) == expect, q
+        assert wide_search(q, window) == _sweep_from_x1(q, window), q
+
+
+@given(st.integers(min_value=1, max_value=10**13), st.integers(0, 50), st.booleans())
+@settings(max_examples=150, deadline=None)
+def test_x1_closed_form_property(q, offset, with_window):
+    window = FactorWindow(max(1, q + 1 - offset), q + 1 + offset) if with_window else None
+    assert search_module._first_at_x1(q, window) == _sweep_at_x1(q)
+
+
+@given(st.integers(min_value=1, max_value=10**7), st.booleans())
+@settings(max_examples=150, deadline=None)
+def test_wide_search_matches_the_plain_sweep(q, with_window):
+    window = FactorWindow(q + 1, q + 64) if with_window else None
+    assert wide_search(q, window) == _sweep_from_x1(q)
 
 
 def test_staged_search_matches_exhaustive_oracle_small():
