@@ -22,7 +22,7 @@ from pathlib import Path
 from typing import TYPE_CHECKING, Callable, Iterable, NamedTuple, Optional, Sequence
 
 from .families import PolyId
-from .numutil import FactorWindow, is_prime, window_prime_count
+from .numutil import MR_LIMIT, FactorWindow, primes_in, window_prime_count
 from .reports import (
     SolutionRow,
     coverage_line,
@@ -84,6 +84,11 @@ class BatchConfig:
             raise ValueError(f"need 1 <= q_start <= q_max, got {self.q_start} and {self.q_max}")
         if self.step < 1 or self.batch_size < 1 or self.worker_count < 1:
             raise ValueError("step, batch_size and worker_count must be >= 1")
+        # the largest n whose primality a scan may test: 4q+1, and in the prime
+        # search's y = 3 stage 11(4q+1) + 1
+        top = 44 * self.q_max + 12 if self.mode is ScanMode.PRIME_COVERAGE else 4 * self.q_max + 1
+        if top >= MR_LIMIT:
+            raise ValueError(f"q_max = {self.q_max} is too large: primality is proven only below {MR_LIMIT}")
         if self.mode is ScanMode.PRIME_COVERAGE and self.step != 6:
             raise ValueError("prime coverage requires step = 6")
         if self.step not in PAPER_STEPS:
@@ -180,15 +185,16 @@ def _wide_slice(qs: range) -> SliceResult:
 
 
 def _prime_slice(qs: range) -> SliceResult:
-    """prime_witness_search on each q of a slice with 4q+1 prime."""
+    """prime_witness_search on each q of a slice with 4q+1 prime; one sieve
+    of the progression 4q+1 finds those q."""
     lines, unsolved = [], []
-    for q in qs:
-        if is_prime(4 * q + 1):
-            t = prime_witness_search(q)
-            if t is None:
-                unsolved.append(q)
-            else:
-                lines.append(prime_line(q, t))
+    for a in primes_in(range(4 * qs.start + 1, 4 * qs[-1] + 2, 4 * qs.step)):
+        q = a // 4
+        t = prime_witness_search(q)
+        if t is None:
+            unsolved.append(q)
+        else:
+            lines.append(prime_line(q, t))
     return SliceResult("".join(lines), unsolved, [0, len(lines), 0, 0])
 
 

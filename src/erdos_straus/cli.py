@@ -27,7 +27,7 @@ from .batch import (
 )
 from .decompose import UnsolvedError, decompose_any, verify_exact
 from .families import PolyId, WitnessTriple, eval_poly
-from .numutil import is_prime
+from .numutil import MR_LIMIT, is_prime
 from .reports import ReportFormatError, read_results, row_to_witness, split_by_family
 from .search import staged_search
 
@@ -162,8 +162,8 @@ def _cmd_primes(args) -> int:
 
 
 def _cmd_decompose(args) -> int:
-    if args.a < 2:
-        raise UsageError("a must be >= 2")
+    if not 2 <= args.a < MR_LIMIT:
+        raise UsageError(f"a must be >= 2 and below {MR_LIMIT}, where primality is proven")
     try:
         rec = decompose_any(args.a)
     except UnsolvedError as exc:
@@ -187,8 +187,8 @@ def _cmd_decompose(args) -> int:
 
 
 def _cmd_witness(args) -> int:
-    if args.q < 1:
-        raise UsageError("q must be >= 1")
+    if args.q < 1 or 4 * args.q + 1 >= MR_LIMIT:
+        raise UsageError(f"q must be >= 1 and 4q+1 below {MR_LIMIT}, where primality is proven")
     w = staged_search(args.q)
     if w is None:
         print(f"no witness found for q = {args.q}")
@@ -206,7 +206,8 @@ def _cmd_witness(args) -> int:
 def _verify_row(row) -> bool:
     if row.pi is None:  # prime schema: a second-family witness, 4q+1 prime
         t = WitnessTriple(row.x, row.y, row.z)
-        return eval_poly(PolyId.P2, t) == row.q and is_prime(4 * row.q + 1)
+        a = 4 * row.q + 1  # unproven, hence unverified, from MR_LIMIT on
+        return eval_poly(PolyId.P2, t) == row.q and a < MR_LIMIT and is_prime(a)
     w = row_to_witness(row)
     return eval_poly(w.poly, w.triple) == row.q
 

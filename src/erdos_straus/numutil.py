@@ -1,13 +1,16 @@
 """Integer utilities: deterministic primality, factorization, divisors.
 
 Everything here is exact integer arithmetic; no floating point anywhere.
-Primality is a deterministic Miller-Rabin with the 12-base set, proven
-complete for every n < 3.317 * 10^24 (which covers all n < 2^64), so batch
-runs never depend on probabilistic answers.  Factorization is trial division
-by the primes below 2^16 with a Pollard-rho (Brent variant) escalation for a
-cofactor above 2^32, and every divisor list is built from a factorization.
-`FactorWindow` sieves those small primes over a contiguous range once, so a
-scan asking about many neighbouring n factors each without trial division.
+Primality is a deterministic Miller-Rabin with the 13 prime bases up to 41,
+proven complete for every n < MR_LIMIT (about 3.317 * 10^24, above 2^64);
+it refuses larger n, so batch runs never depend on probabilistic answers.
+Factorization is trial division by the primes below 2^16 with a Pollard-rho
+(Brent variant) escalation for a cofactor above 2^32, and every divisor list
+is built from a factorization.  `FactorWindow` sieves those small primes
+over a contiguous range once, so a scan asking about many neighbouring n
+factors each without trial division; `primes_in` sieves them over an
+arithmetic progression, so a scan finds its prime targets without a
+primality test per value.
 """
 
 from __future__ import annotations
@@ -16,8 +19,11 @@ from bisect import bisect_left, bisect_right
 from itertools import compress
 from math import gcd, isqrt
 
-# Complete for every n < 3_317_044_064_679_887_385_961_981 (> 2^64).
-_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+# MR_LIMIT is the least strong pseudoprime to all of these bases, so they are
+# proven complete below it.  Without 41 the bound would be the least strong
+# pseudoprime to the bases up to 37, 318665857834031151167461.
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+MR_LIMIT = 3_317_044_064_679_887_385_961_981
 
 _RHO_CUTOFF = 1 << 32
 
@@ -39,9 +45,14 @@ _WINDOW_MAX = 65537**2 - 1
 
 
 def is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin, proven exact for every n < 3.317 * 10^24."""
+    """Deterministic Miller-Rabin, proven exact for every n < MR_LIMIT.
+
+    Raises ValueError for n >= MR_LIMIT, where no answer would be proven.
+    """
     if n < 2:
         return False
+    if n >= MR_LIMIT:
+        raise ValueError(f"{n} is at or above {MR_LIMIT}, where the primality test is not proven")
     for p in _MR_BASES:
         if n % p == 0:
             return n == p
@@ -117,6 +128,36 @@ def divisors_ascending(n: int) -> list[int]:
     if n < 1:
         raise ValueError("n must be >= 1")
     return _divisors_of(factorize(n))
+
+
+def primes_in(values: range) -> list[int]:
+    """The primes among `values`, an ascending range of positive integers.
+
+    One sieve: each prime p <= isqrt(values[-1]) below 2^16 strikes its
+    multiples in the progression, except p itself.  Up to _WINDOW_MAX the
+    survivors above 1 are exactly the primes; above it they are confirmed
+    with is_prime.
+    """
+    if values.start < 1 or values.step < 1:
+        raise ValueError("need an ascending range of positive integers")
+    if not values:
+        return []
+    start, step, size = values.start, values.step, len(values)
+    keep = bytearray([1]) * size
+    for p in _PRIMES[: window_prime_count(values[-1])]:
+        if step % p:
+            first, stride = -start * pow(step, -1, p) % p, p
+        elif start % p == 0:
+            first, stride = 0, 1  # every value is a multiple of p
+        else:
+            continue
+        if start + first * step == p:
+            first += stride
+        keep[first::stride] = bytes(len(range(first, size, stride)))
+    survivors = [v for v in compress(values, keep) if v > 1]
+    if values[-1] <= _WINDOW_MAX:
+        return survivors
+    return [v for v in survivors if is_prime(v)]
 
 
 def window_prime_count(hi: int) -> int:

@@ -17,9 +17,9 @@ classifications that quirk produces, so coverage scans emulate it; the
 effect is provably confined to q <= 35*(sqrt(q)+2), i.e. nothing beyond
 q ~ 1400 can ever be touched.
 
-`prime_witness_search` is the prime program's staged second-family search.
-Every witness any of these searches returns has passed
-`families.check_value`.
+`prime_witness_search` is the prime program's staged second-family search,
+each stage a least-divisor lookup.  Every witness any of these searches
+returns has passed `families.check_value`.
 """
 
 from __future__ import annotations
@@ -90,20 +90,22 @@ def solve_p2_given_x(
     """First solution of P2(x, y, z) = q for fixed x, if any.
 
     P2 = q rearranges to z * M = q + x with M = y(4x-1) - x, so M runs over
-    divisors of q+x that are congruent to -x mod 4x-1 and at least 3x-1
+    divisors of q+x congruent to 3x-1 mod 4x-1, all of them at least 3x-1
     (y >= 1).  The smallest such divisor wins.  `window`, when given,
     supplies the divisors of q+x; the result is the same either way.
     """
     if q < 1 or x < 1:
         raise ValueError("q and x must be >= 1")
-    m4 = 4 * x - 1
-    n = q + x
-    lo = 3 * x - 1
-    target = (-x) % m4
-    divisors = divisors_ascending(n) if window is None else window.divisors(n)
-    for d in divisors:
-        if d >= lo and d % m4 == target:
-            return (d + x) // m4, n // d
+    d = _least_divisor(q + x, 4 * x - 1, 3 * x - 1, window=window)
+    return None if d is None else ((d + x) // (4 * x - 1), (q + x) // d)
+
+
+def _least_divisor(n: int, m: int, r: int, cm: int = 1, cr: int = 0,
+                   window: Optional[FactorWindow] = None) -> Optional[int]:
+    """Smallest divisor d of n with d % m == r and (n // d) % cm == cr."""
+    for d in divisors_ascending(n) if window is None else window.divisors(n):
+        if d % m == r and n // d % cm == cr:
+            return d
     return None
 
 
@@ -134,23 +136,17 @@ def x_sweep_bound(q: int) -> int:
     return (1 + isqrt(4 * q + 1)) // 2
 
 
-def _first_at_x1(q: int, window: Optional[FactorWindow]) -> Optional[tuple[PolyId, WitnessTriple]]:
-    """The sweep's hit at x = 1, if any, without a divisor list.
-
-    With n = q+1: P1 needs 3 | n and gives (1, 1, n/3).  P2 takes the
-    smallest divisor d >= 2 of n with d % 3 == 2, as (1, (d+1)/3, n/d):
-    d = 2 for even n, and for odd n the smallest prime p with p % 3 == 2
-    dividing n, since every such d has a prime factor p % 3 == 2 no larger
-    than itself.  P3 needs 2 | n, where P2 has already answered.
-    """
+def _p2_at_x1(q: int, window: Optional[FactorWindow] = None) -> Optional[tuple[int, int]]:
+    """solve_p2_given_x(q, 1) without a divisor list.  With n = q+1, the
+    smallest divisor d % 3 == 2 of n is 2 for even n, and for odd n the
+    smallest prime p % 3 == 2 dividing n, since every such d has a prime
+    factor p % 3 == 2 no larger than itself; (y, z) = ((d+1)/3, n/d)."""
     n = q + 1
-    if n % 3 == 0:
-        return PolyId.P1, WitnessTriple(1, 1, n // 3)
     if n % 2 == 0:
-        return PolyId.P2, WitnessTriple(1, 1, n // 2)
+        return 1, n // 2
     factors = factorize(n) if window is None else window.factorize(n)
     p = min((p for p in factors if p % 3 == 2), default=None)
-    return None if p is None else (PolyId.P2, WitnessTriple(1, (p + 1) // 3, n // p))
+    return None if p is None else ((p + 1) // 3, n // p)
 
 
 def wide_search(q: int, window: Optional[FactorWindow] = None) -> Optional[Witness]:
@@ -163,9 +159,12 @@ def wide_search(q: int, window: Optional[FactorWindow] = None) -> Optional[Witne
     """
     if q < 1:
         raise ValueError("q must be >= 1")
-    hit = _first_at_x1(q, window)
-    if hit is not None:
-        return _checked_witness(q, *hit)
+    # x = 1: P1 needs 3 | q+1; P3 needs 2 | q+1, where P2 has answered
+    if (q + 1) % 3 == 0:
+        return _checked_witness(q, PolyId.P1, WitnessTriple(1, 1, (q + 1) // 3))
+    yz = _p2_at_x1(q, window)
+    if yz is not None:
+        return _checked_witness(q, PolyId.P2, WitnessTriple(1, *yz))
     for x in range(2, x_sweep_bound(q) + 1):
         yz = solve_p1_given_x(q, x)
         if yz is not None:
@@ -217,21 +216,23 @@ def _first_prime_candidate(q: int) -> Optional[WitnessTriple]:
     a = 4 * q + 1
     xmax = x_sweep_bound(q)
     for x in (1, 2, 3):
-        yz = solve_p2_given_x(q, x)
+        yz = _p2_at_x1(q) if x == 1 else solve_p2_given_x(q, x)
         if yz is not None:
             return WitnessTriple(x, *yz)
+    # y: with k = 4y-1, E = (4x-1)k - 1 divides a+4x-1 iff it divides ka+1, as
+    # k(a+4x-1) = ka+1 + E and gcd(k, E) = 1; E is 3k-1 mod 4k and grows with x.
     for y in (1, 2, 3):
-        for x in range(1, xmax + 1):
-            e = (4 * x - 1) * (4 * y - 1) - 1
-            n = a + 4 * x - 1
-            if n % e == 0:
-                return WitnessTriple(x, y, n // e)
+        k = 4 * y - 1
+        e = _least_divisor(k * a + 1, 4 * k, 3 * k - 1)
+        if e is not None and (e + k + 1) // (4 * k) <= xmax:
+            x = (e + k + 1) // (4 * k)
+            return WitnessTriple(x, y, (a + 4 * x - 1) // e)
+    # z: with f = 4x-1, 4zf divides a-1+4x(z+1) = (a+z) + f(z+1) iff f divides
+    # a+z and 4z divides (a+z)/f + z+1.
     for z in (1, 2, 3):
-        for x in range(1, xmax + 1):
-            den = 4 * z * (4 * x - 1)
-            num = a - 1 + 4 * x + 4 * x * z
-            if num % den == 0:
-                return WitnessTriple(x, num // den, z)
+        f = _least_divisor(a + z, 4, 3, 4 * z, -(z + 1) % (4 * z))
+        if f is not None and (f + 1) // 4 <= xmax:
+            return WitnessTriple((f + 1) // 4, ((a + z) // f + z + 1) // (4 * z), z)
     for x in range(4, xmax + 1):
         yz = solve_p2_given_x(q, x)
         if yz is not None:
@@ -243,11 +244,11 @@ def prime_witness_search(q: int) -> Optional[WitnessTriple]:
     """Witness (x, y, z) with (4x-1)(4yz-1) - 4xz = 4q+1, staged.
 
     Callers gate on 4q+1 being prime; the search itself only needs q >= 1.
-    Stage order matches the original prime program: x in {1,2,3} by divisor
-    enumeration, then y in {1,2,3} and z in {1,2,3} by x sweeps, then
-    x in [4, xmax] by divisor enumeration.  The identity is the second
-    family's 4*P2 + 1, so the divisor stages are `solve_p2_given_x`, and the
-    first candidate is checked as P2(x, y, z) = q.
+    Stage order matches the original prime program: x in {1,2,3}, then
+    y in {1,2,3} and z in {1,2,3}, each taking its smallest x <= xmax from
+    the least divisor in a residue class, then x in [4, xmax].  The
+    identity is the second family's 4*P2 + 1, so the x stages are
+    `solve_p2_given_x`, and the first candidate is checked as P2(x, y, z) = q.
     """
     if q < 1:
         raise ValueError("q must be >= 1")

@@ -107,6 +107,37 @@ def p2_divisor_instance(a: int, x: int):
     return None
 
 
+def prime_candidate_by_sweep(q: int):
+    """The prime program's staged second-family search with its O(sqrt q)
+    sweeps over x: x in {1,2,3} by divisors, then y in {1,2,3} and
+    z in {1,2,3} by testing every x <= xmax, then x in [4, xmax]."""
+    from erdos_straus.search import solve_p2_given_x, x_sweep_bound
+
+    a = 4 * q + 1
+    xmax = x_sweep_bound(q)
+    for x in (1, 2, 3):
+        yz = solve_p2_given_x(q, x)
+        if yz is not None:
+            return WitnessTriple(x, *yz)
+    for y in (1, 2, 3):
+        for x in range(1, xmax + 1):
+            e = (4 * x - 1) * (4 * y - 1) - 1
+            n = a + 4 * x - 1
+            if n % e == 0:
+                return WitnessTriple(x, y, n // e)
+    for z in (1, 2, 3):
+        for x in range(1, xmax + 1):
+            den = 4 * z * (4 * x - 1)
+            num = a - 1 + 4 * x + 4 * x * z
+            if num % den == 0:
+                return WitnessTriple(x, num // den, z)
+    for x in range(4, xmax + 1):
+        yz = solve_p2_given_x(q, x)
+        if yz is not None:
+            return WitnessTriple(x, *yz)
+    return None
+
+
 def rows_text(rows) -> list[str]:
     """Result rows as newline-terminated CSV lines, written out independently
     of the library: unused coordinates are empty cells, prime rows (no

@@ -15,7 +15,7 @@ from erdos_straus.batch import (
     tally,
 )
 from erdos_straus.families import PolyId
-from erdos_straus.numutil import is_prime, window_prime_count
+from erdos_straus.numutil import MR_LIMIT, is_prime, window_prime_count
 from erdos_straus.reports import (
     SolutionRow,
     read_results,
@@ -52,6 +52,13 @@ def test_config_validation(tmp_path):
         _cfg(tmp_path, mode=ScanMode.PRIME_COVERAGE, step=1)
     with pytest.raises(ValueError):
         _cfg(tmp_path, worker_count=0)
+    # every number a scan tests for primality stays below the proven bound:
+    # 4q+1, and 11(4q+1) + 1 in the prime search
+    for mode, step, top in ((ScanMode.COVERAGE, 1, (MR_LIMIT - 1) // 4),
+                            (ScanMode.PRIME_COVERAGE, 6, -(-(MR_LIMIT - 12) // 44))):
+        assert _cfg(tmp_path, q_start=top - 1, q_max=top - 1, mode=mode, step=step)
+        with pytest.raises(ValueError, match="q_max"):
+            _cfg(tmp_path, q_start=top - 1, q_max=top, mode=mode, step=step)
 
 
 def test_nonreference_step_warns(tmp_path, caplog):

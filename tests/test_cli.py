@@ -4,6 +4,7 @@ import re
 import pytest
 
 from erdos_straus.cli import main
+from erdos_straus.numutil import MR_LIMIT
 from erdos_straus.reports import SolutionRow, write_results_batch
 
 from .oracles import rows_text
@@ -247,6 +248,19 @@ def test_decompose_rejects_small_a(capsys):
     assert code == 64
 
 
+def test_inputs_at_the_primality_bound_are_usage_errors(capsys, tmp_path):
+    top = (MR_LIMIT - 1) // 4  # the least q with 4q+1 >= MR_LIMIT
+    scan = ["primes", "--q-start", str(top - 6), "--q-max", str(top), "--out-dir", str(tmp_path)]
+    for argv in (["witness", str(top)], ["decompose", str(MR_LIMIT)], scan):
+        code, out, err = run(capsys, *argv)
+        assert code == 64, argv
+        assert "proven" in err and out == ""
+    assert not any(tmp_path.iterdir())
+    # just below the bound: 4q+1 = MR_LIMIT - 4, and a = MR_LIMIT - 1 = 4q
+    assert run(capsys, "witness", str(top - 1))[:2] == (0, f"p1 x=1 y=1 z={top // 3}\n")
+    assert run(capsys, "decompose", str(MR_LIMIT - 1))[0] == 0
+
+
 def test_decompose_strict_distinct(capsys):
     # 4/2 = 1/2 + 1/2 + 1/1 repeats a denominator
     code, out, _ = run(capsys, "decompose", "2")
@@ -292,6 +306,12 @@ def test_verify_csv_prime_schema(capsys, tmp_path):
     bad = write_results_batch(rows_text([SolutionRow(36, 2, 3, 2)]), 2, "prime", tmp_path)
     code, out, _ = run(capsys, "verify-csv", str(bad))
     assert code == 1
+    # P2(1, 1, z) = 2z - 1 = q with 4q+1 = MR_LIMIT, a strong pseudoprime to
+    # every base: beyond the proven bound, so the row is not verified
+    q = (MR_LIMIT - 1) // 4
+    far = write_results_batch(rows_text([SolutionRow(q, 1, 1, (q + 1) // 2)]), 3, "prime", tmp_path)
+    code, out, _ = run(capsys, "verify-csv", str(far))
+    assert code == 1 and ":2:" in out
 
 
 @pytest.mark.parametrize("text", [

@@ -4,10 +4,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from erdos_straus.numutil import (
+    MR_LIMIT,
     FactorWindow,
     divisors_ascending,
     factorize,
     is_prime,
+    primes_in,
     window_prime_count,
 )
 
@@ -42,9 +44,21 @@ def test_is_prime_small_exhaustive():
     (3215031751, False),             # strong pseudoprime to bases 2,3,5,7
     (3825123056546413051, False),    # strong pseudoprime to first 9 prime bases
     (10**18 + 9, True),
+    # strong pseudoprime to the 12 prime bases up to 37
+    (318665857834031151167461, False),
+    (MR_LIMIT - 2, False),           # 17 * 1709 * 1366183751 * 83570142193
 ])
 def test_is_prime_known_values(n, expected):
     assert is_prime(n) is expected
+
+
+def test_is_prime_refuses_the_unproven_domain():
+    # MR_LIMIT itself is a strong pseudoprime to all thirteen bases
+    assert MR_LIMIT == 1287836182261 * 2575672364521
+    for n in (MR_LIMIT, MR_LIMIT + 2, 10**30):
+        with pytest.raises(ValueError, match="not proven"):
+            is_prime(n)
+    assert is_prime(MR_LIMIT - 1) is False
 
 
 @given(st.integers(min_value=0, max_value=200_000))
@@ -199,3 +213,47 @@ def test_window_factorize_matches_factorize(lo, width):
     window = FactorWindow(lo, lo + width)
     for n in range(max(1, lo - 2), lo + width + 3):
         assert window.factorize(n) == factorize(n)
+
+
+def _primes_of(values):
+    return [v for v in values if is_prime(v)]
+
+
+def _targets(q_start, count):
+    """a = 4q+1 over `count` multiples of 6 from q_start, a range of step 24."""
+    q_start -= q_start % 6
+    return range(4 * q_start + 1, 4 * (q_start + 6 * count) + 1, 24)
+
+
+@pytest.mark.parametrize("values", [
+    _targets(6, 3000),                      # a = 73 and 97 (q = 18, 24) are sieving primes
+    _targets(600_000 - 6000, 2000),
+    _targets(10**9, 3000),
+    _targets(65537**2 // 4 - 9000, 3000),  # straddles a = 65537^2
+    range(1, 3000),
+    range(2, 3000, 2),                      # 2 divides the step: only a = 2 is prime
+    range(3, 3000, 6),
+])
+def test_primes_in_matches_is_prime(values):
+    assert primes_in(values) == _primes_of(values)
+
+
+@pytest.mark.parametrize("a", [1, 2, 3, 5, 25, 73, 97, 65537**2, 65537**2 + 24, 4 * 10**9 + 1])
+def test_primes_in_one_value(a):
+    for step in (1, 24):
+        assert primes_in(range(a, a + 1, step)) == _primes_of([a])
+
+
+def test_primes_in_rejects_bad_ranges():
+    assert primes_in(range(25, 25, 24)) == []
+    for values in (range(0, 10), range(10, 0, -1)):
+        with pytest.raises(ValueError):
+            primes_in(values)
+
+
+@given(st.integers(min_value=1, max_value=5 * 10**9), st.integers(min_value=1, max_value=60),
+       st.integers(min_value=1, max_value=400))
+@settings(max_examples=80, deadline=None)
+def test_primes_in_property(start, step, count):
+    values = range(start, start + step * count, step)
+    assert primes_in(values) == _primes_of(values)

@@ -32,6 +32,7 @@ from .oracles import (
     naive_cube,
     naive_staged_classification,
     p2_divisor_instance,
+    prime_candidate_by_sweep,
 )
 
 qs = st.integers(min_value=1, max_value=50_000)
@@ -173,9 +174,9 @@ def _sweep_from_x1(q, window=None):
 def test_x1_closed_form_matches_the_solvers(lo, count):
     window = FactorWindow(lo + 1, lo + count + 64)
     for q in range(lo, lo + count):
-        expect = _sweep_at_x1(q)
-        assert search_module._first_at_x1(q, window) == expect, q
-        assert search_module._first_at_x1(q, None) == expect, q
+        expect = solve_p2_given_x(q, 1)
+        assert search_module._p2_at_x1(q, window) == expect, q
+        assert search_module._p2_at_x1(q) == expect, q
         assert wide_search(q, window) == _sweep_from_x1(q, window), q
 
 
@@ -183,7 +184,10 @@ def test_x1_closed_form_matches_the_solvers(lo, count):
 @settings(max_examples=150, deadline=None)
 def test_x1_closed_form_property(q, offset, with_window):
     window = FactorWindow(max(1, q + 1 - offset), q + 1 + offset) if with_window else None
-    assert search_module._first_at_x1(q, window) == _sweep_at_x1(q)
+    assert search_module._p2_at_x1(q, window) == solve_p2_given_x(q, 1)
+    hit = _sweep_at_x1(q)
+    if hit is not None:  # wide_search stops at x = 1
+        assert wide_search(q, window) == Witness(q, *hit)
 
 
 @given(st.integers(min_value=1, max_value=10**7), st.booleans())
@@ -269,6 +273,28 @@ def test_prime_witness_search_covers_prime_targets():
         x, y, z = got
         assert min(x, y, z) >= 1
         assert (4 * x - 1) * (4 * y * z - 1) - 4 * x * z == a, q
+
+
+def test_prime_search_matches_the_sweep_on_prime_targets():
+    # every prime target q = 6c < 2*10^5; 451 of them miss stage 1 (x <= 3)
+    targets = [q for q in range(6, 200_000, 6) if is_prime(4 * q + 1)]
+    assert len(targets) == 7912
+    for q in targets:
+        assert prime_witness_search(q) == prime_candidate_by_sweep(q), q
+
+
+def test_prime_search_matches_the_sweep_on_every_small_q():
+    # q = 4400 is the first whose least z-stage divisor lies past xmax
+    for q in range(1, 20_000):
+        assert prime_witness_search(q) == prime_candidate_by_sweep(q), q
+
+
+@given(st.sampled_from([1, 10**6, 10**9]), st.integers(0, 10**5))
+@settings(max_examples=200, deadline=None)
+def test_prime_search_matches_the_sweep_for_any_q(base, offset):
+    # any residue mod 6: a P1 answer at x = 1 (3 | q+1) must not leak in
+    q = base + offset
+    assert prime_witness_search(q) == prime_candidate_by_sweep(q)
 
 
 def test_solve_p2_given_x_is_the_prime_programs_p2_search():
