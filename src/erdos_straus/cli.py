@@ -12,6 +12,7 @@ file, 74 I/O failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import signal
 import sys
@@ -49,11 +50,18 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EX_USAGE, f"{self.prog}: error: {message}\n")
 
 
-def _default_out_dir() -> Path:
+def _out_dir(args) -> Path:
+    """--out-dir, else $ERDOS_STRAUS_OUT_DIR, else the working directory; the
+    environment is read when the command runs, not when the parser is built."""
+    if args.out_dir is not None:
+        return args.out_dir
     return Path(os.environ.get("ERDOS_STRAUS_OUT_DIR", "."))
 
 
+@functools.cache
 def build_parser() -> _Parser:
+    """The command line parser, built once per process and shared by every
+    call, so callers parse with it and do not change it."""
     p = _Parser(prog="erdos-straus", description=__doc__.split("\n")[1])
     sub = p.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
@@ -64,7 +72,7 @@ def build_parser() -> _Parser:
             sp.add_argument("--step", type=int, default=1)
         sp.add_argument("--batch-size", type=int, default=1_000_000)
         sp.add_argument("--workers", type=int, default=os.cpu_count() or 1)
-        sp.add_argument("--out-dir", type=Path, default=_default_out_dir())
+        sp.add_argument("--out-dir", type=Path)
         sp.add_argument("--resume", action="store_true", help="skip batches recorded complete")
 
     sp = sub.add_parser("cover", help="classify every q in a range")
@@ -85,7 +93,7 @@ def build_parser() -> _Parser:
 
     sp = sub.add_parser("split", help="split a coverage file by family")
     sp.add_argument("path", type=Path)
-    sp.add_argument("--out-dir", type=Path, default=_default_out_dir())
+    sp.add_argument("--out-dir", type=Path)
     return p
 
 
@@ -113,7 +121,7 @@ def _scan_config(args, mode: ScanMode, q_start: int, step: int) -> BatchConfig:
             batch_size=args.batch_size,
             mode=mode,
             worker_count=args.workers,
-            output_dir=args.out_dir,
+            output_dir=_out_dir(args),
         )
     except ValueError as exc:
         raise UsageError(str(exc).replace("_", "-")) from None  # the flags' spelling
@@ -223,7 +231,7 @@ def _cmd_verify_csv(args) -> int:
 
 
 def _cmd_split(args) -> int:
-    paths = split_by_family(args.path, args.out_dir)
+    paths = split_by_family(args.path, _out_dir(args))
     for p in paths:
         print(p)
     return 0

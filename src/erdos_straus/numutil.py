@@ -4,20 +4,22 @@ Everything here is exact integer arithmetic; no floating point anywhere.
 Primality is a deterministic Miller-Rabin with the 13 prime bases up to 41,
 proven complete for every n < MR_LIMIT (about 3.317 * 10^24, above 2^64);
 it refuses larger n, so batch runs never depend on probabilistic answers.
-Factorization is trial division by the primes below 2^16 with a Pollard-rho
-(Brent variant) escalation for a cofactor above 2^32, and every divisor list
-is built from a factorization.  `FactorWindow` sieves those small primes
-over a contiguous range once, so a scan asking about many neighbouring n
-factors each without trial division; `primes_in` sieves them over an
-arithmetic progression, so a scan finds its prime targets without a
-primality test per value.
+Factorization is trial division by the primes below 2^16, screened a run of
+primes at a time by one gcd, with Brent's Pollard-rho escalation for a
+cofactor above 2^32, and every divisor list is built from a factorization;
+`least_prime_factor` stops at the first small prime of a residue class.
+`FactorWindow` sieves those small primes over a contiguous range once, so a
+scan asking about many neighbouring n factors each without trial division;
+`primes_in` sieves them over an arithmetic progression, so a scan finds its
+prime targets without a primality test per value.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from itertools import compress
-from math import gcd, isqrt
+from math import gcd, isqrt, prod
+from typing import Iterator, Optional
 
 # MR_LIMIT is the least strong pseudoprime to all of these bases, so they are
 # proven complete below it.  Without 41 the bound would be the least strong
@@ -27,17 +29,38 @@ MR_LIMIT = 3_317_044_064_679_887_385_961_981
 
 _RHO_CUTOFF = 1 << 32
 
+# Steps of the rho walk per gcd.
+_RHO_BLOCK = 128
+
 # Primes below 2^16, enough for trial division of any n < 2^32.
 def _small_primes(limit: int = 1 << 16) -> list[int]:
-    sieve = bytearray([1]) * limit
-    sieve[0] = sieve[1] = 0
-    for p in range(2, isqrt(limit) + 1):
-        if sieve[p]:
-            sieve[p * p :: p] = bytearray(len(range(p * p, limit, p)))
-    return list(compress(range(limit), sieve))
+    half = limit // 2
+    sieve = bytearray([1]) * half  # sieve[i] stands for the odd 2i + 1
+    sieve[0] = 0
+    for i in range(1, (isqrt(limit - 1) + 1) // 2):
+        if sieve[i]:
+            p = 2 * i + 1
+            sieve[p * p // 2 :: p] = bytes(len(range(p * p // 2, half, p)))
+    return [2, *compress(range(1, limit, 2), sieve)]
 
 
 _PRIMES = _small_primes()
+
+
+def _runs() -> list[tuple[list[int], int]]:
+    """_PRIMES cut into runs of doubling length, 8 up to 128, each with its
+    product, for screened trial division: short runs first, so a small n
+    stops early, and long runs later, so a large n pays few gcds."""
+    runs, i, length = [], 0, 8
+    while i < len(_PRIMES):
+        run = _PRIMES[i : i + length]
+        runs.append((run, prod(run)))
+        i += length
+        length = min(2 * length, 128)
+    return runs
+
+
+_RUNS = _runs()
 
 # Largest n whose prime factors up to isqrt(n) all lie in _PRIMES: the next
 # prime after 2^16 is 65537.
@@ -75,20 +98,86 @@ def is_prime(n: int) -> bool:
 
 
 def _rho_factor(n: int) -> int:
-    """One nontrivial factor of composite odd n (Brent's cycle variant)."""
+    """One nontrivial factor of composite odd n, by Brent's variant of rho.
+
+    Brent (1980): the walk y -> y^2 + c is compared with a point x saved
+    at each power of two, and the products of x - y are accumulated mod n
+    so that one gcd serves a block of _RHO_BLOCK steps.  When a block's
+    gcd comes out as n, the block is replayed one gcd per step; a walk
+    that still only finds n is retried with the next c.
+    """
     if n % 2 == 0:
         return 2
     for c in range(1, 100):
-        x = y = 2
-        d = 1
-        while d == 1:
-            x = (x * x + c) % n
-            y = (y * y + c) % n
-            y = (y * y + c) % n
-            d = gcd(abs(x - y), n)
-        if d != n:
-            return d
+        y, r, prod_, g = 2, 1, 1, 1
+        while g == 1:
+            x = y
+            for _ in range(r):
+                y = (y * y + c) % n
+            k = 0
+            while k < r and g == 1:
+                ys = y
+                for _ in range(min(_RHO_BLOCK, r - k)):
+                    y = (y * y + c) % n
+                    prod_ = prod_ * (x - y) % n
+                g = gcd(prod_, n)
+                k += _RHO_BLOCK
+            r *= 2
+        if g == n:  # backtrack from the block's start, one gcd per step
+            g = 1
+            while g == 1:
+                ys = (ys * ys + c) % n
+                g = gcd(x - ys, n)
+        if g != n:
+            return g
     raise ArithmeticError(f"rho failed to factor {n}")  # pragma: no cover
+
+
+def _small_factors(n: int) -> Iterator[tuple[int, int, int]]:
+    """(p, e, rest) for each prime p < 2^16 dividing n exactly e times,
+    ascending; rest is n with every prime up to p divided out.
+
+    Trial division is screened a run of primes at a time: one gcd of n
+    with the run's product, and a prime-by-prime pass only over a run whose
+    gcd is above 1, which ends once what is left of the gcd is one prime.
+    The scan stops at a run whose least prime p has p*p > rest, where rest
+    is 1 or prime.  A scan that runs out of runs leaves a rest with no
+    prime factor below 2^16.
+    """
+    for run, run_product in _RUNS:
+        if run[0] * run[0] > n:
+            return
+        g = gcd(n, run_product)  # the run's primes dividing n, multiplied
+        for p in run:
+            if g == 1:
+                break
+            if g < p * p:  # one prime left in g
+                p = g
+            elif g % p:
+                continue
+            e = 0
+            while n % p == 0:
+                n //= p
+                e += 1
+            yield p, e, n
+            g //= p
+
+
+def _large_primes(n: int) -> list[int]:
+    """The prime factors, with multiplicity, of an n >= 1 with no prime
+    factor below 2^16: below 2^32 such an n is 1 or prime; above it,
+    Miller-Rabin decides and rho splits."""
+    primes = []
+    stack = [n] if n > 1 else []
+    while stack:
+        m = stack.pop()
+        if m < _RHO_CUTOFF or is_prime(m):
+            primes.append(m)
+        else:
+            d = _rho_factor(m)
+            stack.append(d)
+            stack.append(m // d)
+    return primes
 
 
 def factorize(n: int) -> dict[int, int]:
@@ -96,23 +185,28 @@ def factorize(n: int) -> dict[int, int]:
     if n < 1:
         raise ValueError("n must be >= 1")
     factors: dict[int, int] = {}
-    for p in _PRIMES:
-        if p * p > n:
-            break
-        while n % p == 0:
-            factors[p] = factors.get(p, 0) + 1
-            n //= p
-    if n > 1:
-        stack = [n]
-        while stack:
-            m = stack.pop()
-            if m < _RHO_CUTOFF or is_prime(m):
-                factors[m] = factors.get(m, 0) + 1
-            else:
-                d = _rho_factor(m)
-                stack.append(d)
-                stack.append(m // d)
+    rest = n
+    for p, e, rest in _small_factors(n):
+        factors[p] = e
+    for p in _large_primes(rest):
+        factors[p] = factors.get(p, 0) + 1
     return factors
+
+
+def least_prime_factor(n: int, m: int, r: int) -> Optional[int]:
+    """The least prime p with p % m == r dividing n >= 1, or None.
+
+    Equal to min(p for p in factorize(n) if p % m == r), but it stops at the
+    first such prime below 2^16 and factors what is left only when there is
+    none.
+    """
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    rest = n
+    for p, _, rest in _small_factors(n):
+        if p % m == r:
+            return p
+    return min((p for p in _large_primes(rest) if p % m == r), default=None)
 
 
 def _divisors_of(factors: dict[int, int]) -> list[int]:

@@ -1,8 +1,9 @@
 """Staged witness search: which family covers a given q, and how.
 
 The pipeline mirrors the original notebook programs: a small cube probe
-over {1..3}^3, then a wide sweep over x up to (1 + sqrt(4q+1))/2 trying the
-first three families in order, then the x(x-1) check.  The first hit, in
+over {1..3}^3 (one lookup in a table of the cube's values), then a wide
+sweep over x up to (1 + sqrt(4q+1))/2 trying the first three families in
+order, then the x(x-1) check.  The first hit, in
 that fixed order, is the classification that drives all tallies.  The
 sweep's first step, x = 1, has a closed form that settles about 90% of q
 from the residue of q and the prime factors of q+1 alone.
@@ -28,7 +29,7 @@ from math import isqrt
 from typing import Iterable, Iterator, NamedTuple, Optional
 
 from .families import PolyId, WitnessTriple, check_value, eval_poly
-from .numutil import FactorWindow, divisors_ascending, factorize
+from .numutil import FactorWindow, divisors_ascending, least_prime_factor
 
 
 class Witness(NamedTuple):
@@ -50,22 +51,42 @@ def _checked_witness(q: int, poly: PolyId, t: WitnessTriple) -> Witness:
     return Witness(q, poly, t)
 
 
+def _cube_table() -> dict[int, tuple[PolyId, WitnessTriple]]:
+    """First family and point of the cube [1, CUBE_BOUND]^3 reaching each
+    value, in the probe's order: family, then x, then y, then z."""
+    side = range(1, CUBE_BOUND + 1)
+    table: dict[int, tuple[PolyId, WitnessTriple]] = {}
+    for poly in (PolyId.P1, PolyId.P2, PolyId.P3):
+        for x in side:
+            for y in side:
+                for z in side:
+                    t = WitnessTriple(x, y, z)
+                    table.setdefault(eval_poly(poly, t), (poly, t))
+    return table
+
+
+_CUBE = _cube_table()
+
+
 def small_cube_search(q: int, x: Optional[int] = None) -> Optional[Witness]:
     """Family-major probe of P1..P3 over the cube [1, CUBE_BOUND]^3.
 
-    With `x` given, only the (y, z) square at that x is probed, in the same
-    order: family, then y, then z.
+    The whole cube is one lookup in a table built at import.  With `x`
+    given, only the (y, z) square at that x is probed, in the same order:
+    family, then y, then z.
     """
     if q < 1:
         raise ValueError("q must be >= 1")
+    if x is None:
+        hit = _CUBE.get(q)
+        return None if hit is None else _checked_witness(q, *hit)
     side = range(1, CUBE_BOUND + 1)
     for poly in (PolyId.P1, PolyId.P2, PolyId.P3):
-        for x0 in side if x is None else (x,):
-            for y in side:
-                for z in side:
-                    t = WitnessTriple(x0, y, z)
-                    if eval_poly(poly, t) == q:
-                        return _checked_witness(q, poly, t)
+        for y in side:
+            for z in side:
+                t = WitnessTriple(x, y, z)
+                if eval_poly(poly, t) == q:
+                    return _checked_witness(q, poly, t)
     return None
 
 
@@ -144,8 +165,10 @@ def _p2_at_x1(q: int, window: Optional[FactorWindow] = None) -> Optional[tuple[i
     n = q + 1
     if n % 2 == 0:
         return 1, n // 2
-    factors = factorize(n) if window is None else window.factorize(n)
-    p = min((p for p in factors if p % 3 == 2), default=None)
+    if window is None:
+        p = least_prime_factor(n, 3, 2)
+    else:
+        p = min((p for p in window.factorize(n) if p % 3 == 2), default=None)
     return None if p is None else ((p + 1) // 3, n // p)
 
 

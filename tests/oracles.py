@@ -19,12 +19,13 @@ def rational_identity_holds(a: int, triple) -> bool:
 
 
 def naive_cube(q: int, bound: int = 3):
+    """(family, point) of the first cube point reaching q, family-major."""
     for poly in (PolyId.P1, PolyId.P2, PolyId.P3):
         for x in range(1, bound + 1):
             for y in range(1, bound + 1):
                 for z in range(1, bound + 1):
                     if eval_poly(poly, WitnessTriple(x, y, z)) == q:
-                        return poly
+                        return poly, WitnessTriple(x, y, z)
     return None
 
 
@@ -65,7 +66,7 @@ def naive_staged_classification(q: int, cube_bound: int = 3):
     """Family label assigned by the staged order, all loops exhaustive."""
     hit = naive_cube(q, cube_bound)
     if hit is not None:
-        return hit
+        return hit[0]
     for x in range(1, _naive_xmax(q) + 1):
         for poly in (PolyId.P1, PolyId.P2, PolyId.P3):
             if _family_hits(poly, q, x):
@@ -87,6 +88,21 @@ def divisors_by_trial(n: int) -> list[int]:
             if d * d != n:
                 large.append(n // d)
     return small + large[::-1]
+
+
+def factor_by_trial(n: int) -> dict[int, int]:
+    """{prime: exponent} of n >= 1 by trial division up to isqrt of what is
+    left; slow unless n's second largest prime factor is small."""
+    factors = {}
+    d = 2
+    while d * d <= n:
+        while n % d == 0:
+            factors[d] = factors.get(d, 0) + 1
+            n //= d
+        d += 1 if d == 2 else 2
+    if n > 1:
+        factors[n] = factors.get(n, 0) + 1
+    return factors
 
 
 def p2_divisor_instance(a: int, x: int):

@@ -3,7 +3,7 @@ import re
 
 import pytest
 
-from erdos_straus.cli import main
+from erdos_straus.cli import build_parser, main
 from erdos_straus.numutil import MR_LIMIT
 from erdos_straus.reports import SolutionRow, write_results_batch
 
@@ -360,3 +360,16 @@ def test_out_dir_from_environment(capsys, tmp_path, monkeypatch):
     code, _, _ = run(capsys, "cover", "--q-max", "20", "--workers", "1")
     assert code == 0
     assert (tmp_path / "results_batch1.csv").exists()
+
+
+def test_one_parser_reads_the_environment_per_command(capsys, tmp_path, monkeypatch):
+    assert build_parser() is build_parser()
+    for name in ("first", "second"):
+        monkeypatch.setenv("ERDOS_STRAUS_OUT_DIR", str(tmp_path / name))
+        code, _, _ = run(capsys, "cover", "--q-max", "20", "--workers", "1")
+        assert code == 0
+        assert (tmp_path / name / "results_batch1.csv").exists()
+    source = tmp_path / "first" / "results_batch1.csv"
+    code, _, _ = run(capsys, "split", str(source))
+    assert code == 0
+    assert (tmp_path / "second" / "q_with_p1.csv").exists()

@@ -1,19 +1,22 @@
-from math import isqrt, prod
+from collections import Counter
+from math import gcd, isqrt, prod
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from erdos_straus import numutil as numutil_module
 from erdos_straus.numutil import (
     MR_LIMIT,
     FactorWindow,
     divisors_ascending,
     factorize,
     is_prime,
+    least_prime_factor,
     primes_in,
     window_prime_count,
 )
 
-from .oracles import divisors_by_trial
+from .oracles import divisors_by_trial, factor_by_trial
 
 
 def _trial_is_prime(n: int) -> bool:
@@ -29,6 +32,12 @@ def _trial_is_prime(n: int) -> bool:
 
 def _trial_divisors(n: int) -> list[int]:
     return [d for d in range(1, n + 1) if n % d == 0]
+
+
+def test_small_primes_are_the_primes_below_2_16():
+    assert numutil_module._PRIMES == [n for n in range(1 << 16) if is_prime(n)]
+    assert [p for run, _ in numutil_module._RUNS for p in run] == numutil_module._PRIMES
+    assert all(product == prod(run) for run, product in numutil_module._RUNS)
 
 
 def test_is_prime_small_exhaustive():
@@ -83,12 +92,124 @@ def test_factorize_large_semiprime():
     assert factorize(p * q) == {p: 1, q: 1}
 
 
+# Carmichael numbers: the first six have only small factors; Chernick's
+# (6k+1)(12k+1)(18k+1) with k = 10975 has three above 2^16.
+CARMICHAEL = (561, 1105, 1729, 41041, 825265, 321197185, 65851 * 131701 * 197551)
+
+
+@pytest.mark.parametrize("n", [
+    65539 * 65551, 65551 * 65557,          # semiprimes above 2^16, both 1 mod 3
+    65537 * 65543, 65543 * 65579,          # both 2 mod 3
+    65537 * 65551,                         # the block gcd comes out as n
+    65537**2, 65557**2, 65537**3, 65579**3, 16 * 65537**2, 65537**2 * 65543,
+    *CARMICHAEL,
+    4294967291, 4294967311,                # the primes next to 2^32
+    4295098349, 4295098403,                # the primes next to 65537^2
+    (1 << 32) - 1, 1 << 32, 65537**2 - 1, 65537**2 + 1,
+    10**18 - 1, 10**18 + 1,                # near 10^18
+    1000003 * 1000033 * 1000037, 1000003**3,
+])
+def test_factorize_matches_trial_division(n):
+    assert factorize(n) == factor_by_trial(n)
+
+
+@pytest.mark.parametrize("primes", [
+    (10**9 + 7, 10**9 + 9),                # near 10^18, two factors of 10^9
+    (10**9 + 7, 10**9 + 7),
+    (2, 3, 10**9 + 21, 10**9 + 33),
+    (6000307, 12000613, 18000919),         # Chernick Carmichael number, k = 1000051
+])
+def test_factorize_products_of_known_primes(primes):
+    assert all(_trial_is_prime(p) for p in set(primes))
+    assert factorize(prod(primes)) == dict(Counter(primes))
+
+
+def test_rho_backtracks_when_a_block_gcd_is_n(monkeypatch):
+    seen = []
+
+    def recording_gcd(a, b):
+        g = gcd(a, b)
+        seen.append(g == b > 1)
+        return g
+
+    monkeypatch.setattr(numutil_module, "gcd", recording_gcd)
+    for p, k in ((65537, 2), (65537, 3), (65557, 2)):
+        seen.clear()
+        assert factorize(p**k) == {p: k}
+        assert any(seen), (p, k)
+
+
+def _next_prime(n):
+    while not _trial_is_prime(n):
+        n += 1
+    return n
+
+
+_above_2_16 = st.integers(min_value=1 << 16, max_value=2 * 10**6)
+
+
+@given(st.integers(min_value=1, max_value=10**4), _above_2_16, _above_2_16,
+       st.integers(min_value=1, max_value=2))
+@settings(max_examples=60, deadline=None)
+def test_factorize_rho_property(s, a, b, k):
+    p, q = _next_prime(a), _next_prime(b)
+    expect = Counter(factor_by_trial(s))
+    expect[p] += k
+    expect[q] += 1
+    assert factorize(s * p**k * q) == dict(expect)
+
+
 @given(st.integers(min_value=1, max_value=10**9))
 @settings(max_examples=200)
 def test_factorize_reconstructs_and_is_prime_keyed(n):
     f = factorize(n)
     assert prod(p**e for p, e in f.items()) == n
     assert all(is_prime(p) for p in f)
+
+
+def _least_prime_oracle(n, m, r):
+    return min((p for p in factorize(n) if p % m == r), default=None)
+
+
+RESIDUES = [(3, 2), (3, 1), (4, 3), (6, 5), (1, 0), (8, 7)]
+
+
+@pytest.mark.parametrize("m,r", RESIDUES)
+def test_least_prime_factor_small_exhaustive(m, r):
+    for n in range(1, 3000):
+        assert least_prime_factor(n, m, r) == _least_prime_oracle(n, m, r), n
+
+
+@pytest.mark.parametrize("n,expect", [
+    (7 * 13 * 65537 * 65543, 65537),      # none below 2^16, composite cofactor
+    (7 * 13 * 65543 * 65537**2, 65537),
+    (19 * 65539 * 65543, 65543),          # the smaller 65539 is 1 mod 3
+    (7 * 13 * 65539 * 65551, None),       # every prime is 1 mod 3
+    (65851 * 131701 * 197551, None),      # a Carmichael number, all 1 mod 3
+    (5 * 7 * 65537**2, 5),                # a small prime ends the search
+    ((10**9 + 7) * (10**9 + 9), 10**9 + 7),
+    (4295098349, 4295098349),             # a prime above 2^32
+    (1, None),
+    (2, 2),
+])
+def test_least_prime_factor_past_the_small_primes(n, expect):
+    assert least_prime_factor(n, 3, 2) == expect == _least_prime_oracle(n, 3, 2)
+
+
+@given(st.integers(min_value=1, max_value=10**4), _above_2_16, _above_2_16,
+       st.sampled_from(RESIDUES))
+@settings(max_examples=60, deadline=None)
+def test_least_prime_factor_property(s, a, b, residue):
+    n = s * _next_prime(a) * _next_prime(b)
+    m, r = residue
+    expect = min((p for p in factor_by_trial(s) | {_next_prime(a): 1, _next_prime(b): 1}
+                  if p % m == r), default=None)
+    assert least_prime_factor(n, m, r) == expect == _least_prime_oracle(n, m, r)
+
+
+def test_least_prime_factor_rejects_n_below_1():
+    with pytest.raises(ValueError):
+        least_prime_factor(0, 3, 2)
 
 
 def test_divisors_examples():

@@ -46,25 +46,30 @@ def test_small_cube_examples():
 
 
 def test_small_cube_matches_naive_oracle():
-    for q in range(1, 301):
+    for q in range(1, 201):
         got = small_cube_search(q)
-        expect = naive_cube(q)
-        assert (got.poly if got else None) == expect, q
+        assert (None if got is None else (got.poly, got.triple)) == naive_cube(q), q
+    assert small_cube_search(96) == Witness(96, PolyId.P1, WitnessTriple(3, 3, 3))
+    for q in range(97, 3000):  # 96 = P1(3, 3, 3) is the cube's largest value
+        assert small_cube_search(q) is None, q
 
 
-def _naive_square(q, x):
+def _naive_square(x):
+    """{q: first witness} of the (y, z) square at x, family, then y, then z."""
+    first = {}
     for poly in (PolyId.P1, PolyId.P2, PolyId.P3):
         for y in (1, 2, 3):
             for z in (1, 2, 3):
-                if eval_poly(poly, WitnessTriple(x, y, z)) == q:
-                    return Witness(q, poly, WitnessTriple(x, y, z))
-    return None
+                q = eval_poly(poly, WitnessTriple(x, y, z))
+                first.setdefault(q, Witness(q, poly, WitnessTriple(x, y, z)))
+    return first
 
 
 def test_small_cube_at_fixed_x_probes_one_square():
-    for x in range(1, 40):
-        for q in range(1, 400):
-            assert small_cube_search(q, x) == _naive_square(q, x), (q, x)
+    for x in range(1, 51):
+        square = _naive_square(x)
+        for q in range(1, LEGACY_PROBE_LIMIT + 1):
+            assert small_cube_search(q, x) == square.get(q), (q, x)
 
 
 @given(qs, xs)
@@ -178,6 +183,21 @@ def test_x1_closed_form_matches_the_solvers(lo, count):
         assert search_module._p2_at_x1(q, window) == expect, q
         assert search_module._p2_at_x1(q) == expect, q
         assert wide_search(q, window) == _sweep_from_x1(q, window), q
+
+
+@pytest.mark.parametrize("n", [
+    7 * 13 * 65537 * 65543,        # no prime 2 mod 3 below 2^16; composite cofactor
+    7 * 13 * 65539 * 65551,        # none at all: every prime is 1 mod 3
+    19 * 65539 * 65543,            # the cofactor's least prime, 65539, is 1 mod 3
+    5 * 7 * 65537**2,              # a small prime 2 mod 3 ends the search
+    (10**9 + 7) * (10**9 + 9),     # near 10^18, both factors 2 mod 3
+    1713289208592601,              # Carmichael 65851 * 131701 * 197551, all 1 mod 3
+])
+def test_x1_closed_form_past_the_window(n):
+    q = n - 1
+    expect = solve_p2_given_x(q, 1)
+    assert search_module._p2_at_x1(q) == expect
+    assert search_module._p2_at_x1(q, FactorWindow(q - 3, q + 3)) == expect
 
 
 @given(st.integers(min_value=1, max_value=10**13), st.integers(0, 50), st.booleans())
