@@ -6,7 +6,7 @@ fixed prefix "time:" so tooling can strip them before comparing runs.
 
 Exit codes: 0 success, 1 invalid CSV row, 2 unsolved q remained, 3 witness
 search exhausted, 5 strict distinctness violated, 64 usage, 65 malformed
-file, 74 I/O failure.
+file, 74 I/O failure, 130 cancelled.
 """
 
 from __future__ import annotations

@@ -18,7 +18,7 @@ from itertools import chain
 from pathlib import Path
 from typing import Iterable, Optional, Sequence
 
-from .families import PolyId, WitnessTriple
+from .families import P3, P4, PolyId, WitnessTriple
 from .search import Witness
 
 COVERAGE_HEADER = "q,x,y,z,pi"
@@ -57,9 +57,9 @@ class SolutionRow:
 
 def witness_to_row(w: Witness) -> SolutionRow:
     """Render a witness with the file conventions for unused coordinates."""
-    if w.poly is PolyId.P4:
+    if w.poly is P4:
         return SolutionRow(w.q, w.triple.x, None, None, "p4")
-    if w.poly is PolyId.P3:
+    if w.poly is P3:
         return SolutionRow(w.q, w.triple.x, w.triple.y, None, "p3")
     return SolutionRow(w.q, w.triple.x, w.triple.y, w.triple.z, w.poly.label)
 
@@ -74,12 +74,12 @@ def row_to_witness(row: SolutionRow) -> Witness:
 
 def coverage_line(w: Witness) -> str:
     """A witness's coverage row as newline-terminated CSV text."""
-    q, (x, y, z) = w.q, w.triple
-    if w.poly is PolyId.P4:
+    q, poly, (x, y, z) = w
+    if poly is P4:
         return f"{q},{x},,,p4\n"
-    if w.poly is PolyId.P3:
+    if poly is P3:
         return f"{q},{x},{y},,p3\n"
-    return f"{q},{x},{y},{z},{FAMILY_LABELS[w.poly - 1]}\n"
+    return f"{q},{x},{y},{z},{FAMILY_LABELS[poly - 1]}\n"
 
 
 def prime_line(q: int, t: WitnessTriple) -> str:

@@ -25,10 +25,11 @@ returns has passed `families.check_value`.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from math import isqrt
 from typing import Iterable, Iterator, NamedTuple, Optional
 
-from .families import PolyId, WitnessTriple, check_value, eval_poly
+from .families import P1, P2, P3, P4, PolyId, WitnessTriple, check_value, eval_poly
 from .numutil import FactorWindow, divisors_ascending, least_prime_factor
 
 
@@ -51,13 +52,13 @@ def _checked_witness(q: int, poly: PolyId, t: WitnessTriple) -> Witness:
     return Witness(q, poly, t)
 
 
-def _cube_table() -> dict[int, tuple[PolyId, WitnessTriple]]:
-    """First family and point of the cube [1, CUBE_BOUND]^3 reaching each
-    value, in the probe's order: family, then x, then y, then z."""
+def _cube_table(xs: Iterable[int]) -> dict[int, tuple[PolyId, WitnessTriple]]:
+    """First family and point of xs x [1, CUBE_BOUND]^2 reaching each value,
+    in the probe's order: family, then x, then y, then z."""
     side = range(1, CUBE_BOUND + 1)
     table: dict[int, tuple[PolyId, WitnessTriple]] = {}
-    for poly in (PolyId.P1, PolyId.P2, PolyId.P3):
-        for x in side:
+    for poly in (P1, P2, P3):
+        for x in xs:
             for y in side:
                 for z in side:
                     t = WitnessTriple(x, y, z)
@@ -65,7 +66,12 @@ def _cube_table() -> dict[int, tuple[PolyId, WitnessTriple]]:
     return table
 
 
-_CUBE = _cube_table()
+_CUBE = _cube_table(range(1, CUBE_BOUND + 1))
+
+
+@lru_cache(maxsize=64)  # legacy scans probe at most a few dozen distinct x
+def _square_table(x: int) -> dict[int, tuple[PolyId, WitnessTriple]]:
+    return _cube_table((x,))
 
 
 def small_cube_search(q: int, x: Optional[int] = None) -> Optional[Witness]:
@@ -73,21 +79,12 @@ def small_cube_search(q: int, x: Optional[int] = None) -> Optional[Witness]:
 
     The whole cube is one lookup in a table built at import.  With `x`
     given, only the (y, z) square at that x is probed, in the same order:
-    family, then y, then z.
+    family, then y, then z; its table is built on first use and cached.
     """
     if q < 1:
         raise ValueError("q must be >= 1")
-    if x is None:
-        hit = _CUBE.get(q)
-        return None if hit is None else _checked_witness(q, *hit)
-    side = range(1, CUBE_BOUND + 1)
-    for poly in (PolyId.P1, PolyId.P2, PolyId.P3):
-        for y in side:
-            for z in side:
-                t = WitnessTriple(x, y, z)
-                if eval_poly(poly, t) == q:
-                    return _checked_witness(q, poly, t)
-    return None
+    hit = (_CUBE if x is None else _square_table(x)).get(q)
+    return None if hit is None else _checked_witness(q, *hit)
 
 
 def solve_p1_given_x(q: int, x: int) -> Optional[tuple[int, int]]:
@@ -184,23 +181,23 @@ def wide_search(q: int, window: Optional[FactorWindow] = None) -> Optional[Witne
         raise ValueError("q must be >= 1")
     # x = 1: P1 needs 3 | q+1; P3 needs 2 | q+1, where P2 has answered
     if (q + 1) % 3 == 0:
-        return _checked_witness(q, PolyId.P1, WitnessTriple(1, 1, (q + 1) // 3))
+        return _checked_witness(q, P1, WitnessTriple(1, 1, (q + 1) // 3))
     yz = _p2_at_x1(q, window)
     if yz is not None:
-        return _checked_witness(q, PolyId.P2, WitnessTriple(1, *yz))
+        return _checked_witness(q, P2, WitnessTriple(1, *yz))
     for x in range(2, x_sweep_bound(q) + 1):
         yz = solve_p1_given_x(q, x)
         if yz is not None:
-            return _checked_witness(q, PolyId.P1, WitnessTriple(x, *yz))
+            return _checked_witness(q, P1, WitnessTriple(x, *yz))
         yz = solve_p2_given_x(q, x, window)
         if yz is not None:
-            return _checked_witness(q, PolyId.P2, WitnessTriple(x, *yz))
+            return _checked_witness(q, P2, WitnessTriple(x, *yz))
         y = solve_p3_given_x(q, x)
         if y is not None:
-            return _checked_witness(q, PolyId.P3, WitnessTriple(x, y, 1))
+            return _checked_witness(q, P3, WitnessTriple(x, y, 1))
     x = check_p4(q)
     if x is not None:
-        return _checked_witness(q, PolyId.P4, WitnessTriple(x, 1, 1))
+        return _checked_witness(q, P4, WitnessTriple(x, 1, 1))
     return None
 
 
@@ -277,5 +274,5 @@ def prime_witness_search(q: int) -> Optional[WitnessTriple]:
         raise ValueError("q must be >= 1")
     t = _first_prime_candidate(q)
     if t is not None:
-        check_value(PolyId.P2, t, q)
+        check_value(P2, t, q)
     return t

@@ -29,6 +29,34 @@ def naive_cube(q: int, bound: int = 3):
     return None
 
 
+def stale_square_by_loop(q: int, x: int):
+    """The stale-x probe by direct evaluation: the first witness of the
+    (y, z) square at x reaching q, family, then y, then z."""
+    from erdos_straus.search import Witness
+
+    for poly in (PolyId.P1, PolyId.P2, PolyId.P3):
+        for y in range(1, 4):
+            for z in range(1, 4):
+                if eval_poly(poly, WitnessTriple(x, y, z)) == q:
+                    return Witness(q, poly, WitnessTriple(x, y, z))
+    return None
+
+
+def legacy_scan_by_loop(qs):
+    """The original coverage program's scan with the stale-x probe by loop,
+    run for every q: the proper cube until the first wide sweep, then the
+    square at the x that sweep stopped at."""
+    from erdos_straus.search import small_cube_search, wide_search, x_sweep_bound
+
+    stale = None
+    for q in qs:
+        hit = small_cube_search(q) if stale is None else stale_square_by_loop(q, stale)
+        if hit is None:
+            hit = wide_search(q)
+            stale = x_sweep_bound(q) + 1 if hit is None else hit.triple.x
+        yield q, hit
+
+
 def _naive_xmax(q: int) -> int:
     # largest x with (2x-1)^2 <= 4q+1, found by counting up
     x = 1

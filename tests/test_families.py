@@ -55,9 +55,11 @@ def test_shifted_value_examples(poly, t, expected):
 
 
 def test_rejects_nonpositive_coordinates():
-    for bad in [(0, 1, 1), (1, 0, 1), (1, 1, -2)]:
-        with pytest.raises(ValueError):
-            eval_poly(PolyId.P1, WitnessTriple(*bad))
+    for fn in (eval_poly, shifted_value):
+        for poly in PolyId:
+            for bad in [(0, 1, 1), (1, 0, 1), (1, 1, -2)]:
+                with pytest.raises(ValueError, match="coordinates must all be >= 1"):
+                    fn(poly, WitnessTriple(*bad))
 
 
 @given(triples, st.sampled_from(list(PolyId)))

@@ -7,6 +7,7 @@ from erdos_straus.reports import (
     PRIME_HEADER,
     ReportFormatError,
     SolutionRow,
+    coverage_line,
     read_results,
     read_results_q,
     results_batch_path,
@@ -36,15 +37,15 @@ def test_row_validation():
 
 
 def test_witness_row_rendering():
-    assert witness_to_row(Witness(2, PolyId.P1, WitnessTriple(1, 1, 1))) == SolutionRow(
-        2, 1, 1, 1, "p1"
-    )
-    assert witness_to_row(Witness(6, PolyId.P3, WitnessTriple(1, 1, 1))) == SolutionRow(
-        6, 1, 1, None, "p3"
-    )
-    assert witness_to_row(Witness(72, PolyId.P4, WitnessTriple(9, 1, 1))) == SolutionRow(
-        72, 9, None, None, "p4"
-    )
+    cases = [
+        (Witness(2, PolyId.P1, WitnessTriple(1, 1, 1)), SolutionRow(2, 1, 1, 1, "p1")),
+        (Witness(9, PolyId.P2, WitnessTriple(1, 1, 5)), SolutionRow(9, 1, 1, 5, "p2")),
+        (Witness(6, PolyId.P3, WitnessTriple(1, 1, 1)), SolutionRow(6, 1, 1, None, "p3")),
+        (Witness(72, PolyId.P4, WitnessTriple(9, 1, 1)), SolutionRow(72, 9, None, None, "p4")),
+    ]
+    for w, row in cases:
+        assert witness_to_row(w) == row
+        assert coverage_line(w) == rows_text([row])[0]
 
 
 def test_row_witness_round_trip_small():

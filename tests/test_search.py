@@ -29,10 +29,12 @@ from erdos_straus.search import (
 from .oracles import (
     _family_hits,
     _naive_xmax,
+    legacy_scan_by_loop,
     naive_cube,
     naive_staged_classification,
     p2_divisor_instance,
     prime_candidate_by_sweep,
+    stale_square_by_loop,
 )
 
 qs = st.integers(min_value=1, max_value=50_000)
@@ -70,6 +72,17 @@ def test_small_cube_at_fixed_x_probes_one_square():
         square = _naive_square(x)
         for q in range(1, LEGACY_PROBE_LIMIT + 1):
             assert small_cube_search(q, x) == square.get(q), (q, x)
+
+
+def test_stale_square_cache_is_bounded():
+    for x in range(1, 10_001):
+        q = 3 * x - 1  # P1(x, 1, 1)
+        assert small_cube_search(q, x) == stale_square_by_loop(q, x), x
+    info = search_module._square_table.cache_info()
+    assert 0 < info.currsize <= info.maxsize
+    for x in (0, -1):
+        with pytest.raises(ValueError):
+            small_cube_search(5, x)
 
 
 @given(qs, xs)
@@ -244,6 +257,13 @@ def test_legacy_scan_matches_staged_except_known_flips():
         assert eval_poly(w.poly, w.triple) == q
         expect = flips.get(q, staged_search(q).poly)
         assert w.poly == expect, q
+
+
+@pytest.mark.parametrize("qs", [range(1, 2049), range(6, 2049, 6), range(30, 4000)])
+def test_legacy_scan_matches_the_loop_probe(qs):
+    # in the step-6 scan the stale square gives q = 48 a witness no other stage
+    # gives; the oracle probes every q, so q past LEGACY_PROBE_LIMIT checks it
+    assert list(legacy_coverage_scan(qs)) == list(legacy_scan_by_loop(qs))
 
 
 def test_legacy_scan_proper_cube_before_first_wide_dispatch():
