@@ -40,6 +40,7 @@ from .reports import (
 from .search import (
     LEGACY_PROBE_LIMIT,
     Witness,
+    X1Primes,
     legacy_coverage_scan,
     prime_witness_search,
     wide_search,
@@ -145,9 +146,11 @@ WINDOW_SPAN = 1 << 16
 def _slices(qs: range, parts: int) -> list[range]:
     """`qs` cut into about `parts` contiguous slices, each window-sized.
 
-    A slice holds at least as many q as its window sieves primes, so the
-    sieve costs at most about one prime per q, unless the window cap is
-    smaller.
+    A slice is made to hold at least as many q as its window sieves primes,
+    so that the sieve costs at most about one prime per q.  It costs more
+    where the window cap is below that count, and where the whole batch
+    holds fewer q: a batch of 150 multiples of 6 near 10^9 is one slice
+    whose window sieves 3401 to 3409 primes, about 23 per q.
     """
     if not qs:
         return []
@@ -186,11 +189,12 @@ def _wide_slice(qs: range) -> SliceResult:
 
 def _prime_slice(qs: range) -> SliceResult:
     """prime_witness_search on each q of a slice with 4q+1 prime; one sieve
-    of the progression 4q+1 finds those q."""
+    of the progression 4q+1 finds those q, and one of q+1 settles x = 1."""
     lines, unsolved = [], []
+    x1 = X1Primes(qs)
     for a in primes_in(range(4 * qs.start + 1, 4 * qs[-1] + 2, 4 * qs.step)):
         q = a // 4
-        t = prime_witness_search(q)
+        t = prime_witness_search(q, x1)
         if t is None:
             unsolved.append(q)
         else:

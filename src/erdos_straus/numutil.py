@@ -11,15 +11,18 @@ cofactor above 2^32, and every divisor list is built from a factorization;
 `FactorWindow` sieves those small primes over a contiguous range once, so a
 scan asking about many neighbouring n factors each without trial division;
 `primes_in` sieves them over an arithmetic progression, so a scan finds its
-prime targets without a primality test per value.
+prime targets without a primality test per value, and `least_small_primes`
+sieves one residue class of them over a progression, so a scan finds each
+value's least small prime of that class without factoring it.
 """
 
 from __future__ import annotations
 
+from array import array
 from bisect import bisect_left, bisect_right
 from itertools import compress
 from math import gcd, isqrt, prod
-from typing import Iterator, Optional
+from typing import Iterable, Iterator, Optional
 
 # MR_LIMIT is the least strong pseudoprime to all of these bases, so they are
 # proven complete below it.  Without 41 the bound would be the least strong
@@ -64,7 +67,7 @@ _RUNS = _runs()
 
 # Largest n whose prime factors up to isqrt(n) all lie in _PRIMES: the next
 # prime after 2^16 is 65537.
-_WINDOW_MAX = 65537**2 - 1
+SIEVE_MAX = 65537**2 - 1
 
 
 def is_prime(n: int) -> bool:
@@ -209,11 +212,19 @@ def least_prime_factor(n: int, m: int, r: int) -> Optional[int]:
     return min((p for p in _large_primes(rest) if p % m == r), default=None)
 
 
-def _divisors_of(factors: dict[int, int]) -> list[int]:
+def divisors_of(factors: dict[int, int]) -> list[int]:
+    """Every divisor of the n whose factorization is `factors`, unsorted:
+    for each prime p^e, the list so far is extended by its multiples by
+    p, p^2, .., p^e, each one multiplication from the last."""
     divs = [1]
     for p, e in factors.items():
-        divs = [d * p**k for d in divs for k in range(e + 1)]
-    divs.sort()
+        if e == 1:  # most primes, without the loop's overhead
+            divs += [d * p for d in divs]
+            continue
+        last = divs
+        for _ in range(e):
+            last = [d * p for d in last]
+            divs += last
     return divs
 
 
@@ -221,42 +232,73 @@ def divisors_ascending(n: int) -> list[int]:
     """All positive divisors of n in ascending order, built from factorize(n)."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    return _divisors_of(factorize(n))
+    return sorted(divisors_of(factorize(n)))
+
+
+def _check_progression(values: range) -> None:
+    if values.start < 1 or values.step < 1:
+        raise ValueError("need an ascending range of positive integers")
+
+
+def _multiples_in(values: range, primes: Iterable[int]) -> Iterator[tuple[int, int, int]]:
+    """(p, first, stride) for each p of `primes` dividing some value of the
+    progression `values`: its multiples there are values[first::stride]."""
+    start, step = values.start, values.step
+    for p in primes:
+        if step % p:
+            yield p, -start * pow(step, -1, p) % p, p
+        elif start % p == 0:
+            yield p, 0, 1  # every value is a multiple of p
+
+
+def least_small_primes(values: range, m: int, r: int) -> array:
+    """For each value of `values`, an ascending range of positive integers,
+    the least prime p % m == r dividing it among the primes below 2^16 and
+    at most isqrt(values[-1]); 0 where none of those divides it.
+
+    One sieve: those primes, largest first, are written over their
+    multiples in the progression, so each value keeps the last written.
+    """
+    _check_progression(values)
+    size = len(values)
+    least = array("H", bytes(2 * size))
+    if not values:
+        return least
+    primes = [p for p in _PRIMES[: window_prime_count(values[-1])] if p % m == r]
+    for p, first, stride in _multiples_in(values, reversed(primes)):
+        if stride < size:
+            least[first::stride] = array("H", [p]) * len(range(first, size, stride))
+        elif first < size:  # a prime at least as long as the range hits it at most once
+            least[first] = p
+    return least
 
 
 def primes_in(values: range) -> list[int]:
     """The primes among `values`, an ascending range of positive integers.
 
     One sieve: each prime p <= isqrt(values[-1]) below 2^16 strikes its
-    multiples in the progression, except p itself.  Up to _WINDOW_MAX the
+    multiples in the progression, except p itself.  Up to SIEVE_MAX the
     survivors above 1 are exactly the primes; above it they are confirmed
     with is_prime.
     """
-    if values.start < 1 or values.step < 1:
-        raise ValueError("need an ascending range of positive integers")
+    _check_progression(values)
     if not values:
         return []
-    start, step, size = values.start, values.step, len(values)
+    size = len(values)
     keep = bytearray([1]) * size
-    for p in _PRIMES[: window_prime_count(values[-1])]:
-        if step % p:
-            first, stride = -start * pow(step, -1, p) % p, p
-        elif start % p == 0:
-            first, stride = 0, 1  # every value is a multiple of p
-        else:
-            continue
-        if start + first * step == p:
+    for p, first, stride in _multiples_in(values, _PRIMES[: window_prime_count(values[-1])]):
+        if values.start + first * values.step == p:
             first += stride
         keep[first::stride] = bytes(len(range(first, size, stride)))
     survivors = [v for v in compress(values, keep) if v > 1]
-    if values[-1] <= _WINDOW_MAX:
+    if values[-1] <= SIEVE_MAX:
         return survivors
     return [v for v in survivors if is_prime(v)]
 
 
 def window_prime_count(hi: int) -> int:
     """How many primes a FactorWindow whose top is hi sieves with."""
-    return bisect_right(_PRIMES, isqrt(min(hi, _WINDOW_MAX)))
+    return bisect_right(_PRIMES, isqrt(min(hi, SIEVE_MAX)))
 
 
 class FactorWindow:
@@ -265,18 +307,17 @@ class FactorWindow:
     The constructor sieves each prime p <= isqrt(hi) over the window and
     records, per n, the primes dividing it.  Dividing those out of n leaves
     1 or a single prime, since a composite cofactor would have a prime factor
-    <= isqrt(n).  `factorize(n)` and `divisors(n)` return exactly what the
-    module functions of the same names return; for n outside the window, or
-    above the largest n the primes below 2^16 can sieve, they call those
-    functions.  Memory is about a hundred bytes per value, so callers bound
-    hi - lo.
+    <= isqrt(n).  `factorize(n)` returns exactly what the module function
+    of that name returns; for n outside the window, or above the largest n
+    the primes below 2^16 can sieve, it calls that function.  Memory is
+    about a hundred bytes per value, so callers bound hi - lo.
     """
 
     def __init__(self, lo: int, hi: int):
         if lo < 1 or hi < lo:
             raise ValueError("need 1 <= lo <= hi")
         self.lo = lo
-        self.hi = min(hi, _WINDOW_MAX)
+        self.hi = min(hi, SIEVE_MAX)
         size = max(0, self.hi - lo + 1)
         count = window_prime_count(self.hi)
         short = bisect_left(_PRIMES, size, 0, count)
@@ -306,7 +347,3 @@ class FactorWindow:
         if m > 1:
             factors[m] = 1
         return factors
-
-    def divisors(self, n: int) -> list[int]:
-        """All positive divisors of n in ascending order."""
-        return _divisors_of(self.factorize(n))

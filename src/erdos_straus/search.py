@@ -30,7 +30,14 @@ from math import isqrt
 from typing import Iterable, Iterator, NamedTuple, Optional
 
 from .families import P1, P2, P3, P4, PolyId, WitnessTriple, check_value, eval_poly
-from .numutil import FactorWindow, divisors_ascending, least_prime_factor
+from .numutil import (
+    SIEVE_MAX,
+    FactorWindow,
+    divisors_of,
+    factorize,
+    least_prime_factor,
+    least_small_primes,
+)
 
 
 class Witness(NamedTuple):
@@ -120,11 +127,11 @@ def solve_p2_given_x(
 
 def _least_divisor(n: int, m: int, r: int, cm: int = 1, cr: int = 0,
                    window: Optional[FactorWindow] = None) -> Optional[int]:
-    """Smallest divisor d of n with d % m == r and (n // d) % cm == cr."""
-    for d in divisors_ascending(n) if window is None else window.divisors(n):
-        if d % m == r and n // d % cm == cr:
-            return d
-    return None
+    """Smallest divisor d of n with d % m == r and (n // d) % cm == cr: the
+    least of those multiplied out of n's factorization, without a sort."""
+    factors = factorize(n) if window is None else window.factorize(n)
+    found = [d for d in divisors_of(factors) if d % m == r and n // d % cm == cr]
+    return min(found) if found else None
 
 
 def solve_p3_given_x(q: int, x: int) -> Optional[int]:
@@ -154,19 +161,46 @@ def x_sweep_bound(q: int) -> int:
     return (1 + isqrt(4 * q + 1)) // 2
 
 
-def _p2_at_x1(q: int, window: Optional[FactorWindow] = None) -> Optional[tuple[int, int]]:
-    """solve_p2_given_x(q, 1) without a divisor list.  With n = q+1, the
-    smallest divisor d % 3 == 2 of n is 2 for even n, and for odd n the
-    smallest prime p % 3 == 2 dividing n, since every such d has a prime
-    factor p % 3 == 2 no larger than itself; (y, z) = ((d+1)/3, n/d)."""
-    n = q + 1
+def _x1_prime(n: int, window: Optional[FactorWindow] = None) -> Optional[int]:
+    """The least prime p % 3 == 2 dividing n, or None: 2 for even n."""
     if n % 2 == 0:
-        return 1, n // 2
+        return 2
     if window is None:
-        p = least_prime_factor(n, 3, 2)
-    else:
-        p = min((p for p in window.factorize(n) if p % 3 == 2), default=None)
-    return None if p is None else ((p + 1) // 3, n // p)
+        return least_prime_factor(n, 3, 2)
+    return min((p for p in window.factorize(n) if p % 3 == 2), default=None)
+
+
+def _p2_at_x1(q: int, p: Optional[int]) -> Optional[tuple[int, int]]:
+    """solve_p2_given_x(q, 1) without a divisor list, from p = _x1_prime(q+1).
+    With n = q+1, the smallest divisor d % 3 == 2 of n is p, since every
+    such d has a prime factor p % 3 == 2 no larger than itself;
+    (y, z) = ((p+1)/3, n/p)."""
+    return None if p is None else ((p + 1) // 3, (q + 1) // p)
+
+
+class X1Primes:
+    """_x1_prime(q + 1) for each q of a range of multiples of 6, from one sieve.
+
+    q = 6c makes n = q+1 odd and 1 mod 3, so the primes p % 3 == 2 dividing
+    n, counted with multiplicity, are even in number, and the least of them
+    is at most isqrt(n).  One `least_small_primes` sieve over the n of the
+    range thus gives it wherever it lies below 2^16, and an empty entry
+    means n has none while isqrt(n) < 65537, that is n <= SIEVE_MAX; only
+    an empty entry above SIEVE_MAX is looked up with least_prime_factor.
+    """
+
+    def __init__(self, qs: range):
+        if qs.start % 6 or qs.step != 6:
+            raise ValueError("need a range of multiples of 6 with step 6")
+        self._qs = qs
+        self._least = least_small_primes(range(qs.start + 1, qs.stop + 1, 6), 3, 2)
+
+    def prime(self, q: int) -> Optional[int]:
+        """_x1_prime(q + 1) for a q of the range."""
+        p = self._least[self._qs.index(q)]
+        if p or q + 1 <= SIEVE_MAX:
+            return p or None
+        return least_prime_factor(q + 1, 3, 2)
 
 
 def wide_search(q: int, window: Optional[FactorWindow] = None) -> Optional[Witness]:
@@ -182,7 +216,7 @@ def wide_search(q: int, window: Optional[FactorWindow] = None) -> Optional[Witne
     # x = 1: P1 needs 3 | q+1; P3 needs 2 | q+1, where P2 has answered
     if (q + 1) % 3 == 0:
         return _checked_witness(q, P1, WitnessTriple(1, 1, (q + 1) // 3))
-    yz = _p2_at_x1(q, window)
+    yz = _p2_at_x1(q, _x1_prime(q + 1, window))
     if yz is not None:
         return _checked_witness(q, P2, WitnessTriple(1, *yz))
     for x in range(2, x_sweep_bound(q) + 1):
@@ -231,14 +265,17 @@ def legacy_coverage_scan(qs: Iterable[int]) -> Iterator[tuple[int, Optional[Witn
         yield q, hit
 
 
-def _first_prime_candidate(q: int) -> Optional[WitnessTriple]:
+def _first_prime_candidate(q: int, x1: Optional[X1Primes]) -> Optional[WitnessTriple]:
     """First second-family candidate for q, in the prime program's stage order."""
-    a = 4 * q + 1
-    xmax = x_sweep_bound(q)
-    for x in (1, 2, 3):
-        yz = _p2_at_x1(q) if x == 1 else solve_p2_given_x(q, x)
+    yz = _p2_at_x1(q, _x1_prime(q + 1) if x1 is None else x1.prime(q))
+    if yz is not None:
+        return WitnessTriple(1, *yz)
+    for x in (2, 3):
+        yz = solve_p2_given_x(q, x)
         if yz is not None:
             return WitnessTriple(x, *yz)
+    a = 4 * q + 1
+    xmax = x_sweep_bound(q)
     # y: with k = 4y-1, E = (4x-1)k - 1 divides a+4x-1 iff it divides ka+1, as
     # k(a+4x-1) = ka+1 + E and gcd(k, E) = 1; E is 3k-1 mod 4k and grows with x.
     for y in (1, 2, 3):
@@ -260,7 +297,7 @@ def _first_prime_candidate(q: int) -> Optional[WitnessTriple]:
     return None
 
 
-def prime_witness_search(q: int) -> Optional[WitnessTriple]:
+def prime_witness_search(q: int, x1: Optional[X1Primes] = None) -> Optional[WitnessTriple]:
     """Witness (x, y, z) with (4x-1)(4yz-1) - 4xz = 4q+1, staged.
 
     Callers gate on 4q+1 being prime; the search itself only needs q >= 1.
@@ -269,10 +306,12 @@ def prime_witness_search(q: int) -> Optional[WitnessTriple]:
     the least divisor in a residue class, then x in [4, xmax].  The
     identity is the second family's 4*P2 + 1, so the x stages are
     `solve_p2_given_x`, and the first candidate is checked as P2(x, y, z) = q.
+    `x1`, when given, supplies the x = 1 stage's prime; the result is the
+    same either way.
     """
     if q < 1:
         raise ValueError("q must be >= 1")
-    t = _first_prime_candidate(q)
+    t = _first_prime_candidate(q, x1)
     if t is not None:
         check_value(P2, t, q)
     return t

@@ -133,6 +133,17 @@ def factor_by_trial(n: int) -> dict[int, int]:
     return factors
 
 
+def least_divisor_by_sorted_list(n: int, m: int, r: int, cm: int = 1, cr: int = 0):
+    """Smallest divisor d of n with d % m == r and (n // d) % cm == cr: the
+    first such d of the ascending divisor list."""
+    from erdos_straus.numutil import divisors_ascending
+
+    for d in divisors_ascending(n):
+        if d % m == r and n // d % cm == cr:
+            return d
+    return None
+
+
 def p2_divisor_instance(a: int, x: int):
     """(y, z) with (4x-1)(4yz-1) - 4xz = a for fixed x, via divisors.
 

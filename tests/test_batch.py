@@ -384,3 +384,23 @@ def test_prime_batches_keep_blocks_of_multiples_of_6(tmp_path):
             (s, min(s + size - 1, q_max)) for s in lo
         ]
         assert blocks[-1].stop - 1 == q_max
+
+
+# sha256 of reference-scan artifacts, pinned so that a changed witness
+# coordinate fails here even where every family count stays the same
+@pytest.mark.parametrize("mode,q_start,q_max,step,workers,artifact,digest", [
+    (ScanMode.PRIME_COVERAGE, 1, 10**6, 6, 1, "Results/all_solutions.csv",
+     "5aabf7b8933cf961abfa4553fd8e9b2337db9e86126d6328f450ed34ba3d09f3"),
+    (ScanMode.PRIME_COVERAGE, 1, 10**6, 6, 2, "Results/all_solutions.csv",
+     "5aabf7b8933cf961abfa4553fd8e9b2337db9e86126d6328f450ed34ba3d09f3"),
+    (ScanMode.COVERAGE, 1, 200_000, 1, 1, "results_batch1.csv",
+     "b4417dbfbfa498ccfe225d6f02609da4adb345b42f26864da9f3809015f3a5b4"),
+    (ScanMode.COVERAGE, 6, 199_998, 6, 1, "results_batch1.csv",
+     "c7d4814524836efc8e9b5ca3d51b31773b1b36de2ae1fbfcc5b0ce888ad23ef3"),
+], ids=["primes-1-worker", "primes-2-workers", "cover", "cover-step-6"])
+def test_scan_witnesses_match_their_pinned_digests(tmp_path, mode, q_start, q_max, step, workers,
+                                                   artifact, digest):
+    cfg = BatchConfig(q_start=q_start, q_max=q_max, step=step, mode=mode,
+                      worker_count=workers, output_dir=tmp_path)
+    run_coverage(cfg)
+    assert hashlib.sha256((tmp_path / artifact).read_bytes()).hexdigest() == digest

@@ -9,9 +9,11 @@ from erdos_straus.numutil import (
     MR_LIMIT,
     FactorWindow,
     divisors_ascending,
+    divisors_of,
     factorize,
     is_prime,
     least_prime_factor,
+    least_small_primes,
     primes_in,
     window_prime_count,
 )
@@ -255,7 +257,9 @@ def test_divisors_match_trial_division(n):
 def _assert_window_matches(lo, hi, ns):
     window = FactorWindow(lo, hi)
     for n in ns:
-        assert window.divisors(n) == divisors_ascending(n), (lo, hi, n)
+        factors = window.factorize(n)
+        assert factors == factorize(n), (lo, hi, n)
+        assert sorted(divisors_of(factors)) == divisors_ascending(n), (lo, hi, n)
 
 
 @pytest.mark.parametrize("lo,hi", [
@@ -281,8 +285,7 @@ def test_factor_window_edge_values():
     powers = [2**29, 3**18, 5**12, 7**10, 2**10 * 3**10, 65_521**2 - 1]
     for n in powers:
         _assert_window_matches(n - 5, n + 5, [n])
-    assert FactorWindow(999, 1001).divisors(1000) == [
-        1, 2, 4, 5, 8, 10, 20, 25, 40, 50, 100, 125, 200, 250, 500, 1000]
+    assert FactorWindow(999, 1001).factorize(1000) == {2: 3, 5: 3}
     with pytest.raises(ValueError):
         FactorWindow(0, 10)
     with pytest.raises(ValueError):
@@ -298,7 +301,7 @@ def test_factor_window_property(lo, width, data):
     ns = data.draw(st.lists(st.integers(min_value=max(1, lo - 2), max_value=hi + 2),
                             min_size=1, max_size=8))
     for n in ns:
-        assert window.divisors(n) == divisors_ascending(n)
+        assert window.factorize(n) == factorize(n)
 
 
 def _sieve_by_ranges(lo, hi):
@@ -378,3 +381,39 @@ def test_primes_in_rejects_bad_ranges():
 def test_primes_in_property(start, step, count):
     values = range(start, start + step * count, step)
     assert primes_in(values) == _primes_of(values)
+
+
+def _least_small_by_factoring(values, m, r):
+    """least_small_primes by factoring each value."""
+    reach = min(isqrt(values[-1]), (1 << 16) - 1)
+    return [min((p for p in factorize(v) if p % m == r and p <= reach), default=0) for v in values]
+
+
+@pytest.mark.parametrize("values,m,r", [
+    (range(1, 3000), 3, 2),
+    (range(7, 70_000, 6), 3, 2),             # q+1 over q = 6c, the x = 1 table
+    (range(600_001, 660_000, 6), 3, 2),
+    (range(10**9 + 1, 10**9 + 30_001, 6), 3, 2),  # most primes hit at most once
+    (range(65537**2 - 6000, 65537**2 + 6000, 6), 3, 2),
+    (range(25, 30_000, 24), 4, 3),
+    (range(10, 3000, 10), 5, 0),             # 5 divides every value
+    (range(2, 3000, 2), 3, 2),               # and 2 every value
+    (range(5, 6, 6), 3, 2),                  # a lone prime is its own least
+])
+def test_least_small_primes_matches_factoring(values, m, r):
+    assert list(least_small_primes(values, m, r)) == _least_small_by_factoring(values, m, r)
+
+
+def test_least_small_primes_edge_ranges():
+    assert len(least_small_primes(range(7, 7, 6), 3, 2)) == 0
+    for values in (range(0, 10), range(10, 0, -1)):
+        with pytest.raises(ValueError):
+            least_small_primes(values, 3, 2)
+
+
+@given(st.integers(min_value=1, max_value=5 * 10**9), st.integers(min_value=1, max_value=60),
+       st.integers(min_value=1, max_value=400), st.sampled_from([(3, 2), (4, 3), (6, 1)]))
+@settings(max_examples=60, deadline=None)
+def test_least_small_primes_property(start, step, count, residue):
+    values = range(start, start + step * count, step)
+    assert list(least_small_primes(values, *residue)) == _least_small_by_factoring(values, *residue)

@@ -2,6 +2,7 @@ import os
 import subprocess
 import sys
 import textwrap
+from math import isqrt
 from pathlib import Path
 
 import pytest
@@ -10,10 +11,11 @@ from hypothesis import given, settings, strategies as st
 from erdos_straus import families as families_module
 from erdos_straus import search as search_module
 from erdos_straus.families import PolyId, WitnessTriple, eval_poly
-from erdos_straus.numutil import FactorWindow, is_prime
+from erdos_straus.numutil import FactorWindow, factorize, is_prime, least_prime_factor
 from erdos_straus.search import (
     LEGACY_PROBE_LIMIT,
     Witness,
+    X1Primes,
     check_p4,
     legacy_coverage_scan,
     prime_witness_search,
@@ -29,6 +31,7 @@ from erdos_straus.search import (
 from .oracles import (
     _family_hits,
     _naive_xmax,
+    least_divisor_by_sorted_list,
     legacy_scan_by_loop,
     naive_cube,
     naive_staged_classification,
@@ -183,6 +186,10 @@ def _sweep_from_x1(q, window=None):
     return None if x is None else Witness(q, PolyId.P4, WitnessTriple(x, 1, 1))
 
 
+def _x1_closed_form(q, window=None):
+    return search_module._p2_at_x1(q, search_module._x1_prime(q + 1, window))
+
+
 @pytest.mark.parametrize("lo,count", [
     (1, 3000),
     (10**6 - 1500, 3000),
@@ -193,8 +200,8 @@ def test_x1_closed_form_matches_the_solvers(lo, count):
     window = FactorWindow(lo + 1, lo + count + 64)
     for q in range(lo, lo + count):
         expect = solve_p2_given_x(q, 1)
-        assert search_module._p2_at_x1(q, window) == expect, q
-        assert search_module._p2_at_x1(q) == expect, q
+        assert _x1_closed_form(q, window) == expect, q
+        assert _x1_closed_form(q) == expect, q
         assert wide_search(q, window) == _sweep_from_x1(q, window), q
 
 
@@ -209,15 +216,15 @@ def test_x1_closed_form_matches_the_solvers(lo, count):
 def test_x1_closed_form_past_the_window(n):
     q = n - 1
     expect = solve_p2_given_x(q, 1)
-    assert search_module._p2_at_x1(q) == expect
-    assert search_module._p2_at_x1(q, FactorWindow(q - 3, q + 3)) == expect
+    assert _x1_closed_form(q) == expect
+    assert _x1_closed_form(q, FactorWindow(q - 3, q + 3)) == expect
 
 
 @given(st.integers(min_value=1, max_value=10**13), st.integers(0, 50), st.booleans())
 @settings(max_examples=150, deadline=None)
 def test_x1_closed_form_property(q, offset, with_window):
     window = FactorWindow(max(1, q + 1 - offset), q + 1 + offset) if with_window else None
-    assert search_module._p2_at_x1(q, window) == solve_p2_given_x(q, 1)
+    assert _x1_closed_form(q, window) == solve_p2_given_x(q, 1)
     hit = _sweep_at_x1(q)
     if hit is not None:  # wide_search stops at x = 1
         assert wide_search(q, window) == Witness(q, *hit)
@@ -228,6 +235,93 @@ def test_x1_closed_form_property(q, offset, with_window):
 def test_wide_search_matches_the_plain_sweep(q, with_window):
     window = FactorWindow(q + 1, q + 64) if with_window else None
     assert wide_search(q, window) == _sweep_from_x1(q)
+
+
+# (m, r, cm, cr) of every least-divisor lookup: the sweep's and the prime
+# search's x stages up to x = 12, the y stages and the z stages
+_DIVISOR_CLASSES = (
+    [(4 * x - 1, 3 * x - 1, 1, 0) for x in range(1, 13)]
+    + [(4 * k, 3 * k - 1, 1, 0) for k in (3, 7, 11)]
+    + [(4, 3, 4 * z, -(z + 1) % (4 * z)) for z in (1, 2, 3)]
+)
+
+
+@pytest.mark.parametrize("with_window", [False, True])
+def test_least_divisor_matches_the_sorted_list(with_window):
+    window = FactorWindow(1, 5000) if with_window else None
+    for n in range(1, 5000):
+        for m, r, cm, cr in _DIVISOR_CLASSES:
+            expect = least_divisor_by_sorted_list(n, m, r, cm, cr)
+            assert search_module._least_divisor(n, m, r, cm, cr, window=window) == expect, (n, m, r)
+
+
+def _prime_above(n):
+    while not is_prime(n):
+        n += 1
+    return n
+
+
+@given(st.integers(1, 10**4), st.integers(1 << 16, 10**7), st.integers(1 << 16, 10**7),
+       st.sampled_from(_DIVISOR_CLASSES), st.booleans())
+@settings(max_examples=100, deadline=None)
+def test_least_divisor_with_two_large_primes(s, a, b, divisor_class, with_window):
+    # n has two prime factors above 2^16, so its factorization goes through rho
+    n = s * _prime_above(a) * _prime_above(b)
+    window = FactorWindow(n - 5, n + 5) if with_window else None
+    expect = least_divisor_by_sorted_list(n, *divisor_class)
+    assert search_module._least_divisor(n, *divisor_class, window=window) == expect
+
+
+def _q1_with_least_prime_past_2_16():
+    """A q = 6c near 1.2*10^10 whose q+1 has its least prime 2 mod 3 in
+    (2^16, isqrt(q+1)]: 65537 * p, with p the least prime 2 mod 3 from
+    1.2*10^10 // 65537 up; both are 2 mod 3, so q+1 is 1 mod 6."""
+    p = 12 * 10**9 // 65537
+    while not (is_prime(p) and p % 3 == 2):
+        p += 1
+    return 65537 * p - 1
+
+
+_Q_FAR = _q1_with_least_prime_past_2_16()
+
+
+@pytest.mark.parametrize("start,count", [
+    (6, 4000),
+    (600_000 - 6000, 2000),
+    (10**9 - 10**9 % 6, 2000),
+    (65537**2 - 65537**2 % 6 - 3000, 1000),  # q+1 crosses SIEVE_MAX = 65537^2 - 1
+    (_Q_FAR - 3000, 1000),
+])
+def test_x1_table_matches_least_prime_factor(start, count):
+    qs = range(start, start + 6 * count, 6)
+    table = X1Primes(qs)
+    got = [table.prime(q) for q in qs]
+    assert got == [least_prime_factor(q + 1, 3, 2) for q in qs]
+    assert any(p is None for p in got) and any(p is not None for p in got)
+
+
+def test_x1_table_finds_a_least_prime_past_2_16():
+    assert _Q_FAR % 6 == 0 and 65537 < isqrt(_Q_FAR + 1)
+    table = X1Primes(range(_Q_FAR - 600, _Q_FAR + 600, 6))
+    assert table.prime(_Q_FAR) == 65537 == least_prime_factor(_Q_FAR + 1, 3, 2)
+    assert X1Primes(range(6, 600, 6)).prime(6) == least_prime_factor(7, 3, 2) is None
+    for qs in (range(6, 600, 1), range(7, 600, 6), range(3, 600, 6)):
+        with pytest.raises(ValueError):
+            X1Primes(qs)
+    with pytest.raises(ValueError):  # a q outside the table's range
+        X1Primes(range(6, 600, 6)).prime(600)
+
+
+@given(st.integers(1, 10**12))
+@settings(max_examples=200, deadline=None)
+def test_primes_2_mod_3_of_6c_plus_1_come_in_pairs(c):
+    # why an empty x = 1 entry means no witness: q+1 = 6c+1 is 1 mod 3, so
+    # its primes 2 mod 3, with multiplicity, are even in number
+    n = 6 * c + 1
+    factors = factorize(n)
+    assert sum(e for p, e in factors.items() if p % 3 == 2) % 2 == 0
+    p = least_prime_factor(n, 3, 2)
+    assert p is None or p * p <= n
 
 
 def test_staged_search_matches_exhaustive_oracle_small():
