@@ -21,9 +21,10 @@ from itertools import takewhile
 from pathlib import Path
 from typing import TYPE_CHECKING, Callable, Iterable, NamedTuple, Optional, Sequence
 
-from .families import PolyId
+from .families import P1, P2, PolyId, check_value
 from .numutil import MR_LIMIT, FactorWindow, primes_in, window_prime_count
 from .reports import (
+    FAMILY_LABELS,
     SolutionRow,
     coverage_line,
     file_sha256,
@@ -43,7 +44,7 @@ from .search import (
     X1Primes,
     legacy_coverage_scan,
     prime_witness_search,
-    wide_search,
+    sweep_from_x2,
 )
 
 if TYPE_CHECKING:
@@ -182,9 +183,29 @@ def _coverage_result(hits: Iterable[tuple[int, Optional[Witness]]]) -> SliceResu
 
 
 def _wide_slice(qs: range) -> SliceResult:
-    """wide_search on each q of a contiguous slice, sharing one factor window."""
+    """wide_search on each q of a contiguous slice, sharing one factor window.
+
+    x = 1 is settled here as wide_search settles it, its rows written with
+    no Witness (a plain tuple is cheaper to check); the rest run the sweep.
+    """
     window = FactorWindow(qs[0] + 1, qs[-1] + WINDOW_MARGIN)
-    return _coverage_result((q, wide_search(q, window)) for q in qs)
+    lines, unsolved, counts = [], [], [0] * len(PolyId)
+    for q in qs:
+        n = q + 1
+        p = 3 if n % 3 == 0 else 2 if n % 2 == 0 else window.least_prime_factor(n, 3, 2)
+        if p is not None:
+            poly, y, z = P1 if p == 3 else P2, (p + 1) // 3, n // p
+            check_value(poly, (1, y, z), q)
+            lines.append(f"{q},1,{y},{z},{FAMILY_LABELS[poly - 1]}\n")
+            counts[poly - 1] += 1
+            continue
+        w = sweep_from_x2(q, window)
+        if w is None:
+            unsolved.append(q)
+        else:
+            lines.append(coverage_line(w))
+            counts[w.poly - 1] += 1
+    return SliceResult("".join(lines), unsolved, counts)
 
 
 def _prime_slice(qs: range) -> SliceResult:

@@ -228,13 +228,6 @@ def divisors_of(factors: dict[int, int]) -> list[int]:
     return divs
 
 
-def divisors_ascending(n: int) -> list[int]:
-    """All positive divisors of n in ascending order, built from factorize(n)."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    return sorted(divisors_of(factorize(n)))
-
-
 def _check_progression(values: range) -> None:
     if values.start < 1 or values.step < 1:
         raise ValueError("need an ascending range of positive integers")
@@ -307,10 +300,11 @@ class FactorWindow:
     The constructor sieves each prime p <= isqrt(hi) over the window and
     records, per n, the primes dividing it.  Dividing those out of n leaves
     1 or a single prime, since a composite cofactor would have a prime factor
-    <= isqrt(n).  `factorize(n)` returns exactly what the module function
-    of that name returns; for n outside the window, or above the largest n
-    the primes below 2^16 can sieve, it calls that function.  Memory is
-    about a hundred bytes per value, so callers bound hi - lo.
+    <= isqrt(n).  `factorize` and `least_prime_factor` return exactly what
+    the module functions of those names return; for n outside the window,
+    or above the largest n the primes below 2^16 can sieve, they call those
+    functions.  Memory is about a hundred bytes per value, so callers bound
+    hi - lo.
     """
 
     def __init__(self, lo: int, hi: int):
@@ -347,3 +341,16 @@ class FactorWindow:
         if m > 1:
             factors[m] = 1
         return factors
+
+    def least_prime_factor(self, n: int, m: int, r: int) -> Optional[int]:
+        """The module function's answer: the first prime p % m == r of n's
+        ascending sieved primes, else their cofactor if it is such a prime."""
+        if not self.lo <= n <= self.hi:
+            return least_prime_factor(n, m, r)
+        rest = n
+        for p in self._primes[n - self.lo]:
+            if p % m == r:
+                return p
+            while rest % p == 0:
+                rest //= p
+        return rest if rest > 1 and rest % m == r else None

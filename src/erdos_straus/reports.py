@@ -55,17 +55,8 @@ class SolutionRow:
             raise ValueError(f"{self.pi or 'prime'} rows must give every coordinate they use, >= 1")
 
 
-def witness_to_row(w: Witness) -> SolutionRow:
-    """Render a witness with the file conventions for unused coordinates."""
-    if w.poly is P4:
-        return SolutionRow(w.q, w.triple.x, None, None, "p4")
-    if w.poly is P3:
-        return SolutionRow(w.q, w.triple.x, w.triple.y, None, "p3")
-    return SolutionRow(w.q, w.triple.x, w.triple.y, w.triple.z, w.poly.label)
-
-
 def row_to_witness(row: SolutionRow) -> Witness:
-    """Inverse of witness_to_row (coverage rows only)."""
+    """The witness a coverage row records; unused coordinates read as 1."""
     if row.pi is None:
         raise ValueError("prime rows carry no family label")
     poly = PolyId.from_label(row.pi)

@@ -162,20 +162,15 @@ def x_sweep_bound(q: int) -> int:
 
 
 def _x1_prime(n: int, window: Optional[FactorWindow] = None) -> Optional[int]:
-    """The least prime p % 3 == 2 dividing n, or None: 2 for even n."""
+    """The least prime p % 3 == 2 dividing n, or None: 2 for even n.
+
+    With n = q+1, P2 at x = 1 is (1, (p+1)/3, n/p), solve_p2_given_x(q, 1)
+    without a divisor list: the smallest divisor d % 3 == 2 of n is p, since
+    every such d has a prime factor p % 3 == 2 no larger than itself.
+    """
     if n % 2 == 0:
         return 2
-    if window is None:
-        return least_prime_factor(n, 3, 2)
-    return min((p for p in window.factorize(n) if p % 3 == 2), default=None)
-
-
-def _p2_at_x1(q: int, p: Optional[int]) -> Optional[tuple[int, int]]:
-    """solve_p2_given_x(q, 1) without a divisor list, from p = _x1_prime(q+1).
-    With n = q+1, the smallest divisor d % 3 == 2 of n is p, since every
-    such d has a prime factor p % 3 == 2 no larger than itself;
-    (y, z) = ((p+1)/3, n/p)."""
-    return None if p is None else ((p + 1) // 3, (q + 1) // p)
+    return least_prime_factor(n, 3, 2) if window is None else window.least_prime_factor(n, 3, 2)
 
 
 class X1Primes:
@@ -208,17 +203,22 @@ def wide_search(q: int, window: Optional[FactorWindow] = None) -> Optional[Witne
 
     This is the per-q workhorse; for q > LEGACY_PROBE_LIMIT it is the whole
     classification (no cube probe can reach such q).  x = 1 is settled in
-    closed form; the sweep proper starts at x = 2.  `window` supplies the
-    factorizations of q + x; it changes the cost, never the result.
+    closed form; the sweep proper, `sweep_from_x2`, starts at x = 2.  `window`
+    supplies the factorizations of q + x; it changes the cost, not the result.
     """
     if q < 1:
         raise ValueError("q must be >= 1")
-    # x = 1: P1 needs 3 | q+1; P3 needs 2 | q+1, where P2 has answered
-    if (q + 1) % 3 == 0:
-        return _checked_witness(q, P1, WitnessTriple(1, 1, (q + 1) // 3))
-    yz = _p2_at_x1(q, _x1_prime(q + 1, window))
-    if yz is not None:
-        return _checked_witness(q, P2, WitnessTriple(1, *yz))
+    # x = 1: P1 (3 | n) is P2's form at p = 3; P3 needs 2 | n, where P2 answers first
+    n = q + 1
+    p = 3 if n % 3 == 0 else _x1_prime(n, window)
+    if p is not None:
+        return _checked_witness(q, P1 if p == 3 else P2, WitnessTriple(1, (p + 1) // 3, n // p))
+    return sweep_from_x2(q, window)
+
+
+def sweep_from_x2(q: int, window: Optional[FactorWindow] = None) -> Optional[Witness]:
+    """wide_search for a q that x = 1 leaves: the sweep over 2 <= x <=
+    x_sweep_bound(q), P1 then P2 then P3 at each x, then the x(x-1) check."""
     for x in range(2, x_sweep_bound(q) + 1):
         yz = solve_p1_given_x(q, x)
         if yz is not None:
@@ -237,10 +237,7 @@ def wide_search(q: int, window: Optional[FactorWindow] = None) -> Optional[Witne
 
 def staged_search(q: int) -> Optional[Witness]:
     """Full staged pipeline: cube probe, wide sweep, x(x-1) check."""
-    hit = small_cube_search(q)
-    if hit is not None:
-        return hit
-    return wide_search(q)
+    return small_cube_search(q) or wide_search(q)
 
 
 def legacy_coverage_scan(qs: Iterable[int]) -> Iterator[tuple[int, Optional[Witness]]]:
@@ -267,9 +264,9 @@ def legacy_coverage_scan(qs: Iterable[int]) -> Iterator[tuple[int, Optional[Witn
 
 def _first_prime_candidate(q: int, x1: Optional[X1Primes]) -> Optional[WitnessTriple]:
     """First second-family candidate for q, in the prime program's stage order."""
-    yz = _p2_at_x1(q, _x1_prime(q + 1) if x1 is None else x1.prime(q))
-    if yz is not None:
-        return WitnessTriple(1, *yz)
+    p = _x1_prime(q + 1) if x1 is None else x1.prime(q)
+    if p is not None:
+        return WitnessTriple(1, (p + 1) // 3, (q + 1) // p)
     for x in (2, 3):
         yz = solve_p2_given_x(q, x)
         if yz is not None:

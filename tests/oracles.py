@@ -57,6 +57,17 @@ def legacy_scan_by_loop(qs):
         yield q, hit
 
 
+def wide_slice_per_q(qs):
+    """A coverage slice as wide_search classifies each of its q, x = 1
+    included, sharing one factor window: the slice solver's reference."""
+    from erdos_straus.batch import WINDOW_MARGIN, _coverage_result
+    from erdos_straus.numutil import FactorWindow
+    from erdos_straus.search import wide_search
+
+    window = FactorWindow(qs[0] + 1, qs[-1] + WINDOW_MARGIN)
+    return _coverage_result((q, wide_search(q, window)) for q in qs)
+
+
 def _naive_xmax(q: int) -> int:
     # largest x with (2x-1)^2 <= 4q+1, found by counting up
     x = 1
@@ -133,11 +144,19 @@ def factor_by_trial(n: int) -> dict[int, int]:
     return factors
 
 
+def divisors_ascending(n: int) -> list[int]:
+    """All positive divisors of n in ascending order, built from the
+    library's factorize(n) and divisors_of."""
+    from erdos_straus.numutil import divisors_of, factorize
+
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    return sorted(divisors_of(factorize(n)))
+
+
 def least_divisor_by_sorted_list(n: int, m: int, r: int, cm: int = 1, cr: int = 0):
     """Smallest divisor d of n with d % m == r and (n // d) % cm == cr: the
     first such d of the ascending divisor list."""
-    from erdos_straus.numutil import divisors_ascending
-
     for d in divisors_ascending(n):
         if d % m == r and n // d % cm == cr:
             return d
@@ -206,3 +225,14 @@ def rows_text(rows) -> list[str]:
         cells = [str(r.q), str(r.x), cell(r.y), cell(r.z)] + ([] if r.pi is None else [r.pi])
         lines.append(",".join(cells) + "\n")
     return lines
+
+
+def witness_to_row(w):
+    """A coverage witness as the row the files hold: unused coordinates empty."""
+    from erdos_straus.reports import SolutionRow
+
+    if w.poly is PolyId.P4:
+        return SolutionRow(w.q, w.triple.x, None, None, "p4")
+    if w.poly is PolyId.P3:
+        return SolutionRow(w.q, w.triple.x, w.triple.y, None, "p3")
+    return SolutionRow(w.q, w.triple.x, w.triple.y, w.triple.z, w.poly.label)

@@ -20,11 +20,10 @@ from erdos_straus.reports import (
     SolutionRow,
     read_results,
     read_results_q,
-    witness_to_row,
 )
 from erdos_straus.search import legacy_coverage_scan, prime_witness_search, wide_search
 
-from .oracles import rows_text
+from .oracles import rows_text, wide_slice_per_q, witness_to_row
 
 
 def _cfg(tmp_path, **kw):
@@ -217,6 +216,15 @@ def test_coverage_slice_text_is_the_row_rendering(qs):
     assert got.text == _rows_of(witnesses)
     assert got.unsolved == [q for q, w in zip(qs, witnesses) if w is None]
     assert got.counts == [sum(w.poly is p for w in witnesses if w) for p in PolyId]
+
+
+@pytest.mark.parametrize("step", [1, 6])
+@pytest.mark.parametrize("first", [2052, 10**6 + 2, 10**9 + 2, 65537**2 - 1801])
+def test_coverage_slice_matches_the_per_q_path(first, step):
+    # multiples of 6 from each start, as the step-6 scans run; the last start
+    # puts q+1 = 65537^2 in the slice, past the window's cap
+    qs = range(first, first + 3600, step)
+    assert batch._wide_slice(qs) == wide_slice_per_q(qs)
 
 
 def test_prefix_text_is_the_row_rendering():

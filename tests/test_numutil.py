@@ -8,7 +8,6 @@ from erdos_straus import numutil as numutil_module
 from erdos_straus.numutil import (
     MR_LIMIT,
     FactorWindow,
-    divisors_ascending,
     divisors_of,
     factorize,
     is_prime,
@@ -18,7 +17,7 @@ from erdos_straus.numutil import (
     window_prime_count,
 )
 
-from .oracles import divisors_by_trial, factor_by_trial
+from .oracles import divisors_ascending, divisors_by_trial, factor_by_trial
 
 
 def _trial_is_prime(n: int) -> bool:
@@ -337,6 +336,22 @@ def test_window_factorize_matches_factorize(lo, width):
     window = FactorWindow(lo, lo + width)
     for n in range(max(1, lo - 2), lo + width + 3):
         assert window.factorize(n) == factorize(n)
+
+
+@pytest.mark.parametrize("lo,hi", [
+    (1, 3000),
+    (10**9 - 1500, 10**9 + 1500),
+    (65537**2 - 1500, 65537**2 + 1500),  # n above SIEVE_MAX lie outside the capped window
+])
+def test_window_least_prime_factor_matches_the_module_function(lo, hi):
+    window = FactorWindow(lo, hi)
+    cofactors = 0  # n whose least prime 2 mod 3 is the cofactor above isqrt(n)
+    for n in range(max(1, lo - 3), hi + 4):
+        for m, r in RESIDUES:
+            assert window.least_prime_factor(n, m, r) == least_prime_factor(n, m, r), (n, m, r)
+        p = window.least_prime_factor(n, 3, 2)
+        cofactors += window.lo <= n <= window.hi and p is not None and p * p > n
+    assert cofactors > 100
 
 
 def _primes_of(values):

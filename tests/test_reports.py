@@ -14,7 +14,6 @@ from erdos_straus.reports import (
     row_to_witness,
     split_by_family,
     unsolved_path,
-    witness_to_row,
     write_results_aggregate,
     write_lines,
     write_results_batch,
@@ -22,7 +21,7 @@ from erdos_straus.reports import (
 )
 from erdos_straus.search import Witness, staged_search
 
-from .oracles import rows_text
+from .oracles import rows_text, witness_to_row
 
 
 def test_row_validation():

@@ -24,6 +24,7 @@ from erdos_straus.search import (
     solve_p2_given_x,
     solve_p3_given_x,
     staged_search,
+    sweep_from_x2,
     wide_search,
     x_sweep_bound,
 )
@@ -187,7 +188,8 @@ def _sweep_from_x1(q, window=None):
 
 
 def _x1_closed_form(q, window=None):
-    return search_module._p2_at_x1(q, search_module._x1_prime(q + 1, window))
+    p = search_module._x1_prime(q + 1, window)
+    return None if p is None else ((p + 1) // 3, (q + 1) // p)
 
 
 @pytest.mark.parametrize("lo,count", [
@@ -203,6 +205,21 @@ def test_x1_closed_form_matches_the_solvers(lo, count):
         assert _x1_closed_form(q, window) == expect, q
         assert _x1_closed_form(q) == expect, q
         assert wide_search(q, window) == _sweep_from_x1(q, window), q
+
+
+def _no_x1_answer(q):
+    return all(solve(q, 1) is None for solve in (solve_p1_given_x, solve_p2_given_x, solve_p3_given_x))
+
+
+@pytest.mark.parametrize("qs", [range(1, 20_001), range(10**9 - 3000, 10**9 + 3000)])
+def test_sweep_from_x2_is_wide_search_where_x1_has_no_answer(qs):
+    window = FactorWindow(qs[0] + 1, qs[-1] + 64)
+    swept = [q for q in qs if _no_x1_answer(q)]
+    assert len(swept) > len(qs) // 20
+    for q in swept:
+        expect = wide_search(q)
+        assert sweep_from_x2(q) == expect, q
+        assert sweep_from_x2(q, window) == expect, q
 
 
 @pytest.mark.parametrize("n", [
@@ -462,7 +479,7 @@ def test_wrong_witness_raises_under_python_O():
         import sys
         from erdos_straus import families
         from erdos_straus.families import PolyId, WitnessTriple
-        from erdos_straus import search
+        from erdos_straus import batch, search
         from erdos_straus.search import _checked_witness
 
         if not sys.flags.optimize:
@@ -481,6 +498,12 @@ def test_wrong_witness_raises_under_python_O():
         else:
             sys.exit("wrong prime witness accepted")
         families.eval_poly = lambda poly, t: -1
+        for q in (2, 4):  # 3 | q+1 gives a P1 row; q+1 = 5, a P2 row from the window
+            try:
+                batch._wide_slice(range(q, q + 1))
+            except AssertionError:
+                continue
+            sys.exit(f"wrong x = 1 row accepted for q = {q}")
         for fn, arg in ((families.odd_family, 1), (families.even_6c4_family, 0),
                         (families.even_6c2_family, 0)):
             try:
