@@ -21,7 +21,7 @@ from itertools import takewhile
 from pathlib import Path
 from typing import TYPE_CHECKING, Callable, Iterable, NamedTuple, Optional, Sequence
 
-from .families import P1, P2, PolyId, check_value
+from .families import PolyId
 from .numutil import MR_LIMIT, FactorWindow, primes_in, window_prime_count
 from .reports import (
     FAMILY_LABELS,
@@ -45,6 +45,7 @@ from .search import (
     legacy_coverage_scan,
     prime_witness_search,
     sweep_from_x2,
+    x1_row,
 )
 
 if TYPE_CHECKING:
@@ -183,28 +184,22 @@ def _coverage_result(hits: Iterable[tuple[int, Optional[Witness]]]) -> SliceResu
 
 
 def _wide_slice(qs: range) -> SliceResult:
-    """wide_search on each q of a contiguous slice, sharing one factor window.
-
-    x = 1 is settled here as wide_search settles it, its rows written with
-    no Witness (a plain tuple is cheaper to check); the rest run the sweep.
-    """
+    """wide_search on each q of a contiguous slice, sharing one factor window;
+    x = 1 rows (`x1_row`) are written with no Witness."""
     window = FactorWindow(qs[0] + 1, qs[-1] + WINDOW_MARGIN)
     lines, unsolved, counts = [], [], [0] * len(PolyId)
     for q in qs:
-        n = q + 1
-        p = 3 if n % 3 == 0 else 2 if n % 2 == 0 else window.least_prime_factor(n, 3, 2)
-        if p is not None:
-            poly, y, z = P1 if p == 3 else P2, (p + 1) // 3, n // p
-            check_value(poly, (1, y, z), q)
-            lines.append(f"{q},1,{y},{z},{FAMILY_LABELS[poly - 1]}\n")
-            counts[poly - 1] += 1
-            continue
-        w = sweep_from_x2(q, window)
-        if w is None:
-            unsolved.append(q)
+        row = x1_row(q, window)
+        if row is not None:
+            poly, y, z = row
+            line = f"{q},1,{y},{z},{FAMILY_LABELS[poly - 1]}\n"
+        elif (w := sweep_from_x2(q, window)) is not None:
+            poly, line = w.poly, coverage_line(w)
         else:
-            lines.append(coverage_line(w))
-            counts[w.poly - 1] += 1
+            unsolved.append(q)
+            continue
+        lines.append(line)
+        counts[poly - 1] += 1
     return SliceResult("".join(lines), unsolved, counts)
 
 

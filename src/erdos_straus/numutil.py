@@ -300,11 +300,10 @@ class FactorWindow:
     The constructor sieves each prime p <= isqrt(hi) over the window and
     records, per n, the primes dividing it.  Dividing those out of n leaves
     1 or a single prime, since a composite cofactor would have a prime factor
-    <= isqrt(n).  `factorize` and `least_prime_factor` return exactly what
-    the module functions of those names return; for n outside the window,
-    or above the largest n the primes below 2^16 can sieve, they call those
-    functions.  Memory is about a hundred bytes per value, so callers bound
-    hi - lo.
+    <= isqrt(n).  `factorize` and `least_prime_factor` answer as the module
+    functions do, and call them for n outside the window or above SIEVE_MAX,
+    the largest n the primes below 2^16 can sieve.  Memory is about a
+    hundred bytes per value, so callers bound hi - lo.
     """
 
     def __init__(self, lo: int, hi: int):
@@ -343,8 +342,7 @@ class FactorWindow:
         return factors
 
     def least_prime_factor(self, n: int, m: int, r: int) -> Optional[int]:
-        """The module function's answer: the first prime p % m == r of n's
-        ascending sieved primes, else their cofactor if it is such a prime."""
+        """The first prime p % m == r of n's sieved primes, else their cofactor if one."""
         if not self.lo <= n <= self.hi:
             return least_prime_factor(n, m, r)
         rest = n

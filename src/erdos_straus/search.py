@@ -162,15 +162,28 @@ def x_sweep_bound(q: int) -> int:
 
 
 def _x1_prime(n: int, window: Optional[FactorWindow] = None) -> Optional[int]:
-    """The least prime p % 3 == 2 dividing n, or None: 2 for even n.
-
-    With n = q+1, P2 at x = 1 is (1, (p+1)/3, n/p), solve_p2_given_x(q, 1)
-    without a divisor list: the smallest divisor d % 3 == 2 of n is p, since
-    every such d has a prime factor p % 3 == 2 no larger than itself.
-    """
+    """The least prime p % 3 == 2 dividing n, or None: 2 for even n."""
     if n % 2 == 0:
         return 2
     return least_prime_factor(n, 3, 2) if window is None else window.least_prime_factor(n, 3, 2)
+
+
+def _x1_yz(n: int, p: int) -> tuple[int, int]:
+    """(y, z) at x = 1 from a prime p | n = q+1: P1's for p = 3, else P2's."""
+    return (p + 1) // 3, n // p
+
+
+def x1_row(q: int, window: Optional[FactorWindow] = None) -> Optional[tuple[PolyId, int, int]]:
+    """x = 1 of the sweep in closed form: (family, y, z), checked, or None.
+    With n = q+1, P1 for 3 | n, else P2 at p = _x1_prime(n, window): each
+    divisor d % 3 == 2 of n has a prime factor p % 3 == 2 <= d.  P3 needs 2 | n."""
+    n = q + 1
+    p = 3 if n % 3 == 0 else _x1_prime(n, window)
+    if p is None:
+        return None
+    poly, (y, z) = P1 if p == 3 else P2, _x1_yz(n, p)
+    check_value(poly, (1, y, z), q)
+    return poly, y, z
 
 
 class X1Primes:
@@ -198,22 +211,14 @@ class X1Primes:
         return least_prime_factor(q + 1, 3, 2)
 
 
-def wide_search(q: int, window: Optional[FactorWindow] = None) -> Optional[Witness]:
-    """Stages B and C only: the wide x sweep, then the x(x-1) check.
-
-    This is the per-q workhorse; for q > LEGACY_PROBE_LIMIT it is the whole
-    classification (no cube probe can reach such q).  x = 1 is settled in
-    closed form; the sweep proper, `sweep_from_x2`, starts at x = 2.  `window`
-    supplies the factorizations of q + x; it changes the cost, not the result.
-    """
+def wide_search(q: int) -> Optional[Witness]:
+    """Stages B and C only: the wide x sweep, then the x(x-1) check; the whole
+    classification of q > LEGACY_PROBE_LIMIT, which no cube probe can reach.
+    `x1_row` settles x = 1 in closed form; `sweep_from_x2` is the sweep proper."""
     if q < 1:
         raise ValueError("q must be >= 1")
-    # x = 1: P1 (3 | n) is P2's form at p = 3; P3 needs 2 | n, where P2 answers first
-    n = q + 1
-    p = 3 if n % 3 == 0 else _x1_prime(n, window)
-    if p is not None:
-        return _checked_witness(q, P1 if p == 3 else P2, WitnessTriple(1, (p + 1) // 3, n // p))
-    return sweep_from_x2(q, window)
+    row = x1_row(q)
+    return sweep_from_x2(q) if row is None else Witness(q, row[0], WitnessTriple(1, *row[1:]))
 
 
 def sweep_from_x2(q: int, window: Optional[FactorWindow] = None) -> Optional[Witness]:
@@ -237,7 +242,10 @@ def sweep_from_x2(q: int, window: Optional[FactorWindow] = None) -> Optional[Wit
 
 def staged_search(q: int) -> Optional[Witness]:
     """Full staged pipeline: cube probe, wide sweep, x(x-1) check."""
-    return small_cube_search(q) or wide_search(q)
+    hit = small_cube_search(q)
+    if hit is not None:
+        return hit
+    return wide_search(q)
 
 
 def legacy_coverage_scan(qs: Iterable[int]) -> Iterator[tuple[int, Optional[Witness]]]:
@@ -266,7 +274,7 @@ def _first_prime_candidate(q: int, x1: Optional[X1Primes]) -> Optional[WitnessTr
     """First second-family candidate for q, in the prime program's stage order."""
     p = _x1_prime(q + 1) if x1 is None else x1.prime(q)
     if p is not None:
-        return WitnessTriple(1, (p + 1) // 3, (q + 1) // p)
+        return WitnessTriple(1, *_x1_yz(q + 1, p))
     for x in (2, 3):
         yz = solve_p2_given_x(q, x)
         if yz is not None:

@@ -59,13 +59,11 @@ def legacy_scan_by_loop(qs):
 
 def wide_slice_per_q(qs):
     """A coverage slice as wide_search classifies each of its q, x = 1
-    included, sharing one factor window: the slice solver's reference."""
-    from erdos_straus.batch import WINDOW_MARGIN, _coverage_result
-    from erdos_straus.numutil import FactorWindow
+    included, one Witness per q: the slice solver's reference."""
+    from erdos_straus.batch import _coverage_result
     from erdos_straus.search import wide_search
 
-    window = FactorWindow(qs[0] + 1, qs[-1] + WINDOW_MARGIN)
-    return _coverage_result((q, wide_search(q, window)) for q in qs)
+    return _coverage_result((q, wide_search(q)) for q in qs)
 
 
 def _naive_xmax(q: int) -> int:

@@ -26,6 +26,7 @@ from erdos_straus.search import (
     staged_search,
     sweep_from_x2,
     wide_search,
+    x1_row,
     x_sweep_bound,
 )
 
@@ -189,7 +190,12 @@ def _sweep_from_x1(q, window=None):
 
 def _x1_closed_form(q, window=None):
     p = search_module._x1_prime(q + 1, window)
-    return None if p is None else ((p + 1) // 3, (q + 1) // p)
+    return None if p is None else search_module._x1_yz(q + 1, p)
+
+
+def _x1_row_by_solvers(q):
+    hit = _sweep_at_x1(q)
+    return None if hit is None else (hit[0], hit[1].y, hit[1].z)
 
 
 @pytest.mark.parametrize("lo,count", [
@@ -204,7 +210,8 @@ def test_x1_closed_form_matches_the_solvers(lo, count):
         expect = solve_p2_given_x(q, 1)
         assert _x1_closed_form(q, window) == expect, q
         assert _x1_closed_form(q) == expect, q
-        assert wide_search(q, window) == _sweep_from_x1(q, window), q
+        assert x1_row(q, window) == _x1_row_by_solvers(q), q
+        assert wide_search(q) == _sweep_from_x1(q, window), q
 
 
 def _no_x1_answer(q):
@@ -242,16 +249,17 @@ def test_x1_closed_form_past_the_window(n):
 def test_x1_closed_form_property(q, offset, with_window):
     window = FactorWindow(max(1, q + 1 - offset), q + 1 + offset) if with_window else None
     assert _x1_closed_form(q, window) == solve_p2_given_x(q, 1)
+    assert x1_row(q, window) == _x1_row_by_solvers(q)
     hit = _sweep_at_x1(q)
     if hit is not None:  # wide_search stops at x = 1
-        assert wide_search(q, window) == Witness(q, *hit)
+        assert wide_search(q) == Witness(q, *hit)
 
 
 @given(st.integers(min_value=1, max_value=10**7), st.booleans())
 @settings(max_examples=150, deadline=None)
 def test_wide_search_matches_the_plain_sweep(q, with_window):
     window = FactorWindow(q + 1, q + 64) if with_window else None
-    assert wide_search(q, window) == _sweep_from_x1(q)
+    assert wide_search(q) == _sweep_from_x1(q, window)
 
 
 # (m, r, cm, cr) of every least-divisor lookup: the sweep's and the prime
