@@ -43,7 +43,6 @@ from .batch import (
     BatchConfig,
     BatchReport,
     ScanMode,
-    checkpoint_resume,
     run_coverage,
     tally,
 )

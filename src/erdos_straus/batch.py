@@ -15,7 +15,7 @@ import json
 import logging
 import time
 from collections import Counter
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from enum import Enum
 from itertools import takewhile
 from pathlib import Path
@@ -25,7 +25,6 @@ from .families import PolyId
 from .numutil import MR_LIMIT, FactorWindow, primes_in, window_prime_count
 from .reports import (
     FAMILY_LABELS,
-    SolutionRow,
     coverage_line,
     file_sha256,
     prime_line,
@@ -80,7 +79,6 @@ class BatchConfig:
     mode: ScanMode = ScanMode.COVERAGE
     worker_count: int = 1
     output_dir: Path = Path(".")
-    skip_batches: frozenset[int] = field(default_factory=frozenset)
 
     def __post_init__(self) -> None:
         if self.q_start < 1 or self.q_start > self.q_max:
@@ -109,13 +107,11 @@ class BatchReport:
     resumed: bool = False
 
 
-def tally(rows: Sequence[SolutionRow]) -> dict[PolyId, int]:
-    """Per-family counts of result rows; every family is present, sum equals
-    the input.  Prime rows carry no label: they are second-family witnesses."""
-    labels = Counter(r.pi for r in rows)
-    counts = {p: labels[p.label] for p in PolyId}
-    counts[PolyId.P2] += labels[None]
-    return counts
+def tally(witnesses: Sequence[Witness]) -> dict[PolyId, int]:
+    """Per-family counts of witnesses; every family is present, sum equals
+    the input."""
+    counts = Counter(w.poly for w in witnesses)
+    return {p: counts[p] for p in PolyId}
 
 
 # A pool gets a batch's work in about this many pieces.
@@ -266,11 +262,6 @@ def _read_manifest(cfg: BatchConfig) -> dict[int, dict]:
     return records
 
 
-def checkpoint_resume(cfg: BatchConfig) -> BatchConfig:
-    """Config that skips batches already recorded complete in output_dir."""
-    return replace(cfg, skip_batches=frozenset(_read_manifest(cfg)))
-
-
 def _coverage_batches(cfg: BatchConfig) -> list[range]:
     """Runs of batch_size consecutive values of the stepped range."""
     last = cfg.q_max - (cfg.q_max - cfg.q_start) % cfg.step
@@ -337,7 +328,7 @@ def _files_record(results: Path, rows: int, unsolved: Path, n_unsolved: int) -> 
     }
 
 
-def _reload(cfg: BatchConfig, index: int, qs: range, record: dict) -> tuple[list[SolutionRow], list[int]]:
+def _reload(cfg: BatchConfig, index: int, qs: range, record: dict) -> tuple[list[Witness], list[int]]:
     """A completed batch's rows and unsolved q, checked against its range and
     against the row counts and sha256 digests its manifest record holds."""
     label, where = cfg.mode.value, f"batch {index}, q in [{qs.start}, {qs.stop - 1}]"
@@ -346,7 +337,7 @@ def _reload(cfg: BatchConfig, index: int, qs: range, record: dict) -> tuple[list
     rows = read_results(results, label)
     unsolved = read_results_q(unsolved_file)
     last = 0
-    for q in heapq.merge((r.q for r in rows), unsolved):
+    for q in heapq.merge((w.q for w in rows), unsolved):
         if q <= last or q not in qs:
             raise ResumeError(f"{where}: q = {q} repeats, is out of order or lies outside the batch")
         last = q
@@ -364,11 +355,14 @@ def _reload(cfg: BatchConfig, index: int, qs: range, record: dict) -> tuple[list
     return rows, unsolved
 
 
-def run_coverage(cfg: BatchConfig, cancel: Optional[Callable[[], bool]] = None) -> list[BatchReport]:
+def run_coverage(
+    cfg: BatchConfig, cancel: Optional[Callable[[], bool]] = None, resume: bool = False
+) -> list[BatchReport]:
     """Scan [q_start, q_max] batch by batch in the mode `cfg.mode` names.
 
-    Batches in `cfg.skip_batches` are reloaded from their files and checked
-    against their range and against the manifest in output_dir.  In
+    With `resume`, the batches the manifest in output_dir records complete
+    are reloaded from their files and checked against their range and
+    against the manifest's record of them.  In
     coverage mode, small q (below the cube-probe horizon) are classified
     sequentially with the legacy scan semantics so the artifacts match the
     reference CSVs.  The rest of each batch is cut into contiguous range
@@ -378,15 +372,12 @@ def run_coverage(cfg: BatchConfig, cancel: Optional[Callable[[], bool]] = None) 
     them runs; a scan inside the prefix needs no pool.
     """
     mode, label = _MODES[cfg.mode], cfg.mode.value
+    recorded = _read_manifest(cfg) if resume else {}
     _prepare_output(cfg)
     batches = mode.batches(cfg)
-    to_run = [qs for index, qs in enumerate(batches, start=1) if index not in cfg.skip_batches]
-    recorded = _read_manifest(cfg) if cfg.skip_batches else {}
-    missing = sorted(cfg.skip_batches - recorded.keys())
-    if missing:
-        raise ResumeError(f"the checkpoint manifest records no files for batches {missing}")
+    to_run = [qs for index, qs in enumerate(batches, start=1) if index not in recorded]
     # the completed batches' file records, JSON-encoded for the manifest
-    records = {b: json.dumps(recorded[b]) for b in cfg.skip_batches}
+    records = {b: json.dumps(record) for b, record in recorded.items()}
     prefix: dict[int, Optional[Witness]] = {}
     if mode.legacy_prefix and any(qs[0] <= LEGACY_PROBE_LIMIT for qs in to_run):
         # The legacy scan carries state from q to q, so it always runs over
@@ -401,7 +392,7 @@ def run_coverage(cfg: BatchConfig, cancel: Optional[Callable[[], bool]] = None) 
     reports = []
     try:
         for index, qs in enumerate(batches, start=1):
-            resumed = index in cfg.skip_batches
+            resumed = index in recorded
             t0 = time.perf_counter()
             if resumed:
                 rows, unsolved = _reload(cfg, index, qs, recorded[index])

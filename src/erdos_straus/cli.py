@@ -18,18 +18,11 @@ import signal
 import sys
 from pathlib import Path
 
-from .batch import (
-    BatchConfig,
-    ResumeError,
-    ScanCancelled,
-    ScanMode,
-    checkpoint_resume,
-    run_coverage,
-)
+from .batch import BatchConfig, ResumeError, ScanCancelled, ScanMode, run_coverage
 from .decompose import UnsolvedError, decompose_any, verify_exact
-from .families import PolyId, WitnessTriple, eval_poly
+from .families import PolyId, eval_poly
 from .numutil import MR_LIMIT, is_prime
-from .reports import ReportFormatError, read_results, row_to_witness, split_by_family
+from .reports import ReportFormatError, coverage_line, prime_line, read_results, results_mode, split_by_family
 from .search import staged_search
 
 EX_UNSOLVED = 2
@@ -112,7 +105,7 @@ def _install_cancel():
 
 
 def _scan_config(args, mode: ScanMode, q_start: int, step: int) -> BatchConfig:
-    """The scan's config, resumed if asked; prints the range header line."""
+    """The scan's config; prints the range header line."""
     try:
         cfg = BatchConfig(
             q_start=q_start,
@@ -125,8 +118,6 @@ def _scan_config(args, mode: ScanMode, q_start: int, step: int) -> BatchConfig:
         )
     except ValueError as exc:
         raise UsageError(str(exc).replace("_", "-")) from None  # the flags' spelling
-    if args.resume:
-        cfg = checkpoint_resume(cfg)
     print(f"qStart = {cfg.q_start}, qMax = {cfg.q_max}, step = {cfg.step}")
     return cfg
 
@@ -134,7 +125,7 @@ def _scan_config(args, mode: ScanMode, q_start: int, step: int) -> BatchConfig:
 def _cmd_cover(args) -> int:
     cfg = _scan_config(args, ScanMode.COVERAGE, args.q_start, args.step)
     print(f"Batch size (number of q values per batch) = {cfg.batch_size}")
-    reports = run_coverage(cfg, cancel=_install_cancel())
+    reports = run_coverage(cfg, cancel=_install_cancel(), resume=args.resume)
     for r in reports:
         print(f"Batch {r.batch_index}: q in [{r.q_range[0]}, {r.q_range[1]}]")
         print(f"Unsolved q in batch {r.batch_index}: {len(r.unsolved)}")
@@ -152,7 +143,7 @@ def _cmd_primes(args) -> int:
     q_start = max(args.q_start + (-args.q_start) % 6, 6)  # align upward to 6c
     cfg = _scan_config(args, ScanMode.PRIME_COVERAGE, q_start, 6)
     print(f"Batch size = {cfg.batch_size}")
-    reports = run_coverage(cfg, cancel=_install_cancel())
+    reports = run_coverage(cfg, cancel=_install_cancel(), resume=args.resume)
     for r in reports:
         print(
             f"Processing batch {r.batch_index}/{len(reports)}: "
@@ -211,22 +202,16 @@ def _cmd_witness(args) -> int:
     return 0
 
 
-def _verify_row(row) -> bool:
-    if row.pi is None:  # prime schema: a second-family witness, 4q+1 prime
-        t = WitnessTriple(row.x, row.y, row.z)
-        a = 4 * row.q + 1  # unproven, hence unverified, from MR_LIMIT on
-        return eval_poly(PolyId.P2, t) == row.q and a < MR_LIMIT and is_prime(a)
-    w = row_to_witness(row)
-    return eval_poly(w.poly, w.triple) == row.q
-
-
 def _cmd_verify_csv(args) -> int:
-    rows = read_results(args.path)
-    for lineno, row in enumerate(rows, start=2):
-        if not _verify_row(row):
-            print(f"{args.path}:{lineno}: invalid row {row}")
+    witnesses = read_results(args.path)
+    prime = results_mode(args.path) == "prime"  # rows of prime targets 4q+1
+    for lineno, w in enumerate(witnesses, start=2):
+        a = 4 * w.q + 1  # unproven, hence unverified, from MR_LIMIT on
+        if eval_poly(w.poly, w.triple) != w.q or (prime and not (a < MR_LIMIT and is_prime(a))):
+            line = prime_line(w.q, w.triple) if prime else coverage_line(w)
+            print(f"{args.path}:{lineno}: invalid row {line.rstrip()}")
             return 1
-    print(f"{args.path}: {len(rows)} rows verified")
+    print(f"{args.path}: {len(witnesses)} rows verified")
     return 0
 
 

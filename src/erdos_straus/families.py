@@ -30,13 +30,6 @@ class PolyId(IntEnum):
     def label(self) -> str:
         return f"p{self.value}"
 
-    @classmethod
-    def from_label(cls, label: str) -> "PolyId":
-        try:
-            return cls(int(label[1:])) if label[:1] == "p" else cls(int(label))
-        except (ValueError, IndexError):
-            raise ValueError(f"not a family label: {label!r}") from None
-
 
 # The members as module constants for the per-witness paths: a global read
 # costs about a tenth of `PolyId.P1`, an attribute read on the enum class.

@@ -6,61 +6,31 @@ Coverage batch files are named results_batch<B>.csv with an unpadded index
 at the output root; prime batch files are results_batch<BBB>.csv, zero
 padded to three digits, under a Results/ subdirectory.  Fields are plain
 ASCII, comma separated, never quoted; rows end with a newline.  Scans
-write rows as text (`coverage_line`, `prime_line`); `SolutionRow` is what
-the readers return.
+write rows as text (`coverage_line`, `prime_line`), and these two writers
+are the whole statement of the row format: `read_results` accepts a row
+exactly when writing its witness back gives the row as it stands.
 """
 
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
 from itertools import chain
 from pathlib import Path
 from typing import Iterable, Optional, Sequence
 
-from .families import P3, P4, PolyId, WitnessTriple
+from .families import P2, P3, P4, PolyId, WitnessTriple
 from .search import Witness
 
 COVERAGE_HEADER = "q,x,y,z,pi"
 PRIME_HEADER = "q,x,y,z"
 HEADERS = {"coverage": COVERAGE_HEADER, "prime": PRIME_HEADER}
 
-FAMILY_LABELS = ("p1", "p2", "p3", "p4")
+FAMILY_LABELS = tuple(p.label for p in PolyId)
+_POLY_OF_LABEL = dict(zip(FAMILY_LABELS, PolyId))
 
 
 class ReportFormatError(Exception):
     """A CSV file does not match either of the two row schemas."""
-
-
-@dataclass(frozen=True)
-class SolutionRow:
-    """One solved q.  y/z are None where the family does not use them;
-    pi is None in prime-mode files, whose rows use x, y and z.  Every
-    coordinate the row's family uses is present and >= 1."""
-
-    q: int
-    x: int
-    y: Optional[int] = None
-    z: Optional[int] = None
-    pi: Optional[str] = None
-
-    def __post_init__(self) -> None:
-        if self.pi is not None and self.pi not in FAMILY_LABELS:
-            raise ValueError(f"bad family label {self.pi!r}")
-        y_used = self.pi != "p4"
-        z_used = y_used and self.pi != "p3"
-        if (self.y is not None and not y_used) or (self.z is not None and not z_used):
-            raise ValueError(f"{self.pi} rows must leave {'z' if y_used else 'y and z'} empty")
-        if self.x < 1 or (y_used and (self.y or 0) < 1) or (z_used and (self.z or 0) < 1):
-            raise ValueError(f"{self.pi or 'prime'} rows must give every coordinate they use, >= 1")
-
-
-def row_to_witness(row: SolutionRow) -> Witness:
-    """The witness a coverage row records; unused coordinates read as 1."""
-    if row.pi is None:
-        raise ValueError("prime rows carry no family label")
-    poly = PolyId.from_label(row.pi)
-    return Witness(row.q, poly, WitnessTriple(row.x, row.y or 1, row.z or 1))
 
 
 def coverage_line(w: Witness) -> str:
@@ -162,16 +132,27 @@ def file_sha256(path: Path) -> str:
 
 
 def _read_lines(path: Path) -> list[str]:
-    with open(path, "r", encoding="ascii", newline="") as fh:
+    """The file's lines; a byte outside ASCII reads as U+FFFD, which no check accepts."""
+    with open(path, "r", encoding="ascii", errors="replace", newline="") as fh:
         lines = fh.read().split("\n")
     if lines and lines[-1] == "":
         lines.pop()
     return lines
 
 
-def read_results(path: Path, mode: Optional[str] = None) -> list[SolutionRow]:
-    """Parse either schema by header, or only `mode`'s schema if given;
-    raises with a line number on bad rows."""
+def results_mode(path: Path) -> Optional[str]:
+    """The mode whose schema header a results file starts with, or None."""
+    with open(path, "rb") as fh:
+        header = fh.readline().removesuffix(b"\n")
+    return next((mode for mode, h in HEADERS.items() if h.encode() == header), None)
+
+
+def read_results(path: Path, mode: Optional[str] = None) -> list[Witness]:
+    """The witnesses a results file records, in file order; a prime-schema
+    row is a second-family witness.  Parses either schema by header, or only
+    `mode`'s schema if given.  A row is valid when `coverage_line` or
+    `prime_line` writes its witness back as the row stands and q and every
+    coordinate are >= 1; raises with a line number on any other row."""
     path = Path(path)
     lines = _read_lines(path)
     if not lines:
@@ -182,34 +163,38 @@ def read_results(path: Path, mode: Optional[str] = None) -> list[SolutionRow]:
     if mode is not None and header != HEADERS[mode]:
         raise ReportFormatError(f"{path}: need the {mode} schema {HEADERS[mode]!r}")
     prime = header == PRIME_HEADER
-    rows = []
-    width = 4 if prime else 5
+    witnesses = []
+    # tuple.__new__ skips the named tuples' Python-level __new__, a sixth of a row's cost
+    new = tuple.__new__
     for lineno, line in enumerate(lines[1:], start=2):
-        cells = line.split(",")
-        if len(cells) != width:
-            raise ReportFormatError(f"{path}:{lineno}: expected {width} fields, got {len(cells)}")
         try:
-            q, x = int(cells[0]), int(cells[1])
-            y = int(cells[2]) if cells[2] else None
-            z = int(cells[3]) if cells[3] else None
-            pi = None if prime else cells[4]
-            rows.append(SolutionRow(q, x, y, z, pi))
-        except ValueError as exc:
-            raise ReportFormatError(f"{path}:{lineno}: {exc}") from None
-    return rows
+            if prime:
+                q, x, y, z = line.split(",")
+                q, x, y, z, poly = int(q), int(x), int(y), int(z), P2
+            else:
+                q, x, y, z, label = line.split(",")
+                q, x, y, z, poly = int(q), int(x), int(y or 1), int(z or 1), _POLY_OF_LABEL[label]
+            w = new(Witness, (q, poly, new(WitnessTriple, (x, y, z))))
+            text = prime_line(q, w.triple) if prime else coverage_line(w)
+        except (ValueError, KeyError):
+            text = None
+        if text != line + "\n" or q < 1 or x < 1 or y < 1 or z < 1:
+            raise ReportFormatError(f"{path}:{lineno}: not a row a scan writes, with q and x, y, z >= 1: {line!r}")
+        witnesses.append(w)
+    return witnesses
 
 
 def read_results_q(path: Path) -> list[int]:
-    """Parse a single-column unsolved file back into q values."""
+    """Parse a single-column unsolved file back into q values, each written
+    as `write_unsolved` writes it: plain decimal digits, q >= 1."""
     lines = _read_lines(path)
     if not lines or lines[0] != "q":
         raise ReportFormatError(f"{path}: not an unsolved-q file")
     qs = []
     for lineno, line in enumerate(lines[1:], start=2):
-        try:
-            qs.append(int(line))
-        except ValueError:
-            raise ReportFormatError(f"{path}:{lineno}: not an integer q: {line!r}") from None
+        if not line.isdigit() or line[0] == "0":  # no digit is outside ASCII: str(q) of a q >= 1
+            raise ReportFormatError(f"{path}:{lineno}: not a q >= 1 as a scan writes it: {line!r}")
+        qs.append(int(line))
     return qs
 
 
@@ -219,11 +204,11 @@ def split_by_family(results_path: Path, out_dir: Path) -> list[Path]:
     Each output is a headerless single column of q values in file order,
     replicating the original analysis script.
     """
-    rows = read_results(results_path, "coverage")
+    witnesses = read_results(results_path, "coverage")
     out = []
     out_dir = Path(out_dir)
-    for label in FAMILY_LABELS:
-        path = out_dir / f"q_with_{label}.csv"
-        write_lines(path, [str(r.q) for r in rows if r.pi == label])
+    for poly in PolyId:
+        path = out_dir / f"q_with_{poly.label}.csv"
+        write_lines(path, [str(w.q) for w in witnesses if w.poly is poly])
         out.append(path)
     return out

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import isqrt
+from typing import NamedTuple, Optional
 
 from erdos_straus.families import PolyId, WitnessTriple, eval_poly
 
@@ -210,6 +211,17 @@ def prime_candidate_by_sweep(q: int):
     return None
 
 
+class Row(NamedTuple):
+    """A result row cell by cell: None is an empty y or z cell, and a prime
+    row has no label (pi None) and no pi cell."""
+
+    q: int
+    x: int
+    y: Optional[int] = None
+    z: Optional[int] = None
+    pi: Optional[str] = None
+
+
 def rows_text(rows) -> list[str]:
     """Result rows as newline-terminated CSV lines, written out independently
     of the library: unused coordinates are empty cells, prime rows (no
@@ -225,12 +237,10 @@ def rows_text(rows) -> list[str]:
     return lines
 
 
-def witness_to_row(w):
+def witness_to_row(w) -> Row:
     """A coverage witness as the row the files hold: unused coordinates empty."""
-    from erdos_straus.reports import SolutionRow
-
     if w.poly is PolyId.P4:
-        return SolutionRow(w.q, w.triple.x, None, None, "p4")
+        return Row(w.q, w.triple.x, None, None, "p4")
     if w.poly is PolyId.P3:
-        return SolutionRow(w.q, w.triple.x, w.triple.y, None, "p3")
-    return SolutionRow(w.q, w.triple.x, w.triple.y, w.triple.z, w.poly.label)
+        return Row(w.q, w.triple.x, w.triple.y, None, "p3")
+    return Row(w.q, w.triple.x, w.triple.y, w.triple.z, w.poly.label)

@@ -1,6 +1,5 @@
 import hashlib
 import json
-from dataclasses import replace
 
 import pytest
 
@@ -10,20 +9,15 @@ from erdos_straus.batch import (
     ResumeError,
     ScanCancelled,
     ScanMode,
-    checkpoint_resume,
     run_coverage,
     tally,
 )
-from erdos_straus.families import PolyId
+from erdos_straus.families import PolyId, WitnessTriple
 from erdos_straus.numutil import MR_LIMIT, is_prime, window_prime_count
-from erdos_straus.reports import (
-    SolutionRow,
-    read_results,
-    read_results_q,
-)
-from erdos_straus.search import legacy_coverage_scan, prime_witness_search, wide_search
+from erdos_straus.reports import read_results, read_results_q
+from erdos_straus.search import Witness, legacy_coverage_scan, prime_witness_search, wide_search
 
-from .oracles import rows_text, wide_slice_per_q, witness_to_row
+from .oracles import Row, rows_text, wide_slice_per_q, witness_to_row
 
 
 def _cfg(tmp_path, **kw):
@@ -67,18 +61,15 @@ def test_nonreference_step_warns(tmp_path, caplog):
 
 
 def test_tally():
-    coverage = [
-        SolutionRow(1, 1, 1, 1, "p2"),
-        SolutionRow(2, 1, 1, 1, "p1"),
-        SolutionRow(8, 3, 1, 1, "p1"),
-        SolutionRow(72, 9, None, None, "p4"),
+    witnesses = [
+        Witness(1, PolyId.P2, WitnessTriple(1, 1, 1)),
+        Witness(2, PolyId.P1, WitnessTriple(1, 1, 1)),
+        Witness(8, PolyId.P1, WitnessTriple(3, 1, 1)),
+        Witness(72, PolyId.P4, WitnessTriple(9)),
     ]
-    counts = tally(coverage)
+    counts = tally(witnesses)
     assert counts == {PolyId.P1: 2, PolyId.P2: 1, PolyId.P3: 0, PolyId.P4: 1}
-    assert sum(counts.values()) == len(coverage)
-    # prime rows carry no label; each is a second-family witness
-    prime = [SolutionRow(6, 1, 1, 6), SolutionRow(18, 1, 3, 2)]
-    assert tally(prime) == {PolyId.P1: 0, PolyId.P2: 2, PolyId.P3: 0, PolyId.P4: 0}
+    assert sum(counts.values()) == len(witnesses)
     assert tally([]) == {p: 0 for p in PolyId}
 
 
@@ -95,10 +86,7 @@ def test_run_coverage_small(tmp_path):
     rows = []
     for i in (1, 2, 3):
         rows.extend(read_results(tmp_path / f"results_batch{i}.csv"))
-    assert len(rows) == 300
-    for row in rows:
-        w = expected[row.q]
-        assert row.pi == w.poly.label, row.q
+    assert rows == [expected[q] for q in range(1, 301)]
     assert read_results_q(tmp_path / "unsolved_all.csv") == []
 
 
@@ -109,7 +97,7 @@ def test_run_coverage_tallies_match_rows(tmp_path):
         rows = read_results(tmp_path / f"results_batch{r.batch_index}.csv")
         assert sum(r.tallies.values()) == r.solved_count == len(rows)
         for poly in PolyId:
-            assert r.tallies[poly] == sum(1 for row in rows if row.pi == poly.label)
+            assert r.tallies[poly] == sum(1 for w in rows if w.poly is poly)
 
 
 def test_run_coverage_worker_counts_byte_identical(tmp_path):
@@ -129,9 +117,7 @@ def test_run_coverage_resume_skips_completed(tmp_path):
     manifest = json.loads((tmp_path / "checkpoint.json").read_text())
     assert manifest["completed"] == [1, 2, 3]
 
-    resumed_cfg = checkpoint_resume(cfg)
-    assert resumed_cfg.skip_batches == frozenset({1, 2, 3})
-    second = run_coverage(resumed_cfg)
+    second = run_coverage(cfg, resume=True)
     assert all(r.resumed for r in second)
     assert [r.solved_count for r in second] == [r.solved_count for r in first]
     assert [r.tallies for r in second] == [r.tallies for r in first]
@@ -146,20 +132,35 @@ def test_full_resume_computes_no_prefix_and_starts_no_pool(tmp_path, monkeypatch
     first = run_coverage(cfg)
     monkeypatch.setattr(batch, "legacy_coverage_scan", _forbidden)
     monkeypatch.setattr(batch, "Pool", _forbidden)
-    second = run_coverage(checkpoint_resume(cfg))
+    second = run_coverage(cfg, resume=True)
     assert all(r.resumed for r in second)
     assert [r.tallies for r in second] == [r.tallies for r in first]
+
+
+def _forget_batches(out, *indexes):
+    """Rewrite the manifest in `out` as if `indexes` had never completed."""
+    path = out / "checkpoint.json"
+    manifest = json.loads(path.read_text())
+    manifest["completed"] = [b for b in manifest["completed"] if b not in indexes]
+    for b in indexes:
+        del manifest["batches"][str(b)]
+    path.write_text(json.dumps(manifest))
 
 
 def test_resume_past_the_prefix_skips_it(tmp_path, monkeypatch):
     cfg = _cfg(tmp_path, q_max=2400, batch_size=2100)
     run_coverage(cfg)
     before = (tmp_path / "results_batch2.csv").read_bytes()
+    manifest = (tmp_path / "checkpoint.json").read_bytes()
+    # a crash after batch 1: batch 2 wrote no files and no manifest record
     (tmp_path / "results_batch2.csv").unlink()
+    (tmp_path / "unsolved_batch2.csv").unlink()
+    _forget_batches(tmp_path, 2)
     monkeypatch.setattr(batch, "legacy_coverage_scan", _forbidden)
-    reports = run_coverage(replace(cfg, skip_batches=frozenset({1})))
+    reports = run_coverage(cfg, resume=True)
     assert [r.resumed for r in reports] == [True, False]
     assert (tmp_path / "results_batch2.csv").read_bytes() == before
+    assert (tmp_path / "checkpoint.json").read_bytes() == manifest
 
 
 def test_chunked_coverage_matches_per_q_search_near_1e9(tmp_path, monkeypatch):
@@ -169,8 +170,7 @@ def test_chunked_coverage_matches_per_q_search_near_1e9(tmp_path, monkeypatch):
     cfg = _cfg(tmp_path, q_start=q0, q_max=q0 + 6 * 299, step=6, batch_size=300)
     run_coverage(cfg)
     rows = read_results(tmp_path / "results_batch1.csv")
-    expected = [wide_search(q) for q in range(q0, q0 + 6 * 300, 6)]
-    assert rows == [witness_to_row(w) for w in expected]
+    assert rows == [wide_search(q) for q in range(q0, q0 + 6 * 300, 6)]
 
 
 @pytest.mark.parametrize("step", [1, 6])
@@ -238,13 +238,14 @@ def test_prefix_text_is_the_row_rendering():
 def test_prime_slice_text_is_the_row_rendering():
     qs = range(6, 6007, 6)
     got = batch._prime_slice(qs)
-    rows = [SolutionRow(q, *prime_witness_search(q)) for q in qs if is_prime(4 * q + 1)]
+    rows = [Row(q, *prime_witness_search(q)) for q in qs if is_prime(4 * q + 1)]
     assert got.text == "".join(rows_text(rows))
     assert (got.unsolved, got.counts) == ([], [0, len(rows), 0, 0])
 
 
-def test_scans_build_no_solution_rows(tmp_path, monkeypatch):
-    monkeypatch.setattr(SolutionRow, "__post_init__", _forbidden)
+def test_fresh_scans_read_nothing_back(tmp_path, monkeypatch):
+    monkeypatch.setattr(batch, "read_results", _forbidden)
+    monkeypatch.setattr(batch, "read_results_q", _forbidden)
     run_coverage(_cfg(tmp_path / "cover", q_max=2400, batch_size=1000))
     run_coverage(_prime_cfg(tmp_path / "primes", q_max=600, batch_size=300))
 
@@ -275,30 +276,30 @@ def test_resume_needs_a_record_for_each_skipped_batch(tmp_path):
     del manifest["batches"]["2"]
     path.write_text(json.dumps(manifest))
     with pytest.raises(ResumeError, match="corrupt checkpoint manifest"):
-        checkpoint_resume(cfg)
-    manifest["completed"] = [1, 3]
-    path.write_text(json.dumps(manifest))
-    with pytest.raises(ResumeError, match=r"records no files for batches \[2\]"):
-        run_coverage(replace(cfg, skip_batches=frozenset({2})))
+        run_coverage(cfg, resume=True)
 
 
 def test_checkpoint_resume_errors(tmp_path):
-    cfg = _cfg(tmp_path)
+    cfg = _cfg(tmp_path / "out")
     with pytest.raises(ResumeError):
-        checkpoint_resume(cfg)  # no manifest yet
+        run_coverage(cfg, resume=True)  # no manifest yet
+    assert not (tmp_path / "out").exists()  # and nothing made
     run_coverage(cfg)
     with pytest.raises(ResumeError):
-        checkpoint_resume(_cfg(tmp_path, q_max=301))  # different scan
-    (tmp_path / "checkpoint.json").write_text("{not json")
+        run_coverage(_cfg(tmp_path / "out", q_max=301), resume=True)  # different scan
+    (tmp_path / "out" / "checkpoint.json").write_text("{not json")
     with pytest.raises(ResumeError):
-        checkpoint_resume(cfg)
+        run_coverage(cfg, resume=True)
 
 
 def test_explicit_completed_batches(tmp_path):
     cfg = _cfg(tmp_path)
     run_coverage(cfg)
-    reports = run_coverage(replace(cfg, skip_batches=frozenset({2})))
+    manifest = (tmp_path / "checkpoint.json").read_bytes()
+    _forget_batches(tmp_path, 1, 3)  # only batch 2 is recorded complete
+    reports = run_coverage(cfg, resume=True)
     assert [r.resumed for r in reports] == [False, True, False]
+    assert (tmp_path / "checkpoint.json").read_bytes() == manifest
 
 
 def test_fresh_run_records_only_the_batches_it_wrote(tmp_path):
@@ -342,7 +343,7 @@ def test_run_prime_coverage_small(tmp_path):
         if is_prime(4 * q + 1):
             expected.append((q, prime_witness_search(q)))
     rows = read_results(tmp_path / "Results" / "all_solutions.csv")
-    assert [(r.q, (r.x, r.y, r.z)) for r in rows] == expected
+    assert rows == [Witness(q, PolyId.P2, t) for q, t in expected]
     assert sum(r.solved_count for r in reports) == len(expected)
     assert read_results_q(tmp_path / "Results" / "all_unsolved.csv") == []
     assert (tmp_path / "Results" / "results_batch001.csv").exists()
@@ -353,7 +354,7 @@ def test_run_prime_coverage_resume(tmp_path):
     cfg = _prime_cfg(tmp_path, q_max=600, batch_size=300)
     first = run_coverage(cfg)
     agg = (tmp_path / "Results" / "all_solutions.csv").read_bytes()
-    second = run_coverage(checkpoint_resume(cfg))
+    second = run_coverage(cfg, resume=True)
     assert all(r.resumed for r in second)
     assert [r.solved_count for r in second] == [r.solved_count for r in first]
     assert [r.tallies for r in second] == [r.tallies for r in first]
@@ -364,7 +365,7 @@ def test_full_prime_resume_starts_no_pool(tmp_path, monkeypatch):
     cfg = _prime_cfg(tmp_path, q_max=600, batch_size=300, worker_count=2)
     first = run_coverage(cfg)
     monkeypatch.setattr(batch, "Pool", _forbidden)
-    second = run_coverage(checkpoint_resume(cfg))
+    second = run_coverage(cfg, resume=True)
     assert all(r.resumed for r in second)
     assert [r.tallies for r in second] == [r.tallies for r in first]
 

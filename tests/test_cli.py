@@ -5,9 +5,9 @@ import pytest
 
 from erdos_straus.cli import build_parser, main
 from erdos_straus.numutil import MR_LIMIT
-from erdos_straus.reports import SolutionRow, write_results_batch
+from erdos_straus.reports import write_results_batch
 
-from .oracles import rows_text
+from .oracles import Row, rows_text
 
 
 def run(capsys, *argv):
@@ -178,7 +178,7 @@ def test_prime_resume_rejects_a_truncated_batch_file(capsys, tmp_path):
 def test_prime_resume_rejects_a_coverage_file(capsys, tmp_path):
     argv = ["primes", "--q-max", "60", "--workers", "1", "--out-dir", str(tmp_path)]
     assert run(capsys, *argv)[0] == 0
-    rows = [SolutionRow(1, 1, 1, 1, "p2"), SolutionRow(2, 1, 1, 1, "p1")]
+    rows = [Row(1, 1, 1, 1, "p2"), Row(2, 1, 1, 1, "p1")]
     write_results_batch(rows_text(rows), 1, "coverage", tmp_path / "Results")
     (tmp_path / "Results" / "results_batch1.csv").replace(tmp_path / "Results" / "results_batch001.csv")
     solutions = (tmp_path / "Results" / "all_solutions.csv").read_bytes()
@@ -282,7 +282,7 @@ def test_witness(capsys):
 
 
 def test_verify_csv_good(capsys, tmp_path):
-    rows = [SolutionRow(2, 1, 1, 1, "p1"), SolutionRow(6, 2, 1, None, "p3")]
+    rows = [Row(2, 1, 1, 1, "p1"), Row(6, 2, 1, None, "p3")]
     path = write_results_batch(rows_text(rows), 1, "coverage", tmp_path)
     code, out, _ = run(capsys, "verify-csv", str(path))
     assert code == 0
@@ -290,26 +290,26 @@ def test_verify_csv_good(capsys, tmp_path):
 
 
 def test_verify_csv_detects_bad_row(capsys, tmp_path):
-    rows = [SolutionRow(2, 1, 1, 1, "p2")]  # p2(1,1,1) = 1, not 2
+    rows = [Row(2, 1, 1, 1, "p2")]  # p2(1,1,1) = 1, not 2
     path = write_results_batch(rows_text(rows), 1, "coverage", tmp_path)
     code, out, _ = run(capsys, "verify-csv", str(path))
     assert code == 1
-    assert ":2:" in out
+    assert out == f"{path}:2: invalid row 2,1,1,1,p2\n"
 
 
 def test_verify_csv_prime_schema(capsys, tmp_path):
     # 4*18+1 = 73 is prime and (2,1,4) satisfies the second-family identity
-    path = write_results_batch(rows_text([SolutionRow(18, 2, 1, 4)]), 1, "prime", tmp_path)
+    path = write_results_batch(rows_text([Row(18, 2, 1, 4)]), 1, "prime", tmp_path)
     code, out, _ = run(capsys, "verify-csv", str(path))
     assert code == 0
     # same shape but a composite target must be rejected
-    bad = write_results_batch(rows_text([SolutionRow(36, 2, 3, 2)]), 2, "prime", tmp_path)
+    bad = write_results_batch(rows_text([Row(36, 2, 3, 2)]), 2, "prime", tmp_path)
     code, out, _ = run(capsys, "verify-csv", str(bad))
     assert code == 1
     # P2(1, 1, z) = 2z - 1 = q with 4q+1 = MR_LIMIT, a strong pseudoprime to
     # every base: beyond the proven bound, so the row is not verified
     q = (MR_LIMIT - 1) // 4
-    far = write_results_batch(rows_text([SolutionRow(q, 1, 1, (q + 1) // 2)]), 3, "prime", tmp_path)
+    far = write_results_batch(rows_text([Row(q, 1, 1, (q + 1) // 2)]), 3, "prime", tmp_path)
     code, out, _ = run(capsys, "verify-csv", str(far))
     assert code == 1 and ":2:" in out
 
@@ -318,6 +318,12 @@ def test_verify_csv_prime_schema(capsys, tmp_path):
     "q,x,y,z,pi\n2,0,1,1,p1\n",  # x = 0
     "q,x,y,z\n18,2,,4\n",  # prime row without y
     "q,x,y,z,pi\n2,1,1,,p1\n",  # p1 row without z
+    # rows no scan writes, though int() takes each cell
+    "q,x,y,z,pi\n0_2,1,1,1,p1\n",
+    "q,x,y,z,pi\n+2,1,1,1,p1\n",
+    "q,x,y,z,pi\n 2,1,1,1,p1\n",
+    "q,x,y,z,pi\n02,1,1,1,p1\n",
+    "q,x,y,z,pi\n2,1,1,1,1\n",  # a label without its p
 ])
 def test_verify_csv_rejects_malformed_rows(capsys, tmp_path, text):
     path = tmp_path / "bad.csv"
@@ -325,6 +331,14 @@ def test_verify_csv_rejects_malformed_rows(capsys, tmp_path, text):
     code, _, err = run(capsys, "verify-csv", str(path))
     assert code == 65
     assert f"{path}:2:" in err
+
+
+def test_verify_csv_rejects_a_non_ascii_file(capsys, tmp_path):
+    path = tmp_path / "bad.csv"
+    path.write_bytes(b"q,x,y,z,pi\n2,1,1,1,p\xb91\n")
+    code, _, err = run(capsys, "verify-csv", str(path))
+    assert code == 65
+    assert f"{path}:2: " in err
 
 
 def test_verify_csv_malformed_file(capsys, tmp_path):
@@ -340,7 +354,7 @@ def test_verify_csv_missing_file(capsys, tmp_path):
 
 
 def test_split(capsys, tmp_path):
-    rows = [SolutionRow(2, 1, 1, 1, "p1"), SolutionRow(6, 1, 1, None, "p3")]
+    rows = [Row(2, 1, 1, 1, "p1"), Row(6, 1, 1, None, "p3")]
     path = write_results_batch(rows_text(rows), 1, "coverage", tmp_path)
     code, out, _ = run(capsys, "split", str(path), "--out-dir", str(tmp_path))
     assert code == 0
@@ -350,7 +364,7 @@ def test_split(capsys, tmp_path):
 
 
 def test_split_rejects_prime_schema(capsys, tmp_path):
-    path = write_results_batch(rows_text([SolutionRow(36, 2, 3, 2)]), 1, "prime", tmp_path)
+    path = write_results_batch(rows_text([Row(36, 2, 3, 2)]), 1, "prime", tmp_path)
     code, _, err = run(capsys, "split", str(path), "--out-dir", str(tmp_path))
     assert code == 65
 

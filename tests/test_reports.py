@@ -2,16 +2,16 @@ import pytest
 from hypothesis import given, strategies as st
 
 from erdos_straus.families import PolyId, WitnessTriple
+from erdos_straus.numutil import is_prime
 from erdos_straus.reports import (
     COVERAGE_HEADER,
     PRIME_HEADER,
     ReportFormatError,
-    SolutionRow,
     coverage_line,
+    prime_line,
     read_results,
     read_results_q,
     results_batch_path,
-    row_to_witness,
     split_by_family,
     unsolved_path,
     write_results_aggregate,
@@ -19,44 +19,56 @@ from erdos_straus.reports import (
     write_results_batch,
     write_unsolved,
 )
-from erdos_straus.search import Witness, staged_search
+from erdos_straus.search import Witness, prime_witness_search, staged_search
 
-from .oracles import rows_text, witness_to_row
+from .oracles import Row, rows_text, witness_to_row
 
 
-def test_row_validation():
-    SolutionRow(6, 1, 1, None, "p3")
-    SolutionRow(72, 9, None, None, "p4")
-    with pytest.raises(ValueError):
-        SolutionRow(6, 1, 1, 1, "p3")  # p3 must leave z empty
-    with pytest.raises(ValueError):
-        SolutionRow(72, 9, 1, None, "p4")  # p4 must leave y and z empty
-    with pytest.raises(ValueError):
-        SolutionRow(1, 1, 1, 1, "p9")
+def _coverage_file(tmp_path, lines):
+    path = tmp_path / "rows.csv"
+    path.write_text(COVERAGE_HEADER + "\n" + "".join(lines))
+    return path
+
+
+def test_row_validation(tmp_path):
+    good = ["6,1,1,,p3\n", "72,9,,,p4\n"]
+    assert read_results(_coverage_file(tmp_path, good)) == [
+        Witness(6, PolyId.P3, WitnessTriple(1, 1, 1)),
+        Witness(72, PolyId.P4, WitnessTriple(9, 1, 1)),
+    ]
+    for bad in ("6,1,1,1,p3\n",  # p3 must leave z empty
+                "72,9,1,,p4\n",  # p4 must leave y and z empty
+                "6,1,,,p3\n",  # p3 uses y
+                "1,1,1,1,p9\n", "1,1,1,1,P2\n", "1,1,1,1,\n",
+                # written as the scan writes them, but not >= 1
+                "0,1,,,p4\n", "-2,1,1,1,p1\n", "2,1,-1,1,p1\n", "2,1,1,0,p1\n"):
+        with pytest.raises(ReportFormatError, match=":3: "):
+            read_results(_coverage_file(tmp_path, good[:1] + [bad]))
 
 
 def test_witness_row_rendering():
     cases = [
-        (Witness(2, PolyId.P1, WitnessTriple(1, 1, 1)), SolutionRow(2, 1, 1, 1, "p1")),
-        (Witness(9, PolyId.P2, WitnessTriple(1, 1, 5)), SolutionRow(9, 1, 1, 5, "p2")),
-        (Witness(6, PolyId.P3, WitnessTriple(1, 1, 1)), SolutionRow(6, 1, 1, None, "p3")),
-        (Witness(72, PolyId.P4, WitnessTriple(9, 1, 1)), SolutionRow(72, 9, None, None, "p4")),
+        (Witness(2, PolyId.P1, WitnessTriple(1, 1, 1)), Row(2, 1, 1, 1, "p1")),
+        (Witness(9, PolyId.P2, WitnessTriple(1, 1, 5)), Row(9, 1, 1, 5, "p2")),
+        (Witness(6, PolyId.P3, WitnessTriple(1, 1, 1)), Row(6, 1, 1, None, "p3")),
+        (Witness(72, PolyId.P4, WitnessTriple(9, 1, 1)), Row(72, 9, None, None, "p4")),
     ]
     for w, row in cases:
         assert witness_to_row(w) == row
         assert coverage_line(w) == rows_text([row])[0]
 
 
-def test_row_witness_round_trip_small():
-    for q in range(1, 500):
-        w = staged_search(q)
-        back = row_to_witness(witness_to_row(w))
-        assert back == w, q
-
-
-def test_row_to_witness_rejects_prime_rows():
-    with pytest.raises(ValueError):
-        row_to_witness(SolutionRow(36, 2, 3, 2))
+def test_row_witness_round_trip_small(tmp_path):
+    # every row a scan writes reads back as the witness it was written from
+    witnesses = [staged_search(q) for q in range(1, 2 * 10**4 + 1)]
+    assert {w.poly for w in witnesses} == set(PolyId)
+    path = write_results_batch(map(coverage_line, witnesses), 1, "coverage", tmp_path)
+    assert read_results(path) == witnesses
+    # a prime row is the second-family witness of its q
+    targets = [q for q in range(6, 2 * 10**4 + 1, 6) if is_prime(4 * q + 1)]
+    triples = [prime_witness_search(q) for q in targets]
+    path = write_results_batch(map(prime_line, targets, triples), 1, "prime", tmp_path)
+    assert read_results(path) == [Witness(q, PolyId.P2, t) for q, t in zip(targets, triples)]
 
 
 def test_paths():
@@ -77,16 +89,16 @@ def _coverage_rows():
 
 def test_coverage_file_bytes(tmp_path):
     rows = [
-        SolutionRow(1, 1, 1, 1, "p2"),
-        SolutionRow(6, 1, 1, None, "p3"),
-        SolutionRow(72, 9, None, None, "p4"),
+        Row(1, 1, 1, 1, "p2"),
+        Row(6, 1, 1, None, "p3"),
+        Row(72, 9, None, None, "p4"),
     ]
     path = write_results_batch(rows_text(rows), 1, "coverage", tmp_path)
     assert path.read_bytes() == b"q,x,y,z,pi\n1,1,1,1,p2\n6,1,1,,p3\n72,9,,,p4\n"
 
 
 def test_prime_file_bytes(tmp_path):
-    rows = [SolutionRow(36, 2, 3, 2), SolutionRow(90, 1, 31, 3)]
+    rows = [Row(36, 2, 3, 2), Row(90, 1, 31, 3)]
     path = write_results_batch(rows_text(rows), 7, "prime", tmp_path)
     assert path == tmp_path / "Results" / "results_batch007.csv"
     assert path.read_bytes() == b"q,x,y,z\n36,2,3,2\n90,1,31,3\n"
@@ -111,13 +123,32 @@ def test_unsolved_bytes_and_read_back(tmp_path):
 def test_read_results_q_names_the_bad_line(tmp_path):
     path = tmp_path / "unsolved.csv"
     path.write_text("q\n4\n9.5\n")
-    with pytest.raises(ReportFormatError, match=r":3: not an integer q: '9.5'"):
+    with pytest.raises(ReportFormatError, match=r":3: not a q >= 1 as a scan writes it: '9.5'"):
         read_results_q(path)
 
 
+@pytest.mark.parametrize("line", ["0_2", "+5", "-3", " 7", "7 ", "07", "0", ""])
+def test_read_results_q_takes_only_what_a_scan_writes(tmp_path, line):
+    path = tmp_path / "unsolved.csv"
+    path.write_text(f"q\n4\n{line}\n")
+    with pytest.raises(ReportFormatError, match=":3: "):
+        read_results_q(path)
+
+
+@pytest.mark.parametrize("read", [read_results, read_results_q])
+def test_readers_reject_a_non_ascii_file(tmp_path, read):
+    path = tmp_path / "rows.csv"
+    header = b"q\n" if read is read_results_q else COVERAGE_HEADER.encode() + b"\n"
+    # U+00B9 (superscript one) is a digit to str.isdigit, and 0xb9 its latin-1 byte
+    for row in (b"2,1,1,1,p\xb91\n", b"2,1,1,1,p\xc2\xb9\n", b"\xb9\n", b"\xc2\xb9\n"):
+        path.write_bytes(header + row)
+        with pytest.raises(ReportFormatError, match=":2: "):
+            read(path)
+
+
 def test_read_results_checks_the_schema_it_is_asked_for(tmp_path):
-    prime = write_results_batch(rows_text([SolutionRow(36, 2, 3, 2)]), 1, "prime", tmp_path)
-    assert read_results(prime, "prime") == [SolutionRow(36, 2, 3, 2)]
+    prime = write_results_batch(rows_text([Row(36, 2, 3, 2)]), 1, "prime", tmp_path)
+    assert read_results(prime, "prime") == [Witness(36, PolyId.P2, WitnessTriple(2, 3, 2))]
     with pytest.raises(ReportFormatError, match="need the coverage schema"):
         read_results(prime, "coverage")
     coverage = write_results_batch(rows_text([]), 1, "coverage", tmp_path)
@@ -143,24 +174,24 @@ def test_failed_write_keeps_the_previous_file(tmp_path):
 def test_read_results_round_trip(tmp_path):
     rows = _coverage_rows()
     path = write_results_batch(rows_text(rows), 1, "coverage", tmp_path)
-    assert read_results(path) == rows
+    assert read_results(path) == [staged_search(q) for q in range(1, 40)]
 
 
 def test_read_results_prime_round_trip(tmp_path):
-    rows = [SolutionRow(36, 2, 3, 2)]
-    path = write_results_batch(rows_text(rows), 1, "prime", tmp_path)
-    assert read_results(path) == rows
+    path = write_results_batch(rows_text([Row(36, 2, 3, 2)]), 1, "prime", tmp_path)
+    assert read_results(path) == [Witness(36, PolyId.P2, WitnessTriple(2, 3, 2))]
 
 
 @pytest.mark.parametrize("text,fragment", [
     ("", "empty"),
     ("q,x,y\n", "unrecognized header"),
-    ("q,x,y,z,pi\n1,2\n", "expected 5 fields"),
+    ("q,x,y,z,pi\n1,2\n", ":2: not a row a scan writes"),
     ("q,x,y,z,pi\n1,2,3,4,p9\n", "p9"),
-    ("q,x,y,z\n1,a,3,4\n", "invalid literal"),
-    ("q,x,y,z,pi\n2,0,1,1,p1\n", ":2: p1 rows must give every coordinate"),
-    ("q,x,y,z\n18,2,,4\n", ":2: prime rows must give every coordinate"),
-    ("q,x,y,z,pi\n2,1,1,,p1\n", ":2: p1 rows must give every coordinate"),
+    ("q,x,y,z\n1,a,3,4\n", ":2: not a row a scan writes"),
+    ("q,x,y,z,pi\n2,0,1,1,p1\n", "x, y, z >= 1: '2,0,1,1,p1'"),
+    ("q,x,y,z\n18,2,,4\n", ":2: not a row a scan writes"),
+    ("q,x,y,z\n18,2,1,0\n", "x, y, z >= 1: '18,2,1,0'"),
+    ("q,x,y,z,pi\n2,1,1,,p1\n", ":2: not a row a scan writes"),
 ])
 def test_read_results_errors(tmp_path, text, fragment):
     path = tmp_path / "bad.csv"
@@ -171,11 +202,11 @@ def test_read_results_errors(tmp_path, text, fragment):
 
 def test_split_by_family(tmp_path):
     rows = [
-        SolutionRow(1, 1, 1, 1, "p2"),
-        SolutionRow(2, 1, 1, 1, "p1"),
-        SolutionRow(6, 1, 1, None, "p3"),
-        SolutionRow(8, 3, 1, 1, "p1"),
-        SolutionRow(72, 9, None, None, "p4"),
+        Row(1, 1, 1, 1, "p2"),
+        Row(2, 1, 1, 1, "p1"),
+        Row(6, 1, 1, None, "p3"),
+        Row(8, 3, 1, 1, "p1"),
+        Row(72, 9, None, None, "p4"),
     ]
     src = write_results_batch(rows_text(rows), 1, "coverage", tmp_path)
     paths = split_by_family(src, tmp_path)
@@ -192,7 +223,7 @@ def test_split_by_family(tmp_path):
 
 
 def test_split_rejects_prime_schema(tmp_path):
-    src = write_results_batch(rows_text([SolutionRow(36, 2, 3, 2)]), 1, "prime", tmp_path)
+    src = write_results_batch(rows_text([Row(36, 2, 3, 2)]), 1, "prime", tmp_path)
     with pytest.raises(ReportFormatError):
         split_by_family(src, tmp_path)
 

@@ -492,6 +492,21 @@ def test_wrong_witness_raises_under_python_O():
 
         if not sys.flags.optimize:
             sys.exit("not running under -O")
+        import tempfile
+        from pathlib import Path
+        from erdos_straus import cli, reports
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "rows.csv"
+            path.write_text("q,x,y,z,pi\\n02,1,1,1,p1\\n")
+            try:
+                reports.read_results(path)
+            except reports.ReportFormatError:
+                pass
+            else:
+                sys.exit("row no scan writes accepted")
+            path.write_text("q,x,y,z,pi\\n2,1,1,1,p2\\n")  # p2(1, 1, 1) = 1
+            if cli.main(["verify-csv", str(path)]) != 1:
+                sys.exit("verify-csv accepted a wrong witness")
         try:
             _checked_witness(5, PolyId.P1, WitnessTriple(1, 1, 1))
         except AssertionError:
