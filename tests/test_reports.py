@@ -71,6 +71,15 @@ def test_row_witness_round_trip_small(tmp_path):
     assert read_results(path) == [Witness(q, PolyId.P2, t) for q, t in zip(targets, triples)]
 
 
+def test_row_to_witness_rejects_prime_rows(tmp_path):
+    # a prime row carries no family label, so it never reads as a coverage witness
+    with pytest.raises(ReportFormatError, match=":2: not a row a scan writes"):
+        read_results(_coverage_file(tmp_path, ["36,2,3,2\n"]))
+    prime = write_results_batch(rows_text([Row(36, 2, 3, 2)]), 1, "prime", tmp_path)
+    with pytest.raises(ReportFormatError, match="need the coverage schema"):
+        read_results(prime, "coverage")
+
+
 def test_paths():
     from pathlib import Path
 
