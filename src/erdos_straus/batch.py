@@ -245,9 +245,9 @@ def _write_manifest(cfg: BatchConfig, records: dict[int, str]) -> None:
     write_lines(cfg.output_dir / MANIFEST_NAME, [f'{head[:-1]},\n"batches": {{\n{body}\n}}}}'])
 
 
-def _read_manifest(cfg: BatchConfig) -> dict[int, dict]:
+def _read_manifest(cfg: BatchConfig, batch_count: int) -> dict[int, dict]:
     """The file records of the batches the manifest in output_dir lists as
-    complete, after checking that the manifest belongs to this scan."""
+    complete, after checking that it belongs to this scan of batch_count batches."""
     path = cfg.output_dir / MANIFEST_NAME
     if not path.exists():
         raise ResumeError(f"no checkpoint manifest at {path}")
@@ -259,6 +259,9 @@ def _read_manifest(cfg: BatchConfig) -> dict[int, dict]:
         raise ResumeError(f"corrupt checkpoint manifest {path}: {exc}") from exc
     if params != _manifest_params(cfg):
         raise ResumeError(f"checkpoint {path} was written by a different scan: {params}")
+    stray = sorted(b for b in records if not 1 <= b <= batch_count)
+    if stray:
+        raise ResumeError(f"checkpoint {path} records batches {stray}; this scan has batches 1 to {batch_count}")
     return records
 
 
@@ -318,16 +321,6 @@ _MODES = {
 }
 
 
-def _files_record(results: Path, rows: int, unsolved: Path, n_unsolved: int) -> dict:
-    """What the manifest records of a completed batch's two files."""
-    return {
-        "rows": rows,
-        "sha256": file_sha256(results),
-        "unsolved": n_unsolved,
-        "unsolved_sha256": file_sha256(unsolved),
-    }
-
-
 def _reload(cfg: BatchConfig, index: int, qs: range, record: dict) -> tuple[list[Witness], list[int]]:
     """A completed batch's rows and unsolved q, checked against its range and
     against the row counts and sha256 digests its manifest record holds."""
@@ -372,9 +365,9 @@ def run_coverage(
     them runs; a scan inside the prefix needs no pool.
     """
     mode, label = _MODES[cfg.mode], cfg.mode.value
-    recorded = _read_manifest(cfg) if resume else {}
-    _prepare_output(cfg)
     batches = mode.batches(cfg)
+    recorded = _read_manifest(cfg, len(batches)) if resume else {}
+    _prepare_output(cfg)
     to_run = [qs for index, qs in enumerate(batches, start=1) if index not in recorded]
     # the completed batches' file records, JSON-encoded for the manifest
     records = {b: json.dumps(record) for b, record in recorded.items()}
@@ -408,8 +401,12 @@ def run_coverage(
                 tallies = {p: sum(r.counts[p - 1] for r in pieces) for p in PolyId}
                 results = write_results_batch((r.text for r in pieces), index, label, cfg.output_dir)
                 unsolved_file = write_unsolved(unsolved, index, label, cfg.output_dir)
-                record = _files_record(results, sum(tallies.values()), unsolved_file, len(unsolved))
-                records[index] = json.dumps(record)
+                records[index] = json.dumps({
+                    "rows": sum(tallies.values()),
+                    "sha256": results.sha256,
+                    "unsolved": len(unsolved),
+                    "unsolved_sha256": unsolved_file.sha256,
+                })
                 _write_manifest(cfg, records)
             reports.append(
                 BatchReport(

@@ -33,6 +33,12 @@ class ReportFormatError(Exception):
     """A CSV file does not match either of the two row schemas."""
 
 
+class Written(type(Path())):  # the concrete class: Path takes subclasses only from Python 3.12
+    """The path of a file a writer wrote; `sha256` is the hex digest of the bytes written."""
+
+    sha256: str
+
+
 def coverage_line(w: Witness) -> str:
     """A witness's coverage row as newline-terminated CSV text."""
     q, poly, (x, y, z) = w
@@ -64,17 +70,16 @@ def unsolved_path(batch_index: Optional[int], mode: str, out_dir: Path) -> Path:
     return base / name
 
 
-def write_results_batch(text: Iterable[str], batch_index: int, mode: str, out_dir: Path) -> Path:
+def write_results_batch(text: Iterable[str], batch_index: int, mode: str, out_dir: Path) -> Written:
     """Write one batch's results file: the schema header, then `text`,
     blocks of newline-terminated rows already in q order."""
     if mode not in HEADERS:
         raise ValueError(f"unknown mode {mode!r}")
     path = results_batch_path(batch_index, mode, Path(out_dir))
-    write_text(path, chain([HEADERS[mode] + "\n"], text))
-    return path
+    return write_text(path, chain([HEADERS[mode] + "\n"], text))
 
 
-def write_results_aggregate(batch_paths: Iterable[Path], out_dir: Path) -> Path:
+def write_results_aggregate(batch_paths: Iterable[Path], out_dir: Path) -> Written:
     """Prime mode's all_solutions.csv under Results/: the rows of the prime
     batch files, in the order given, under one header."""
 
@@ -86,38 +91,46 @@ def write_results_aggregate(batch_paths: Iterable[Path], out_dir: Path) -> Path:
                 yield from iter(lambda: fh.read(1 << 20), "")
 
     path = Path(out_dir) / "Results" / "all_solutions.csv"
-    write_text(path, text())
-    return path
+    return write_text(path, text())
 
 
-def write_unsolved(qs: Sequence[int], batch_index: Optional[int], mode: str, out_dir: Path) -> Path:
+def write_unsolved(qs: Sequence[int], batch_index: Optional[int], mode: str, out_dir: Path) -> Written:
     """Single-column unsolved file; batch_index None means the aggregate."""
     if any(qs[i] >= qs[i + 1] for i in range(len(qs) - 1)):
         raise ValueError("unsolved q values must be sorted and deduplicated")
     path = unsolved_path(batch_index, mode, Path(out_dir))
-    write_lines(path, ["q"] + [str(q) for q in qs])
-    return path
+    return write_lines(path, ["q"] + [str(q) for q in qs])
 
 
-def write_lines(path: Path, lines: Iterable[str]) -> None:
-    """`write_text` with a newline after each line."""
-    write_text(path, (line + "\n" for line in lines))
+def write_lines(path: Path, lines: Iterable[str]) -> Written:
+    """`write_text` of the lines, newline-terminated, as one block: per line it costs 2x."""
+    return write_text(path, ["".join([line + "\n" for line in lines])])
 
 
-def write_text(path: Path, text: Iterable[str]) -> None:
-    """Write the text blocks to a temp file beside `path`, then rename it
-    over `path`: a crash leaves the old file or the new one."""
+def write_text(path: Path, text: Iterable[str]) -> Written:
+    """Write the text blocks, ASCII-encoded, to a temp file beside `path`,
+    hashing the bytes as they go, then rename it over `path`: a crash leaves
+    the old file or the new one, and a failed write removes the temp file."""
+    import hashlib  # loads OpenSSL (a few ms and MB), which only writers need
+
     path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_name(f".{path.name}.tmp")
+    digest = hashlib.sha256()
     try:
-        with open(tmp, "w", encoding="ascii", newline="") as fh:
+        with open(tmp, "wb") as fh:
             for block in text:
-                fh.write(block)
+                data = block.encode("ascii")
+                digest.update(data)
+                fh.write(data)
         os.replace(tmp, path)
-    except OSError as exc:
-        raise OSError(f"cannot write report file {path}: {exc}") from exc
-    finally:
+    except BaseException as exc:
         tmp.unlink(missing_ok=True)
+        if isinstance(exc, OSError):
+            raise OSError(f"cannot write report file {path}: {exc}") from exc
+        raise
+    written = Written(path)
+    written.sha256 = digest.hexdigest()
+    return written
 
 
 def file_sha256(path: Path) -> str:

@@ -279,6 +279,21 @@ def test_resume_needs_a_record_for_each_skipped_batch(tmp_path):
         run_coverage(cfg, resume=True)
 
 
+@pytest.mark.parametrize("stray", [0, 4, 7])
+def test_resume_rejects_a_batch_the_scan_has_not(tmp_path, stray):
+    cfg = _cfg(tmp_path / "out")
+    run_coverage(cfg)
+    path = tmp_path / "out" / "checkpoint.json"
+    manifest = json.loads(path.read_text())
+    manifest["completed"].append(stray)
+    manifest["batches"][str(stray)] = manifest["batches"]["2"]
+    path.write_text(json.dumps(manifest))
+    before = {p.name: p.read_bytes() for p in path.parent.iterdir()}
+    with pytest.raises(ResumeError, match=rf"records batches \[{stray}\]; this scan has batches 1 to 3"):
+        run_coverage(cfg, resume=True)
+    assert {p.name: p.read_bytes() for p in path.parent.iterdir()} == before
+
+
 def test_checkpoint_resume_errors(tmp_path):
     cfg = _cfg(tmp_path / "out")
     with pytest.raises(ResumeError):

@@ -150,6 +150,22 @@ def test_resume_rejects_an_edited_batch_file(capsys, tmp_path):
     assert "batch 2, q in [11, 20]: results_batch2.csv is not the file the checkpoint recorded" in err
 
 
+def test_resume_rejects_a_batch_index_the_scan_has_not(capsys, tmp_path):
+    # the scan has batches 1 to 3; batch 7 carries batch 2's record
+    def tamper(out):
+        manifest = json.loads((out / "checkpoint.json").read_text())
+        manifest["completed"] = [1, 7]
+        manifest["batches"] = {"1": manifest["batches"]["1"], "7": manifest["batches"]["2"]}
+        (out / "checkpoint.json").write_text(json.dumps(manifest))
+        tampered.append((out / "checkpoint.json").read_bytes())
+
+    tampered = []
+    code, _, err = _cover_then_tamper(capsys, tmp_path, tamper)
+    assert code == 65
+    assert "records batches [7]; this scan has batches 1 to 3" in err
+    assert (tmp_path / "checkpoint.json").read_bytes() == tampered[0]
+
+
 def test_resume_rejects_a_manifest_without_file_records(capsys, tmp_path):
     def tamper(out):
         manifest = json.loads((out / "checkpoint.json").read_text())

@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -163,6 +165,26 @@ def test_read_results_checks_the_schema_it_is_asked_for(tmp_path):
     coverage = write_results_batch(rows_text([]), 1, "coverage", tmp_path)
     with pytest.raises(ReportFormatError, match="need the prime schema"):
         read_results(coverage, "prime")
+
+
+def test_writers_return_the_digest_of_the_bytes_written(tmp_path):
+    rows = rows_text([Row(1, 1, 1, 1, "p2"), Row(72, 9, None, None, "p4")])
+    for written in (write_results_batch(rows, 1, "coverage", tmp_path),
+                    write_unsolved([4, 9], 1, "coverage", tmp_path),
+                    write_lines(tmp_path / "empty.csv", [])):
+        assert written.sha256 == hashlib.sha256(written.read_bytes()).hexdigest()
+    assert not list(tmp_path.glob(".*"))  # no temp file is left
+
+
+@pytest.mark.parametrize("error", [OSError("disk full"), ValueError("bad block")])
+def test_failed_write_removes_its_temp_file(tmp_path, error):
+    def text():
+        yield "q\n"
+        raise error
+
+    with pytest.raises(type(error), match=str(error)):
+        write_results_batch(text(), 1, "coverage", tmp_path)
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_failed_write_keeps_the_previous_file(tmp_path):

@@ -297,6 +297,92 @@ def test_least_divisor_with_two_large_primes(s, a, b, divisor_class, with_window
     assert search_module._least_divisor(n, *divisor_class, window=window) == expect
 
 
+_K = search_module._CLASS_SCAN
+
+
+def _counting_factorizations(monkeypatch, window):
+    """The n that _least_divisor factors from here on, module-wide or in `window`."""
+    calls = []
+    factorize_ = search_module.factorize
+    monkeypatch.setattr(search_module, "factorize", lambda n: calls.append(n) or factorize_(n))
+    if window is not None:
+        factorize_in_window = window.factorize
+        window.factorize = lambda n: calls.append(n) or factorize_in_window(n)
+    return calls
+
+
+def _with_least_class_divisor(d, m, r, cm, cr):
+    """An n = d*c, c >= 10^6, whose least divisor of the class is d."""
+    for c in range(10**6, 10**6 + 10**4):
+        if least_divisor_by_sorted_list(d * c, m, r, cm, cr) == d:
+            return d * c
+    raise AssertionError(f"no n found for d = {d}")
+
+
+# (class, i) with the member d = r + i*m the least class divisor of some n:
+# the last member the scan tries and the first it does not, wherever d has
+# no smaller member of its class as a divisor
+_SCAN_ENDS = [
+    (c, i) for c in _DIVISOR_CLASSES for i in (_K - 1, _K)
+    if least_divisor_by_sorted_list(c[1] + i * c[0], c[0], c[1]) == c[1] + i * c[0]
+]
+
+
+@pytest.mark.parametrize("divisor_class,members", _SCAN_ENDS)
+@pytest.mark.parametrize("with_window", [False, True])
+def test_least_divisor_at_the_end_of_the_class_scan(monkeypatch, divisor_class, members, with_window):
+    # only a least divisor past the scanned members needs n factored
+    m, r = divisor_class[:2]
+    d = r + members * m
+    n = _with_least_class_divisor(d, *divisor_class)
+    window = FactorWindow(n - 5, n + 5) if with_window else None
+    calls = _counting_factorizations(monkeypatch, window)
+    assert search_module._least_divisor(n, *divisor_class, window=window) == d
+    assert calls == ([n] if members == _K else [])
+
+
+@pytest.mark.parametrize("divisor_class", _DIVISOR_CLASSES)
+def test_least_divisor_below_the_end_of_the_class_scan(monkeypatch, divisor_class):
+    # n < r + _CLASS_SCAN*m: the scan stops at n, and a class divisor it
+    # finds, n itself included, needs no factorization
+    m, r = divisor_class[:2]
+    calls = _counting_factorizations(monkeypatch, None)
+    for n in range(1, r + _K * m):
+        expect = least_divisor_by_sorted_list(n, *divisor_class)
+        calls.clear()
+        assert search_module._least_divisor(n, *divisor_class) == expect, n
+        assert calls == ([] if expect is not None else [n]), n
+
+
+@pytest.mark.parametrize("with_window", [False, True])
+def test_least_divisor_skips_a_member_failing_the_cofactor_test(with_window):
+    # z stages: the cofactor test 4z | (a+z)/f + z+1 can reject a member f
+    # dividing n, and a later member pass
+    seen = 0
+    for m, r, cm, cr in _DIVISOR_CLASSES:
+        if cm == 1:
+            continue
+        for n in range(1, 3000):
+            first = next((d for d in range(r, n + 1, m) if n % d == 0), None)
+            expect = least_divisor_by_sorted_list(n, m, r, cm, cr)
+            if first is None or expect in (None, first):
+                continue
+            seen += 1
+            window = FactorWindow(1, 3000) if with_window else None
+            assert search_module._least_divisor(n, m, r, cm, cr, window=window) == expect, (n, cm)
+    assert seen > 100
+
+
+@given(st.one_of(st.integers(10**9 - 10**6, 10**9 + 10**6),
+                 st.integers(12 * 10**9 - 10**6, 12 * 10**9 + 10**6)),
+       st.sampled_from(_DIVISOR_CLASSES), st.booleans())
+@settings(max_examples=200, deadline=None)
+def test_least_divisor_near_the_headline_ranges(n, divisor_class, with_window):
+    window = FactorWindow(n - 64, n + 64) if with_window else None
+    expect = least_divisor_by_sorted_list(n, *divisor_class)
+    assert search_module._least_divisor(n, *divisor_class, window=window) == expect
+
+
 def _q1_with_least_prime_past_2_16():
     """A q = 6c near 1.2*10^10 whose q+1 has its least prime 2 mod 3 in
     (2^16, isqrt(q+1)]: 65537 * p, with p the least prime 2 mod 3 from
@@ -513,6 +599,17 @@ def test_wrong_witness_raises_under_python_O():
             pass
         else:
             sys.exit("wrong search witness accepted")
+        least_divisor = search._least_divisor
+        # the least divisor of any class would be its least member: 37 has no
+        # prime 2 mod 3, so q = 36 reaches the x = 2 stage of either search
+        search._least_divisor = lambda n, m, r, cm=1, cr=0, window=None: r
+        for fn in (search.prime_witness_search, search.sweep_from_x2):
+            try:
+                fn(36)
+            except AssertionError:
+                continue
+            sys.exit(f"{fn.__name__} accepted a wrong least divisor")
+        search._least_divisor = least_divisor
         search.solve_p2_given_x = lambda q, x, window=None: (1, 1)
         try:
             search.prime_witness_search(36)
