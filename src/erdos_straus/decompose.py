@@ -37,7 +37,6 @@ class Provenance(Enum):
     CASE_P2 = "CaseP2"
     CASE_P3 = "CaseP3"
     SQUARE_RECURSIVE = "SquareRecursive"
-    KZS_GENERAL = "KzsGeneral"
 
 
 @dataclass(frozen=True)
@@ -175,20 +174,14 @@ def decompose_square(x: int) -> DecompositionRecord:
         raise ValueError("x must be >= 2 (a = (2x-1)^2)")
     n = 2 * x - 1
     a = n * n
-    if n % 4 == 3:
-        base = decompose_4q3((n - 3) // 4)
-        depth = 1
-    else:
-        inner = decompose_any(n)
-        base = inner.triple
-        depth = inner.recursion_depth + 1
-    triple = UnitFractionTriple(n * base.b, n * base.c, n * base.d)
+    inner = decompose_any(n)
+    triple = UnitFractionTriple(*(n * d for d in inner.triple))
     return DecompositionRecord(
         a=a,
         triple=_checked(a, triple),
         provenance=Provenance.SQUARE_RECURSIVE,
         witness=(PolyId.P4, WitnessTriple(x, 1, 1)),
-        recursion_depth=depth,
+        recursion_depth=inner.recursion_depth + 1,
     )
 
 

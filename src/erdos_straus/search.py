@@ -15,8 +15,8 @@ global), so after the first wide dispatch the "cube" degrades to a probe
 over (y, z) at that single stale x, which is `small_cube_search` with x
 fixed.  The published tallies and CSVs include the handful of small-q
 classifications that quirk produces, so coverage scans emulate it; the
-effect is provably confined to q <= 35*(sqrt(q)+2), i.e. nothing beyond
-q ~ 1400 can ever be touched.
+effect in an ascending scan is provably confined to q <= 35*(sqrt(q)+2),
+i.e. nothing beyond q ~ 1400 can ever be touched.
 
 `prime_witness_search` is the prime program's staged second-family search,
 each stage a least-divisor lookup.  Every witness any of these searches
@@ -49,8 +49,8 @@ class Witness(NamedTuple):
 # The cube probe covers x, y, z in [1, CUBE_BOUND], as the original runs did.
 CUBE_BOUND = 3
 
-# Above this q no cube probe (proper or stale-x) can match: a cube value at
-# probe x0 is at most 35*x0, and x0 never exceeds sqrt(q) + 2.
+# Above this q no cube probe (proper or stale-x) can match in an ascending
+# scan: a cube value at probe x0 is at most 35*x0, and x0 <= sqrt(q) + 2.
 LEGACY_PROBE_LIMIT = 2048
 
 
@@ -76,7 +76,7 @@ def _cube_table(xs: Iterable[int]) -> dict[int, tuple[PolyId, WitnessTriple]]:
 _CUBE = _cube_table(range(1, CUBE_BOUND + 1))
 
 
-@lru_cache(maxsize=64)  # legacy scans probe at most a few dozen distinct x
+@lru_cache(maxsize=64)  # the legacy prefix scan probes a few dozen distinct x
 def _square_table(x: int) -> dict[int, tuple[PolyId, WitnessTriple]]:
     return _cube_table((x,))
 
@@ -135,13 +135,16 @@ def _least_divisor(n: int, m: int, r: int, cm: int = 1, cr: int = 0,
     """Smallest divisor d of n with d % m == r and (n // d) % cm == cr, 0 < r < m.
 
     The class's _CLASS_SCAN least members, up to n, are tried in ascending
-    order, so the first to divide n with a qualifying cofactor is the answer.
-    Past them every qualifying divisor is at least r + _CLASS_SCAN*m, so the
-    least multiplied out of n's factorization (`window`'s if given) is exact.
+    order, so the first to divide n with a qualifying cofactor is the answer;
+    if they reach n, there is none.  Else every qualifying divisor is at least
+    r + _CLASS_SCAN*m, so the least multiplied out of n's factorization
+    (`window`'s if given) is exact.
     """
     for d in range(r, min(n, r + (_CLASS_SCAN - 1) * m) + 1, m):
         if n % d == 0 and n // d % cm == cr:
             return d
+    if n < r + _CLASS_SCAN * m:
+        return None
     factors = factorize(n) if window is None else window.factorize(n)
     found = [d for d in divisors_of(factors) if d % m == r and (cm == 1 or n // d % cm == cr)]
     return min(found) if found else None
@@ -165,7 +168,7 @@ def check_p4(q: int) -> Optional[int]:
     """x with x(x-1) = q, if q is a product of consecutive integers."""
     if q < 1:
         raise ValueError("q must be >= 1")
-    x = (1 + isqrt(4 * q + 1)) // 2
+    x = x_sweep_bound(q)
     return x if x * (x - 1) == q else None
 
 
@@ -226,7 +229,7 @@ class X1Primes:
 
 def wide_search(q: int) -> Optional[Witness]:
     """Stages B and C only: the wide x sweep, then the x(x-1) check; the whole
-    classification of q > LEGACY_PROBE_LIMIT, which no cube probe can reach.
+    classification of q > LEGACY_PROBE_LIMIT in an ascending scan.
     `x1_row` settles x = 1 in closed form; `sweep_from_x2` is the sweep proper."""
     if q < 1:
         raise ValueError("q must be >= 1")
@@ -266,15 +269,11 @@ def legacy_coverage_scan(qs: Iterable[int]) -> Iterator[tuple[int, Optional[Witn
 
     The proper cube runs until the first wide dispatch; from then on the
     cube stage probes (y, z) at the stale x left by the last wide sweep.
-    Deterministic for a fixed sequence, independent of how callers batch
-    the results afterwards.
+    Every q, in any order, runs probe, sweep and stale update as the loop of
+    tests/oracles.legacy_scan_by_loop does, and yields what that loop yields.
     """
     stale: Optional[int] = None
     for q in qs:
-        if q > LEGACY_PROBE_LIMIT:
-            # No probe can reach here; state no longer matters.
-            yield q, wide_search(q)
-            continue
         hit = small_cube_search(q, stale)
         if hit is None:
             hit = wide_search(q)

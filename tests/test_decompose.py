@@ -163,6 +163,27 @@ def test_decompose_square_recursive_branch():
     assert rational_identity_holds(289, rec.triple)
 
 
+@pytest.mark.parametrize("x,triple", [
+    (2, (18, 18, 3)),
+    (3, (10, 100, 20)),
+    (4, (147, 294, 14)),
+    (5, (108, 27, 324)),
+    (6, (484, 1452, 33)),
+    (7, (52, 1690, 260)),
+    (8, (1125, 4500, 60)),
+    (9, (85, 8670, 510)),
+])
+def test_decompose_square_small_bases(x, triple):
+    # bases 3..17, both residues mod 4: a base 3 mod 4 takes decompose_any's
+    # closed form at depth 0, a base 1 mod 4 its family case
+    rec = decompose_square(x)
+    assert rec.a == (2 * x - 1) ** 2
+    assert rec.triple == UnitFractionTriple(*triple)
+    assert rec.provenance is Provenance.SQUARE_RECURSIVE
+    assert rec.witness == (PolyId.P4, WitnessTriple(x, 1, 1))
+    assert rec.recursion_depth == 1
+
+
 def test_decompose_square_rejects_x1():
     with pytest.raises(ValueError):
         decompose_square(1)
