@@ -22,7 +22,7 @@ from pathlib import Path
 from typing import TYPE_CHECKING, Callable, Iterable, NamedTuple, Optional, Sequence
 
 from .families import PolyId
-from .numutil import MR_LIMIT, FactorWindow, primes_in, window_prime_count
+from .numutil import MR_LIMIT, FactorWindow, prime_targets, window_prime_count
 from .reports import (
     FAMILY_LABELS,
     coverage_line,
@@ -40,7 +40,6 @@ from .reports import (
 from .search import (
     LEGACY_PROBE_LIMIT,
     Witness,
-    X1Primes,
     legacy_coverage_scan,
     prime_witness_search,
     sweep_from_x2,
@@ -201,12 +200,10 @@ def _wide_slice(qs: range) -> SliceResult:
 
 def _prime_slice(qs: range) -> SliceResult:
     """prime_witness_search on each q of a slice with 4q+1 prime; one sieve
-    of the progression 4q+1 finds those q, and one of q+1 settles x = 1."""
+    pass, `prime_targets`, finds those q and the prime that settles x = 1."""
     lines, unsolved = [], []
-    x1 = X1Primes(qs)
-    for a in primes_in(range(4 * qs.start + 1, 4 * qs[-1] + 2, 4 * qs.step)):
-        q = a // 4
-        t = prime_witness_search(q, x1)
+    for q, p in prime_targets(qs):
+        t = prime_witness_search(q, p)
         if t is None:
             unsolved.append(q)
         else:
@@ -378,10 +375,16 @@ def run_coverage(
         small = range(cfg.q_start, min(cfg.q_max, LEGACY_PROBE_LIMIT) + 1, cfg.step)
         prefix = dict(legacy_coverage_scan(small))
 
-    # the prefix is a leading run of q, so a batch ending in it has no slices
-    sliced = any(qs[-1] not in prefix for qs in to_run)
-    pool = Pool(cfg.worker_count) if cfg.worker_count > 1 and sliced else None
-    parts = 1 if pool is None else POOL_PARTS
+    parts = 1 if cfg.worker_count == 1 else POOL_PARTS
+    # per batch to run: how many prefix values, all <= LEGACY_PROBE_LIMIT, lead
+    # it, and the slices of the rest; no more workers start than a batch has slices
+    work = {}
+    for index, qs in enumerate(batches, start=1):
+        if index not in recorded:
+            lead = sum(1 for _ in takewhile(prefix.__contains__, qs))
+            work[index] = lead, _slices(qs[lead:], parts)
+    processes = min(cfg.worker_count, max((len(slices) for _, slices in work.values()), default=0))
+    pool = Pool(processes) if processes > 1 else None
     reports = []
     try:
         for index, qs in enumerate(batches, start=1):
@@ -393,10 +396,9 @@ def run_coverage(
             else:
                 if cancel is not None and cancel():
                     raise ScanCancelled(f"cancelled before batch {index} completed")
-                # prefix values, all <= LEGACY_PROBE_LIMIT, lead the batch
-                lead = [(q, prefix[q]) for q in takewhile(prefix.__contains__, qs)]
-                pieces = [_coverage_result(lead)] if lead else []
-                pieces += _map(pool, mode.solve, _slices(qs[len(lead) :], parts))
+                lead, slices = work.pop(index)
+                pieces = [_coverage_result((q, prefix[q]) for q in qs[:lead])] if lead else []
+                pieces += _map(pool, mode.solve, slices)
                 unsolved = [q for r in pieces for q in r.unsolved]
                 tallies = {p: sum(r.counts[p - 1] for r in pieces) for p in PolyId}
                 results = write_results_batch((r.text for r in pieces), index, label, cfg.output_dir)

@@ -141,6 +141,11 @@ def _cmd_cover(args) -> int:
 
 def _cmd_primes(args) -> int:
     q_start = max(args.q_start + (-args.q_start) % 6, 6)  # align upward to 6c
+    if args.q_start < q_start and q_start > args.q_max:
+        raise UsageError(
+            f"--q-start {args.q_start} rounds up to the multiple of 6, q = {q_start}, "
+            f"which is above --q-max {args.q_max}"
+        )
     cfg = _scan_config(args, ScanMode.PRIME_COVERAGE, q_start, 6)
     print(f"Batch size = {cfg.batch_size}")
     reports = run_coverage(cfg, cancel=_install_cancel(), resume=args.resume)

@@ -10,10 +10,9 @@ cofactor above 2^32, and every divisor list is built from a factorization;
 `least_prime_factor` stops at the first small prime of a residue class.
 `FactorWindow` sieves those small primes over a contiguous range once, so a
 scan asking about many neighbouring n factors each without trial division;
-`primes_in` sieves them over an arithmetic progression, so a scan finds its
-prime targets without a primality test per value, and `least_small_primes`
-sieves one residue class of them over a progression, so a scan finds each
-value's least small prime of that class without factoring it.
+`prime_targets` sieves them once over the q = 6c of a prime scan, so it finds
+the q with 4q+1 prime without a primality test per value, and the least
+prime 2 mod 3 dividing each q+1 without factoring it.
 """
 
 from __future__ import annotations
@@ -22,7 +21,7 @@ from array import array
 from bisect import bisect_left, bisect_right
 from itertools import compress
 from math import gcd, isqrt, prod
-from typing import Iterable, Iterator, Optional
+from typing import Iterator, Optional
 
 # MR_LIMIT is the least strong pseudoprime to all of these bases, so they are
 # proven complete below it.  Without 41 the bound would be the least strong
@@ -228,65 +227,48 @@ def divisors_of(factors: dict[int, int]) -> list[int]:
     return divs
 
 
-def _check_progression(values: range) -> None:
-    if values.start < 1 or values.step < 1:
-        raise ValueError("need an ascending range of positive integers")
+def prime_targets(qs: range) -> list[tuple[int, Optional[int]]]:
+    """(q, p) for each q of `qs`, multiples of 6 with step 6, whose 4q+1 is
+    prime, in q order: p is the least prime p % 3 == 2 dividing q+1, or None.
 
-
-def _multiples_in(values: range, primes: Iterable[int]) -> Iterator[tuple[int, int, int]]:
-    """(p, first, stride) for each p of `primes` dividing some value of the
-    progression `values`: its multiples there are values[first::stride]."""
-    start, step = values.start, values.step
-    for p in primes:
-        if step % p:
-            yield p, -start * pow(step, -1, p) % p, p
-        elif start % p == 0:
-            yield p, 0, 1  # every value is a multiple of p
-
-
-def least_small_primes(values: range, m: int, r: int) -> array:
-    """For each value of `values`, an ascending range of positive integers,
-    the least prime p % m == r dividing it among the primes below 2^16 and
-    at most isqrt(values[-1]); 0 where none of those divides it.
-
-    One sieve: those primes, largest first, are written over their
-    multiples in the progression, so each value keeps the last written.
+    q = 6c makes q+1 odd and 1 mod 3, so the primes p % 3 == 2 dividing q+1,
+    counted with multiplicity, are even in number, and the least of them is
+    at most isqrt(q+1).  One walk over the primes 5 <= p <= isqrt(4 q_last + 1)
+    below 2^16, largest first, takes both offsets from one inverse of 24 mod
+    p: p strikes the q whose 4q+1 it divides, except where 4q+1 = p, and a
+    p % 3 == 2 up to isqrt(q_last + 1) is written over the q whose q+1 it
+    divides, so each q keeps the least.  A 4q+1 up to SIEVE_MAX survives
+    exactly when it is prime, and an empty entry for a q+1 up to SIEVE_MAX
+    means q+1 has no such p; above it a survivor is confirmed with is_prime
+    and an empty entry is looked up with least_prime_factor.
     """
-    _check_progression(values)
-    size = len(values)
-    least = array("H", bytes(2 * size))
-    if not values:
-        return least
-    primes = [p for p in _PRIMES[: window_prime_count(values[-1])] if p % m == r]
-    for p, first, stride in _multiples_in(values, reversed(primes)):
-        if stride < size:
-            least[first::stride] = array("H", [p]) * len(range(first, size, stride))
-        elif first < size:  # a prime at least as long as the range hits it at most once
-            least[first] = p
-    return least
-
-
-def primes_in(values: range) -> list[int]:
-    """The primes among `values`, an ascending range of positive integers.
-
-    One sieve: each prime p <= isqrt(values[-1]) below 2^16 strikes its
-    multiples in the progression, except p itself.  Up to SIEVE_MAX the
-    survivors above 1 are exactly the primes; above it they are confirmed
-    with is_prime.
-    """
-    _check_progression(values)
-    if not values:
+    if qs.start < 6 or qs.start % 6 or qs.step != 6:
+        raise ValueError("need a range of positive multiples of 6 with step 6")
+    size = len(qs)
+    if not size:
         return []
-    size = len(values)
     keep = bytearray([1]) * size
-    for p, first, stride in _multiples_in(values, _PRIMES[: window_prime_count(values[-1])]):
-        if values.start + first * values.step == p:
-            first += stride
-        keep[first::stride] = bytes(len(range(first, size, stride)))
-    survivors = [v for v in compress(values, keep) if v > 1]
-    if values[-1] <= SIEVE_MAX:
-        return survivors
-    return [v for v in survivors if is_prime(v)]
+    least = array("H", bytes(2 * size))
+    a0, n0, reach = 4 * qs.start + 1, qs.start + 1, isqrt(qs[-1] + 1)
+    for p in reversed(_PRIMES[2 : window_prime_count(4 * qs[-1] + 1)]):  # 2, 3 divide 24
+        inverse = pow(24, -1, p)
+        i = -a0 * inverse % p  # 4q+1 = a0 + 24i
+        if a0 + 24 * i == p:
+            i += p
+        keep[i::p] = bytes(len(range(i, size, p)))
+        if p <= reach and p % 3 == 2:
+            i = -n0 * 4 * inverse % p  # q+1 = n0 + 6i
+            least[i::p] = array("H", [p]) * len(range(i, size, p))
+    targets = []
+    for i in compress(range(size), keep):
+        q = qs[i]
+        if 4 * q + 1 > SIEVE_MAX and not is_prime(4 * q + 1):
+            continue
+        p = least[i] or None
+        if p is None and q + 1 > SIEVE_MAX:
+            p = least_prime_factor(q + 1, 3, 2)
+        targets.append((q, p))
+    return targets
 
 
 def window_prime_count(hi: int) -> int:

@@ -27,17 +27,10 @@ from __future__ import annotations
 
 from functools import lru_cache
 from math import isqrt
-from typing import Iterable, Iterator, NamedTuple, Optional
+from typing import Any, Iterable, Iterator, NamedTuple, Optional
 
 from .families import P1, P2, P3, P4, PolyId, WitnessTriple, check_value, eval_poly
-from .numutil import (
-    SIEVE_MAX,
-    FactorWindow,
-    divisors_of,
-    factorize,
-    least_prime_factor,
-    least_small_primes,
-)
+from .numutil import FactorWindow, divisors_of, factorize, least_prime_factor
 
 
 class Witness(NamedTuple):
@@ -202,31 +195,6 @@ def x1_row(q: int, window: Optional[FactorWindow] = None) -> Optional[tuple[Poly
     return poly, y, z
 
 
-class X1Primes:
-    """_x1_prime(q + 1) for each q of a range of multiples of 6, from one sieve.
-
-    q = 6c makes n = q+1 odd and 1 mod 3, so the primes p % 3 == 2 dividing
-    n, counted with multiplicity, are even in number, and the least of them
-    is at most isqrt(n).  One `least_small_primes` sieve over the n of the
-    range thus gives it wherever it lies below 2^16, and an empty entry
-    means n has none while isqrt(n) < 65537, that is n <= SIEVE_MAX; only
-    an empty entry above SIEVE_MAX is looked up with least_prime_factor.
-    """
-
-    def __init__(self, qs: range):
-        if qs.start % 6 or qs.step != 6:
-            raise ValueError("need a range of multiples of 6 with step 6")
-        self._qs = qs
-        self._least = least_small_primes(range(qs.start + 1, qs.stop + 1, 6), 3, 2)
-
-    def prime(self, q: int) -> Optional[int]:
-        """_x1_prime(q + 1) for a q of the range."""
-        p = self._least[self._qs.index(q)]
-        if p or q + 1 <= SIEVE_MAX:
-            return p or None
-        return least_prime_factor(q + 1, 3, 2)
-
-
 def wide_search(q: int) -> Optional[Witness]:
     """Stages B and C only: the wide x sweep, then the x(x-1) check; the whole
     classification of q > LEGACY_PROBE_LIMIT in an ascending scan.
@@ -282,9 +250,9 @@ def legacy_coverage_scan(qs: Iterable[int]) -> Iterator[tuple[int, Optional[Witn
         yield q, hit
 
 
-def _first_prime_candidate(q: int, x1: Optional[X1Primes]) -> Optional[WitnessTriple]:
-    """First second-family candidate for q, in the prime program's stage order."""
-    p = _x1_prime(q + 1) if x1 is None else x1.prime(q)
+def _first_prime_candidate(q: int, p: Optional[int]) -> Optional[WitnessTriple]:
+    """First second-family candidate for q, in the prime program's stage order;
+    p is _x1_prime(q + 1)."""
     if p is not None:
         return WitnessTriple(1, *_x1_yz(q + 1, p))
     for x in (2, 3):
@@ -314,7 +282,11 @@ def _first_prime_candidate(q: int, x1: Optional[X1Primes]) -> Optional[WitnessTr
     return None
 
 
-def prime_witness_search(q: int, x1: Optional[X1Primes] = None) -> Optional[WitnessTriple]:
+# prime_witness_search's default x1_prime: look it up, as None means q+1 has none
+_LOOK_UP: Any = object()
+
+
+def prime_witness_search(q: int, x1_prime: Optional[int] = _LOOK_UP) -> Optional[WitnessTriple]:
     """Witness (x, y, z) with (4x-1)(4yz-1) - 4xz = 4q+1, staged.
 
     Callers gate on 4q+1 being prime; the search itself only needs q >= 1.
@@ -323,12 +295,13 @@ def prime_witness_search(q: int, x1: Optional[X1Primes] = None) -> Optional[Witn
     the least divisor in a residue class, then x in [4, xmax].  The
     identity is the second family's 4*P2 + 1, so the x stages are
     `solve_p2_given_x`, and the first candidate is checked as P2(x, y, z) = q.
-    `x1`, when given, supplies the x = 1 stage's prime; the result is the
+    `x1_prime`, when given, is the x = 1 stage's prime, _x1_prime(q + 1), as
+    a prime slice reads it off `numutil.prime_targets`; the result is the
     same either way.
     """
     if q < 1:
         raise ValueError("q must be >= 1")
-    t = _first_prime_candidate(q, x1)
+    t = _first_prime_candidate(q, _x1_prime(q + 1) if x1_prime is _LOOK_UP else x1_prime)
     if t is not None:
         check_value(P2, t, q)
     return t

@@ -137,6 +137,37 @@ def test_full_resume_computes_no_prefix_and_starts_no_pool(tmp_path, monkeypatch
     assert [r.tallies for r in second] == [r.tallies for r in first]
 
 
+class _InlinePool:
+    """Stands in for batch.Pool: records the size asked for and runs the work
+    inline, so a test can ask for any worker count without starting a process."""
+
+    def __init__(self, sizes, processes):
+        sizes.append(processes)
+
+    def map(self, fn, items, chunksize=1):
+        return [fn(item) for item in items]
+
+    def close(self):
+        pass
+
+    def join(self):
+        pass
+
+
+@pytest.mark.parametrize("workers", [3, 100_000])
+def test_pool_starts_no_more_workers_than_a_batch_has_slices(tmp_path, monkeypatch, workers):
+    sizes = []
+    monkeypatch.setattr(batch, "Pool", lambda processes: _InlinePool(sizes, processes))
+    cfg = _cfg(tmp_path, q_start=10**6, q_max=10**6 + 2999, batch_size=2000, worker_count=workers)
+    reports = run_coverage(cfg)
+    slices = [len(batch._slices(range(lo, hi + 1), batch.POOL_PARTS)) for lo, hi in (r.q_range for r in reports)]
+    assert slices == [12, 6]  # each slice at least as long as its window's 168 primes
+    assert sizes == [min(workers, 12)]
+    # a scan whose every batch is one slice starts no pool
+    monkeypatch.setattr(batch, "Pool", _forbidden)
+    run_coverage(_cfg(tmp_path / "one", q_start=10**6, q_max=10**6 + 99, worker_count=workers))
+
+
 def _forget_batches(out, *indexes):
     """Rewrite the manifest in `out` as if `indexes` had never completed."""
     path = out / "checkpoint.json"

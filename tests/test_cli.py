@@ -243,12 +243,16 @@ def test_primes_worker_counts_identical(capsys, tmp_path):
 
 
 def test_primes_range_without_a_target_is_usage_error(capsys, tmp_path):
-    # q-start 7 aligns up to 12, past q-max
-    code, _, err = run(
-        capsys, "primes", "--q-start", "7", "--q-max", "10", "--out-dir", str(tmp_path)
-    )
-    assert code == 64
-    assert "q-start" in err
+    # q-start aligns up to a multiple of 6, past q-max
+    for q_start, q_max, aligned in (("7", "10", 12), ("1", "5", 6)):
+        code, _, err = run(
+            capsys, "primes", "--q-start", q_start, "--q-max", q_max, "--out-dir", str(tmp_path)
+        )
+        assert code == 64
+        assert (
+            f"--q-start {q_start} rounds up to the multiple of 6, q = {aligned}, "
+            f"which is above --q-max {q_max}"
+        ) in err
 
 
 def test_decompose(capsys):

@@ -12,8 +12,7 @@ from erdos_straus.numutil import (
     factorize,
     is_prime,
     least_prime_factor,
-    least_small_primes,
-    primes_in,
+    prime_targets,
     window_prime_count,
 )
 
@@ -354,81 +353,79 @@ def test_window_least_prime_factor_matches_the_module_function(lo, hi):
     assert cofactors > 100
 
 
-def _primes_of(values):
-    return [v for v in values if is_prime(v)]
+def _qs(start, count):
+    """`count` multiples of 6 from start, aligned down to one, as a prime scan slices them."""
+    start = max(6, start - start % 6)
+    return range(start, start + 6 * count, 6)
 
 
-def _targets(q_start, count):
-    """a = 4q+1 over `count` multiples of 6 from q_start, a range of step 24."""
-    q_start -= q_start % 6
-    return range(4 * q_start + 1, 4 * (q_start + 6 * count) + 1, 24)
+def _prime_qs(qs):
+    return [q for q in qs if is_prime(4 * q + 1)]
+
+
+def _targets_by_testing(qs):
+    """prime_targets by testing each 4q+1 and factoring each q+1."""
+    return [(q, least_prime_factor(q + 1, 3, 2)) for q in _prime_qs(qs)]
 
 
 @pytest.mark.parametrize("values", [
-    _targets(6, 3000),                      # a = 73 and 97 (q = 18, 24) are sieving primes
-    _targets(600_000 - 6000, 2000),
-    _targets(10**9, 3000),
-    _targets(65537**2 // 4 - 9000, 3000),  # straddles a = 65537^2
-    range(1, 3000),
-    range(2, 3000, 2),                      # 2 divides the step: only a = 2 is prime
-    range(3, 3000, 6),
+    _qs(6, 3000),                             # 4q+1 = 73 and 97 (q = 18, 24) are sieving primes
+    _qs(600_000 - 6000, 2000),
+    _qs(10**9, 3000),
+    _qs(65537**2 // 4 - 9000, 3000),          # straddles 4q+1 = 65537^2
+    _qs(65537**2 - 9000, 3000),               # straddles q+1 = 65537^2
+    _qs(12 * 10**9, 2000),
+    _qs(6, 1),                                # 4q+1 = 25, struck by its one sieving prime
 ])
 def test_primes_in_matches_is_prime(values):
-    assert primes_in(values) == _primes_of(values)
+    assert [q for q, _ in prime_targets(values)] == _prime_qs(values)
 
 
 @pytest.mark.parametrize("a", [1, 2, 3, 5, 25, 73, 97, 65537**2, 65537**2 + 24, 4 * 10**9 + 1])
 def test_primes_in_one_value(a):
-    for step in (1, 24):
-        assert primes_in(range(a, a + 1, step)) == _primes_of([a])
+    """The one-q range of the q with 4q+1 = a, where a has that form with q a
+    positive multiple of 6; any other a gives a range prime_targets refuses."""
+    q = (a - 1) // 4
+    qs = range(q, q + 6, 6)
+    if a % 24 == 1 and q >= 6:
+        assert prime_targets(qs) == _targets_by_testing(qs)
+    else:
+        with pytest.raises(ValueError):
+            prime_targets(qs)
 
 
 def test_primes_in_rejects_bad_ranges():
-    assert primes_in(range(25, 25, 24)) == []
-    for values in (range(0, 10), range(10, 0, -1)):
+    assert prime_targets(range(6, 6, 6)) == prime_targets(range(60, 6, 6)) == []
+    for qs in (range(6, 600, 1), range(7, 600, 6), range(3, 600, 6), range(6, 600, 12),
+               range(0, 600, 6), range(600, 0, -6), range(7, 7, 6)):
         with pytest.raises(ValueError):
-            primes_in(values)
+            prime_targets(qs)
 
 
-@given(st.integers(min_value=1, max_value=5 * 10**9), st.integers(min_value=1, max_value=60),
-       st.integers(min_value=1, max_value=400))
-@settings(max_examples=80, deadline=None)
-def test_primes_in_property(start, step, count):
-    values = range(start, start + step * count, step)
-    assert primes_in(values) == _primes_of(values)
+# the sieve's regimes: from 6, where 4q+1 can itself be a sieving prime; near
+# 10^9; straddling 4q+1 = 65537^2 and q+1 = 65537^2, where is_prime confirms
+# the survivors and least_prime_factor the empty entries; near 1.2*10^10
+_REGIMES = [6, 10**9, 65537**2 // 4, 65537**2, 12 * 10**9]
 
 
-def _least_small_by_factoring(values, m, r):
-    """least_small_primes by factoring each value."""
-    reach = min(isqrt(values[-1]), (1 << 16) - 1)
-    return [min((p for p in factorize(v) if p % m == r and p <= reach), default=0) for v in values]
-
-
-@pytest.mark.parametrize("values,m,r", [
-    (range(1, 3000), 3, 2),
-    (range(7, 70_000, 6), 3, 2),             # q+1 over q = 6c, the x = 1 table
-    (range(600_001, 660_000, 6), 3, 2),
-    (range(10**9 + 1, 10**9 + 30_001, 6), 3, 2),  # most primes hit at most once
-    (range(65537**2 - 6000, 65537**2 + 6000, 6), 3, 2),
-    (range(25, 30_000, 24), 4, 3),
-    (range(10, 3000, 10), 5, 0),             # 5 divides every value
-    (range(2, 3000, 2), 3, 2),               # and 2 every value
-    (range(5, 6, 6), 3, 2),                  # a lone prime is its own least
-])
-def test_least_small_primes_matches_factoring(values, m, r):
-    assert list(least_small_primes(values, m, r)) == _least_small_by_factoring(values, m, r)
+@given(st.sampled_from(_REGIMES), st.integers(-2000, 2000), st.integers(1, 2000))
+@settings(max_examples=60, deadline=None)
+def test_primes_in_property(regime, offset, count):
+    qs = _qs(regime + 6 * offset, count)
+    assert [q for q, _ in prime_targets(qs)] == _prime_qs(qs)
 
 
 def test_least_small_primes_edge_ranges():
-    assert len(least_small_primes(range(7, 7, 6), 3, 2)) == 0
-    for values in (range(0, 10), range(10, 0, -1)):
-        with pytest.raises(ValueError):
-            least_small_primes(values, 3, 2)
+    # q+1 = p^2 for the top q of a range: p = isqrt(q_last + 1) still sieves
+    for p in (5, 65423):
+        q = p * p - 1
+        assert is_prime(4 * q + 1) and p % 3 == 2
+        assert prime_targets(range(q, q + 6, 6)) == [(q, p)]
+    assert prime_targets(range(18, 24, 6)) == [(18, None)]  # q+1 = 19 has no prime 2 mod 3
 
 
-@given(st.integers(min_value=1, max_value=5 * 10**9), st.integers(min_value=1, max_value=60),
-       st.integers(min_value=1, max_value=400), st.sampled_from([(3, 2), (4, 3), (6, 1)]))
+@given(st.sampled_from(_REGIMES), st.integers(-400, 400), st.integers(1, 400))
 @settings(max_examples=60, deadline=None)
-def test_least_small_primes_property(start, step, count, residue):
-    values = range(start, start + step * count, step)
-    assert list(least_small_primes(values, *residue)) == _least_small_by_factoring(values, *residue)
+def test_least_small_primes_property(regime, offset, count):
+    qs = _qs(regime + 6 * offset, count)
+    assert prime_targets(qs) == _targets_by_testing(qs)

@@ -12,11 +12,10 @@ from hypothesis import given, settings, strategies as st
 from erdos_straus import families as families_module
 from erdos_straus import search as search_module
 from erdos_straus.families import PolyId, WitnessTriple, eval_poly
-from erdos_straus.numutil import FactorWindow, factorize, is_prime, least_prime_factor
+from erdos_straus.numutil import FactorWindow, factorize, is_prime, least_prime_factor, prime_targets
 from erdos_straus.search import (
     LEGACY_PROBE_LIMIT,
     Witness,
-    X1Primes,
     check_p4,
     legacy_coverage_scan,
     prime_witness_search,
@@ -405,23 +404,29 @@ _Q_FAR = _q1_with_least_prime_past_2_16()
     (_Q_FAR - 3000, 1000),
 ])
 def test_x1_table_matches_least_prime_factor(start, count):
-    qs = range(start, start + 6 * count, 6)
-    table = X1Primes(qs)
-    got = [table.prime(q) for q in qs]
-    assert got == [least_prime_factor(q + 1, 3, 2) for q in qs]
-    assert any(p is None for p in got) and any(p is not None for p in got)
+    got = prime_targets(range(start, start + 6 * count, 6))
+    assert [p for _, p in got] == [least_prime_factor(q + 1, 3, 2) for q, _ in got]
+    assert any(p is None for _, p in got) and any(p is not None for _, p in got)
 
 
 def test_x1_table_finds_a_least_prime_past_2_16():
-    assert _Q_FAR % 6 == 0 and 65537 < isqrt(_Q_FAR + 1)
-    table = X1Primes(range(_Q_FAR - 600, _Q_FAR + 600, 6))
-    assert table.prime(_Q_FAR) == 65537 == least_prime_factor(_Q_FAR + 1, 3, 2)
-    assert X1Primes(range(6, 600, 6)).prime(6) == least_prime_factor(7, 3, 2) is None
-    for qs in (range(6, 600, 1), range(7, 600, 6), range(3, 600, 6)):
-        with pytest.raises(ValueError):
-            X1Primes(qs)
-    with pytest.raises(ValueError):  # a q outside the table's range
-        X1Primes(range(6, 600, 6)).prime(600)
+    # q+1 = 65537 * p with p prime 2 mod 3, and 4q+1 prime: the least prime
+    # 2 mod 3 of q+1 lies past the sieve's primes, and q is a prime target
+    q = next(q for q in range(_Q_FAR, _Q_FAR + 65537 * 6000, 65537 * 6)
+             if is_prime((q + 1) // 65537) and is_prime(4 * q + 1))
+    assert (q + 1) // 65537 % 3 == 2 and 65537 < isqrt(q + 1)
+    assert (q, 65537) in prime_targets(range(q - 600, q + 600, 6))
+    assert least_prime_factor(q + 1, 3, 2) == 65537
+
+
+def test_prime_witness_search_takes_the_x1_prime(monkeypatch):
+    qs = [q for start in (6, 10**9 - 10**9 % 6, _Q_FAR - 600) for q in range(start, start + 1200, 6)]
+    expect = {q: prime_witness_search(q) for q in qs}
+    # a given prime, None included, is used as is: no lookup
+    monkeypatch.setattr(search_module, "_x1_prime", None)
+    got = {q: prime_witness_search(q, least_prime_factor(q + 1, 3, 2)) for q in qs}
+    assert got == expect
+    assert any(least_prime_factor(q + 1, 3, 2) is None for q in qs)
 
 
 @given(st.integers(1, 10**12))
@@ -627,6 +632,14 @@ def test_wrong_witness_raises_under_python_O():
             pass
         else:
             sys.exit("wrong prime witness accepted")
+        # 4q+1 = 97 is prime and q+1 = 25's prime 2 mod 3 is 5, not 7
+        batch.prime_targets = lambda qs: [(24, 7)]
+        try:
+            batch._prime_slice(range(24, 30, 6))
+        except AssertionError:
+            pass
+        else:
+            sys.exit("wrong x = 1 prime accepted")
         families.eval_poly = lambda poly, t: -1
         for q in (2, 4):  # 3 | q+1 gives a P1 row; q+1 = 5, a P2 row from the window
             try:
