@@ -415,6 +415,22 @@ def test_primes_in_property(regime, offset, count):
     assert [q for q, _ in prime_targets(qs)] == _prime_qs(qs)
 
 
+# q+1 over q = 6c, the values the x = 1 table reads; the ids are the case names
+# this test has carried since it sieved any residue class over any progression;
+# prime_targets sieves only the primes 2 mod 3
+@pytest.mark.parametrize("values,m,r", [
+    (range(7, 70_000, 6), 3, 2),
+    (range(600_001, 660_000, 6), 3, 2),
+    (range(10**9 - 3, 10**9 + 30_001, 6), 3, 2),  # most primes hit at most once
+    (range(65537**2 - 6000, 65537**2 + 6000, 6), 3, 2),
+], ids=[f"values{i}-3-2" for i in range(1, 5)])
+def test_least_small_primes_matches_factoring(values, m, r):
+    qs = range(values.start - 1, values.stop - 1, 6)
+    # by testing each 4q+1 = 4v-3 and factoring each q+1 = v whole
+    expect = [(v - 1, _least_prime_oracle(v, m, r)) for v in values if is_prime(4 * v - 3)]
+    assert prime_targets(qs) == expect
+
+
 def test_least_small_primes_edge_ranges():
     # q+1 = p^2 for the top q of a range: p = isqrt(q_last + 1) still sieves
     for p in (5, 65423):
