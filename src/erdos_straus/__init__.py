@@ -44,7 +44,6 @@ from .batch import (
     BatchReport,
     ScanMode,
     run_coverage,
-    tally,
 )
 
 __version__ = "1.0.0"

@@ -10,11 +10,9 @@ byte-identical artifacts; results are always reduced in q order.
 
 from __future__ import annotations
 
-import heapq
 import json
 import logging
 import time
-from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 from itertools import takewhile
@@ -26,9 +24,8 @@ from .numutil import MR_LIMIT, FactorWindow, prime_targets, window_prime_count
 from .reports import (
     FAMILY_LABELS,
     coverage_line,
-    file_sha256,
+    file_digest,
     prime_line,
-    read_results,
     read_results_q,
     results_batch_path,
     unsolved_path,
@@ -104,13 +101,6 @@ class BatchReport:
     unsolved: list[int]
     elapsed_seconds: float
     resumed: bool = False
-
-
-def tally(witnesses: Sequence[Witness]) -> dict[PolyId, int]:
-    """Per-family counts of witnesses; every family is present, sum equals
-    the input."""
-    counts = Counter(w.poly for w in witnesses)
-    return {p: counts[p] for p in PolyId}
 
 
 # A pool gets a batch's work in about this many pieces.
@@ -242,9 +232,13 @@ def _write_manifest(cfg: BatchConfig, records: dict[int, str]) -> None:
     write_lines(cfg.output_dir / MANIFEST_NAME, [f'{head[:-1]},\n"batches": {{\n{body}\n}}}}'])
 
 
+_RECORD_KEYS = {"tallies", "sha256", "unsolved", "unsolved_sha256"}
+
+
 def _read_manifest(cfg: BatchConfig, batch_count: int) -> dict[int, dict]:
     """The file records of the batches the manifest in output_dir lists as
-    complete, after checking that it belongs to this scan of batch_count batches."""
+    complete, after checking that it belongs to this scan of batch_count
+    batches and that each record is well formed."""
     path = cfg.output_dir / MANIFEST_NAME
     if not path.exists():
         raise ResumeError(f"no checkpoint manifest at {path}")
@@ -252,6 +246,10 @@ def _read_manifest(cfg: BatchConfig, batch_count: int) -> dict[int, dict]:
         data = json.loads(path.read_text())
         params = {k: data[k] for k in _manifest_params(cfg)}
         records = {int(b): dict(data["batches"][str(b)]) for b in data["completed"]}
+        for b, r in records.items():  # the four keys; a tally per family and the unsolved count, ints >= 0
+            counts = [*r["tallies"], r["unsolved"]] if r.keys() == _RECORD_KEYS and type(r["tallies"]) is list else []
+            if len(counts) != len(PolyId) + 1 or any(type(n) is not int or n < 0 for n in counts):
+                raise ValueError(f"batch {b} has no record of its tallies, unsolved count and digests: {r}")
     except (ValueError, TypeError, KeyError) as exc:
         raise ResumeError(f"corrupt checkpoint manifest {path}: {exc}") from exc
     if params != _manifest_params(cfg):
@@ -318,31 +316,25 @@ _MODES = {
 }
 
 
-def _reload(cfg: BatchConfig, index: int, qs: range, record: dict) -> tuple[list[Witness], list[int]]:
-    """A completed batch's rows and unsolved q, checked against its range and
-    against the row counts and sha256 digests its manifest record holds."""
+def _reload(cfg: BatchConfig, index: int, qs: range, record: dict) -> tuple[dict[PolyId, int], list[int]]:
+    """A completed batch's tallies, from its manifest record, and unsolved q, once
+    its files match the record's digests and counts; no result row is parsed."""
     label, where = cfg.mode.value, f"batch {index}, q in [{qs.start}, {qs.stop - 1}]"
-    results = results_batch_path(index, label, cfg.output_dir)
-    unsolved_file = unsolved_path(index, label, cfg.output_dir)
-    rows = read_results(results, label)
-    unsolved = read_results_q(unsolved_file)
-    last = 0
-    for q in heapq.merge((w.q for w in rows), unsolved):
-        if q <= last or q not in qs:
-            raise ResumeError(f"{where}: q = {q} repeats, is out of order or lies outside the batch")
-        last = q
-    if _MODES[cfg.mode].every_q and len(rows) + len(unsolved) != len(qs):
-        raise ResumeError(f"{where}: its files hold {len(rows) + len(unsolved)} q, not {len(qs)}")
-    counts, recorded = (len(rows), len(unsolved)), (record.get("rows"), record.get("unsolved"))
-    if counts != recorded:
-        raise ResumeError(
-            f"{where}: its files hold {counts[0]} rows and {counts[1]} unsolved q, "
-            f"the checkpoint recorded {recorded[0]} and {recorded[1]}"
-        )
-    for key, path in (("sha256", results), ("unsolved_sha256", unsolved_file)):
-        if file_sha256(path) != record.get(key):
+    paths = results_batch_path(index, label, cfg.output_dir), unsolved_path(index, label, cfg.output_dir)
+    (digest, newlines), (unsolved_digest, _) = map(file_digest, paths)
+    for path, got, key in zip(paths, (digest, unsolved_digest), ("sha256", "unsolved_sha256")):
+        if got != record[key]:
             raise ResumeError(f"{where}: {path.name} is not the file the checkpoint recorded (sha256 differs)")
-    return rows, unsolved
+    rows, unsolved = newlines - 1, read_results_q(paths[1])  # the results file's newlines less its header
+    solved, recorded = sum(record["tallies"]), record["unsolved"]
+    if _MODES[cfg.mode].every_q and solved + recorded != len(qs):
+        raise ResumeError(f"{where}: the checkpoint recorded {solved + recorded} q, not {len(qs)}")
+    if (rows, len(unsolved)) != (solved, recorded):
+        raise ResumeError(
+            f"{where}: its files hold {rows} rows and {len(unsolved)} unsolved q, "
+            f"the checkpoint recorded {solved} and {recorded}"
+        )
+    return dict(zip(PolyId, record["tallies"])), unsolved
 
 
 def run_coverage(
@@ -350,16 +342,15 @@ def run_coverage(
 ) -> list[BatchReport]:
     """Scan [q_start, q_max] batch by batch in the mode `cfg.mode` names.
 
-    With `resume`, the batches the manifest in output_dir records complete
-    are reloaded from their files and checked against their range and
-    against the manifest's record of them.  In
-    coverage mode, small q (below the cube-probe horizon) are classified
-    sequentially with the legacy scan semantics so the artifacts match the
-    reference CSVs.  The rest of each batch is cut into contiguous range
-    slices that fan out across workers; each comes back as CSV text, its
-    unsolved q and its per-family counts, and the texts are written in q
-    order.  The prefix and the pool are only set up when a batch that needs
-    them runs; a scan inside the prefix needs no pool.
+    With `resume`, a batch the manifest in output_dir records complete is
+    not rerun: `_reload` checks its files and takes its tallies from the
+    record.  In coverage mode, small q (below the cube-probe horizon) are
+    classified sequentially with the legacy scan semantics so the artifacts
+    match the reference CSVs.  The rest of each batch is cut into contiguous
+    range slices that fan out across workers; each comes back as CSV text,
+    its unsolved q and its per-family counts, and the texts are written in
+    q order.  The prefix and the pool are only set up when a batch that
+    needs them runs; a scan inside the prefix needs no pool.
     """
     mode, label = _MODES[cfg.mode], cfg.mode.value
     batches = mode.batches(cfg)
@@ -391,8 +382,7 @@ def run_coverage(
             resumed = index in recorded
             t0 = time.perf_counter()
             if resumed:
-                rows, unsolved = _reload(cfg, index, qs, recorded[index])
-                tallies = tally(rows)
+                tallies, unsolved = _reload(cfg, index, qs, recorded[index])
             else:
                 if cancel is not None and cancel():
                     raise ScanCancelled(f"cancelled before batch {index} completed")
@@ -404,7 +394,7 @@ def run_coverage(
                 results = write_results_batch((r.text for r in pieces), index, label, cfg.output_dir)
                 unsolved_file = write_unsolved(unsolved, index, label, cfg.output_dir)
                 records[index] = json.dumps({
-                    "rows": sum(tallies.values()),
+                    "tallies": list(tallies.values()),
                     "sha256": results.sha256,
                     "unsolved": len(unsolved),
                     "unsolved_sha256": unsolved_file.sha256,

@@ -140,7 +140,7 @@ def _cmd_cover(args) -> int:
 
 
 def _cmd_primes(args) -> int:
-    q_start = max(args.q_start + (-args.q_start) % 6, 6)  # align upward to 6c
+    q_start = args.q_start + (-args.q_start) % 6 if args.q_start > 0 else args.q_start  # 6c; BatchConfig refuses < 1
     if args.q_start < q_start and q_start > args.q_max:
         raise UsageError(
             f"--q-start {args.q_start} rounds up to the multiple of 6, q = {q_start}, "

@@ -133,15 +133,16 @@ def write_text(path: Path, text: Iterable[str]) -> Written:
     return written
 
 
-def file_sha256(path: Path) -> str:
-    """Hex sha256 of a file's bytes."""
+def file_digest(path: Path) -> tuple[str, int]:
+    """Hex sha256 of a file's bytes, and how many newlines they hold."""
     import hashlib  # loads OpenSSL (a few ms and MB), which only scans need
 
-    digest = hashlib.sha256()
+    digest, newlines = hashlib.sha256(), 0
     with open(path, "rb") as fh:
         for block in iter(lambda: fh.read(1 << 20), b""):
             digest.update(block)
-    return digest.hexdigest()
+            newlines += block.count(b"\n")
+    return digest.hexdigest(), newlines
 
 
 def _read_lines(path: Path) -> list[str]:

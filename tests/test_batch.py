@@ -10,9 +10,8 @@ from erdos_straus.batch import (
     ScanCancelled,
     ScanMode,
     run_coverage,
-    tally,
 )
-from erdos_straus.families import PolyId, WitnessTriple
+from erdos_straus.families import PolyId
 from erdos_straus.numutil import MR_LIMIT, is_prime, window_prime_count
 from erdos_straus.reports import read_results, read_results_q
 from erdos_straus.search import Witness, legacy_coverage_scan, prime_witness_search, wide_search
@@ -58,19 +57,6 @@ def test_nonreference_step_warns(tmp_path, caplog):
     with caplog.at_level("WARNING", logger="erdos_straus.batch"):
         _cfg(tmp_path, step=2)
     assert any("step=2" in r.message for r in caplog.records)
-
-
-def test_tally():
-    witnesses = [
-        Witness(1, PolyId.P2, WitnessTriple(1, 1, 1)),
-        Witness(2, PolyId.P1, WitnessTriple(1, 1, 1)),
-        Witness(8, PolyId.P1, WitnessTriple(3, 1, 1)),
-        Witness(72, PolyId.P4, WitnessTriple(9)),
-    ]
-    counts = tally(witnesses)
-    assert counts == {PolyId.P1: 2, PolyId.P2: 1, PolyId.P3: 0, PolyId.P4: 1}
-    assert sum(counts.values()) == len(witnesses)
-    assert tally([]) == {p: 0 for p in PolyId}
 
 
 def test_run_coverage_small(tmp_path):
@@ -274,11 +260,22 @@ def test_prime_slice_text_is_the_row_rendering():
     assert (got.unsolved, got.counts) == ([], [0, len(rows), 0, 0])
 
 
-def test_fresh_scans_read_nothing_back(tmp_path, monkeypatch):
-    monkeypatch.setattr(batch, "read_results", _forbidden)
-    monkeypatch.setattr(batch, "read_results_q", _forbidden)
-    run_coverage(_cfg(tmp_path / "cover", q_max=2400, batch_size=1000))
-    run_coverage(_prime_cfg(tmp_path / "primes", q_max=600, batch_size=300))
+@pytest.mark.parametrize("resume", [False, True], ids=["fresh", "full-resume"])
+def test_fresh_scans_read_nothing_back(tmp_path, monkeypatch, resume):
+    # A fresh scan reads no file back; a full resume reads the unsolved q but
+    # parses no result row.  The row reader is replaced in reports and under
+    # the name batch would import it by.
+    monkeypatch.setattr("erdos_straus.reports.read_results", _forbidden)
+    monkeypatch.setattr(batch, "read_results", _forbidden, raising=False)
+    if not resume:
+        monkeypatch.setattr(batch, "read_results_q", _forbidden)
+    for cfg in (_cfg(tmp_path / "cover", q_max=2400, batch_size=1000),
+                _prime_cfg(tmp_path / "primes", q_max=600, batch_size=300)):
+        first = run_coverage(cfg)
+        if resume:
+            second = run_coverage(cfg, resume=True)
+            assert all(r.resumed for r in second)
+            assert [r.tallies for r in second] == [r.tallies for r in first]
 
 
 def _sha256(path):
@@ -291,12 +288,81 @@ def test_manifest_records_each_batchs_files(tmp_path):
     for i in (1, 2, 3):
         results = tmp_path / f"results_batch{i}.csv"
         unsolved = tmp_path / f"unsolved_batch{i}.csv"
+        labels = [line.rsplit(",", 1)[1] for line in results.read_text().splitlines()[1:]]
         assert manifest["batches"][str(i)] == {
-            "rows": len(read_results(results)),
+            "tallies": [labels.count(p.label) for p in PolyId],
             "sha256": _sha256(results),
             "unsolved": 0,
             "unsolved_sha256": _sha256(unsolved),
         }
+
+
+def _edit_record(out, index, edit):
+    """Apply `edit` to batch `index`'s record in the manifest in `out`; the
+    manifest's bytes after the edit."""
+    path = out / "checkpoint.json"
+    manifest = json.loads(path.read_text())
+    edit(manifest["batches"][str(index)])
+    path.write_text(json.dumps(manifest))
+    return path.read_bytes()
+
+
+def _raise_tally(family):
+    def edit(record):
+        record["tallies"][family - 1] += 1
+    return edit
+
+
+def _raise_unsolved(record):
+    record["unsolved"] += 1
+
+
+_PRIME = dict(q_start=6, q_max=600, step=6, mode=ScanMode.PRIME_COVERAGE)
+
+
+@pytest.mark.parametrize("cfg, edit, message", [
+    # coverage: the record's counts no longer add up to the batch's q
+    (dict(), _raise_tally(PolyId.P3), "batch 2, q in [101, 200]: the checkpoint recorded 101 q, not 100"),
+    (dict(), _raise_unsolved, "batch 2, q in [101, 200]: the checkpoint recorded 101 q, not 100"),
+    # prime: the record's counts no longer match the files' rows and unsolved q
+    (_PRIME, _raise_tally(PolyId.P2),
+     "batch 2, q in [108, 209]: its files hold {rows} rows and 0 unsolved q, the checkpoint recorded {more} and 0"),
+    (_PRIME, _raise_unsolved,
+     "batch 2, q in [108, 209]: its files hold {rows} rows and 0 unsolved q, the checkpoint recorded {rows} and 1"),
+], ids=["coverage-tally", "coverage-unsolved", "prime-tally", "prime-unsolved"])
+def test_resume_rejects_a_record_whose_counts_are_off_by_one(tmp_path, cfg, edit, message):
+    cfg = _cfg(tmp_path, **cfg)
+    rows = run_coverage(cfg)[1].solved_count
+    message = message.format(rows=rows, more=rows + 1)
+    manifest = _edit_record(tmp_path, 2, edit)
+    with pytest.raises(ResumeError) as exc:
+        run_coverage(cfg, resume=True)
+    assert str(exc.value) == message
+    assert (tmp_path / "checkpoint.json").read_bytes() == manifest
+
+
+def _old_format(record):
+    record["rows"] = sum(record.pop("tallies"))
+
+
+@pytest.mark.parametrize("edit", [
+    _old_format,
+    lambda record: record["tallies"].pop(),
+    lambda record: record["tallies"].__setitem__(0, "1"),
+    lambda record: record["tallies"].__setitem__(3, -1),
+    lambda record: record["tallies"].__setitem__(3, False),
+    lambda record: record.__setitem__("tallies", 100),
+    lambda record: record.__setitem__("unsolved", None),
+    lambda record: record.pop("unsolved_sha256"),
+], ids=["old-rows-format", "3-tallies", "string-tally", "negative-tally", "bool-tally", "int-tallies",
+        "null-unsolved", "no-unsolved-digest"])
+def test_resume_rejects_a_malformed_record(tmp_path, edit):
+    cfg = _cfg(tmp_path)
+    run_coverage(cfg)
+    manifest = _edit_record(tmp_path, 2, edit)
+    with pytest.raises(ResumeError, match="corrupt checkpoint manifest .*batch 2 has no record of its tallies"):
+        run_coverage(cfg, resume=True)
+    assert (tmp_path / "checkpoint.json").read_bytes() == manifest
 
 
 def test_resume_needs_a_record_for_each_skipped_batch(tmp_path):

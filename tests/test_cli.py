@@ -1,5 +1,4 @@
 import json
-import re
 
 import pytest
 
@@ -42,11 +41,15 @@ def test_cover_inverted_range(capsys, tmp_path):
     ["cover", "--q-max", "10", "--batch-size", "0"],
     ["cover", "--q-max", "10", "--workers", "0"],
     ["primes", "--q-max", "10", "--workers", "0"],
+    ["primes", "--q-start", "0", "--q-max", "10"],
+    ["primes", "--q-start", "-5", "--q-max", "10"],
 ])
 def test_bad_scan_arguments_are_usage_errors(capsys, tmp_path, argv):
     code, out, err = run(capsys, *argv, "--out-dir", str(tmp_path))
     assert code == 64
     assert err.startswith("error: ") and out == ""
+    if "--q-start" in argv:  # the message names the value typed
+        assert f"got {argv[argv.index('--q-start') + 1]} and 10" in err
     assert not any(tmp_path.iterdir())
 
 
@@ -105,7 +108,7 @@ def test_resume_rejects_a_non_integer_unsolved_q(capsys, tmp_path):
 
     code, _, err = _cover_then_tamper(capsys, tmp_path, tamper)
     assert code == 65
-    assert "unsolved_batch2.csv:2:" in err
+    assert "batch 2, q in [11, 20]: unsolved_batch2.csv is not the file the checkpoint recorded" in err
 
 
 def test_resume_rejects_another_batchs_file(capsys, tmp_path):
@@ -114,7 +117,7 @@ def test_resume_rejects_another_batchs_file(capsys, tmp_path):
 
     code, _, err = _cover_then_tamper(capsys, tmp_path, tamper)
     assert code == 65
-    assert "batch 2, q in [11, 20]: q = 1 repeats, is out of order or lies outside" in err
+    assert "batch 2, q in [11, 20]: results_batch2.csv is not the file the checkpoint recorded" in err
 
 
 def test_resume_rejects_a_truncated_batch_file(capsys, tmp_path):
@@ -124,7 +127,7 @@ def test_resume_rejects_a_truncated_batch_file(capsys, tmp_path):
 
     code, _, err = _cover_then_tamper(capsys, tmp_path, tamper)
     assert code == 65
-    assert "batch 3, q in [21, 30]: its files hold 9 q, not 10" in err
+    assert "batch 3, q in [21, 30]: results_batch3.csv is not the file the checkpoint recorded" in err
 
 
 def test_resume_rejects_a_q_both_solved_and_unsolved(capsys, tmp_path):
@@ -133,7 +136,7 @@ def test_resume_rejects_a_q_both_solved_and_unsolved(capsys, tmp_path):
 
     code, _, err = _cover_then_tamper(capsys, tmp_path, tamper)
     assert code == 65
-    assert "q = 4 repeats" in err
+    assert "batch 1, q in [1, 10]: unsolved_batch1.csv is not the file the checkpoint recorded" in err
 
 
 def test_resume_rejects_an_edited_batch_file(capsys, tmp_path):
@@ -185,9 +188,7 @@ def test_prime_resume_rejects_a_truncated_batch_file(capsys, tmp_path):
     path.write_text("".join(path.read_text().splitlines(keepends=True)[:-1]))
     code, _, err = run(capsys, *argv, "--resume")
     assert code == 65
-    found = re.search(r"batch 1, q in \[6, 305\]: its files hold (\d+) rows and 0 unsolved q, "
-                      r"the checkpoint recorded (\d+) and 0", err)
-    assert found and int(found[2]) == int(found[1]) + 1
+    assert "batch 1, q in [6, 305]: results_batch001.csv is not the file the checkpoint recorded" in err
     assert (tmp_path / "Results" / "all_solutions.csv").read_bytes() == solutions
 
 
@@ -200,7 +201,7 @@ def test_prime_resume_rejects_a_coverage_file(capsys, tmp_path):
     solutions = (tmp_path / "Results" / "all_solutions.csv").read_bytes()
     code, _, err = run(capsys, *argv, "--resume")
     assert code == 65
-    assert "need the prime schema" in err
+    assert "batch 1, q in [6, 60]: results_batch001.csv is not the file the checkpoint recorded" in err
     assert (tmp_path / "Results" / "all_solutions.csv").read_bytes() == solutions
 
 
@@ -253,6 +254,13 @@ def test_primes_range_without_a_target_is_usage_error(capsys, tmp_path):
             f"--q-start {q_start} rounds up to the multiple of 6, q = {aligned}, "
             f"which is above --q-max {q_max}"
         ) in err
+
+
+def test_primes_q_start_1_to_5_rounds_up_to_6(capsys, tmp_path):
+    for q_start in "12345":
+        code, out, _ = run(capsys, "primes", "--q-start", q_start, "--q-max", "30", "--out-dir", str(tmp_path))
+        assert code == 0
+        assert "qStart = 6, qMax = 30, step = 6" in out
 
 
 def test_decompose(capsys):
