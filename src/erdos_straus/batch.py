@@ -212,13 +212,7 @@ def _prepare_output(cfg: BatchConfig) -> None:
 
 
 def _manifest_params(cfg: BatchConfig) -> dict:
-    return {
-        "mode": cfg.mode.value,
-        "q_start": cfg.q_start,
-        "q_max": cfg.q_max,
-        "step": cfg.step,
-        "batch_size": cfg.batch_size,
-    }
+    return {"mode": cfg.mode.value} | {k: getattr(cfg, k) for k in ("q_start", "q_max", "step", "batch_size")}
 
 
 def _write_manifest(cfg: BatchConfig, records: dict[int, str]) -> None:
@@ -334,6 +328,12 @@ def _reload(cfg: BatchConfig, index: int, qs: range, record: dict) -> tuple[dict
             f"{where}: its files hold {rows} rows and {len(unsolved)} unsolved q, "
             f"the checkpoint recorded {solved} and {recorded}"
         )
+    # The digests show that a scan wrote the files, and the q that it wrote them for this
+    # batch: the first row's and every unsolved q.  A prime batch may have neither to check.
+    with open(paths[0], "rb") as fh:
+        first = fh.readline() and fh.readline()  # past the header
+    if first and int(first.split(b",")[0]) not in qs or any(q not in qs for q in unsolved):
+        raise ResumeError(f"{where}: its files hold q outside the batch")
     return dict(zip(PolyId, record["tallies"])), unsolved
 
 

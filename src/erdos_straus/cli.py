@@ -208,22 +208,21 @@ def _cmd_witness(args) -> int:
 
 
 def _cmd_verify_csv(args) -> int:
-    witnesses = read_results(args.path)
+    # One pass: the first bad row in file order decides the exit code, 1 or 65.
     prime = results_mode(args.path) == "prime"  # rows of prime targets 4q+1
-    for lineno, w in enumerate(witnesses, start=2):
+    rows = 0
+    for rows, w in enumerate(read_results(args.path), start=1):
         a = 4 * w.q + 1  # unproven, hence unverified, from MR_LIMIT on
         if eval_poly(w.poly, w.triple) != w.q or (prime and not (a < MR_LIMIT and is_prime(a))):
             line = prime_line(w.q, w.triple) if prime else coverage_line(w)
-            print(f"{args.path}:{lineno}: invalid row {line.rstrip()}")
+            print(f"{args.path}:{rows + 1}: invalid row {line.rstrip()}")
             return 1
-    print(f"{args.path}: {len(witnesses)} rows verified")
+    print(f"{args.path}: {rows} rows verified")
     return 0
 
 
 def _cmd_split(args) -> int:
-    paths = split_by_family(args.path, _out_dir(args))
-    for p in paths:
-        print(p)
+    print(*split_by_family(args.path, _out_dir(args)), sep="\n")
     return 0
 
 

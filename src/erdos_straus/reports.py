@@ -13,10 +13,11 @@ exactly when writing its witness back gives the row as it stands.
 
 from __future__ import annotations
 
+import io
 import os
-from itertools import chain
+from itertools import chain, islice
 from pathlib import Path
-from typing import Iterable, Optional, Sequence
+from typing import Collection, Iterable, Iterator, Optional, Sequence
 
 from .families import P2, P3, P4, PolyId, WitnessTriple
 from .search import Witness
@@ -26,7 +27,7 @@ PRIME_HEADER = "q,x,y,z"
 HEADERS = {"coverage": COVERAGE_HEADER, "prime": PRIME_HEADER}
 
 FAMILY_LABELS = tuple(p.label for p in PolyId)
-_POLY_OF_LABEL = dict(zip(FAMILY_LABELS, PolyId))
+_POLY_OF_LABEL_LF = {f"{label}\n": p for label, p in zip(FAMILY_LABELS, PolyId)}  # a label as it ends a row
 
 
 class ReportFormatError(Exception):
@@ -62,12 +63,8 @@ def results_batch_path(batch_index: int, mode: str, out_dir: Path) -> Path:
 
 def unsolved_path(batch_index: Optional[int], mode: str, out_dir: Path) -> Path:
     if mode == "prime":
-        base = out_dir / "Results"
-        name = "all_unsolved.csv" if batch_index is None else f"unsolved_batch{batch_index:03d}.csv"
-    else:
-        base = out_dir
-        name = "unsolved_all.csv" if batch_index is None else f"unsolved_batch{batch_index}.csv"
-    return base / name
+        return out_dir / "Results" / ("all_unsolved.csv" if batch_index is None else f"unsolved_batch{batch_index:03d}.csv")
+    return out_dir / ("unsolved_all.csv" if batch_index is None else f"unsolved_batch{batch_index}.csv")
 
 
 def write_results_batch(text: Iterable[str], batch_index: int, mode: str, out_dir: Path) -> Written:
@@ -145,13 +142,26 @@ def file_digest(path: Path) -> tuple[str, int]:
     return digest.hexdigest(), newlines
 
 
-def _read_lines(path: Path) -> list[str]:
-    """The file's lines; a byte outside ASCII reads as U+FFFD, which no check accepts."""
-    with open(path, "r", encoding="ascii", errors="replace", newline="") as fh:
-        lines = fh.read().split("\n")
-    if lines and lines[-1] == "":
-        lines.pop()
-    return lines
+def _rows(path: Path, headers: Collection[str]) -> Iterator:
+    """Open a file, check that its first line is one of `headers`, and yield that
+    header, then (line number, line) per row, newline kept, one at a time.  A last
+    line without a newline and a byte outside ASCII (read as U+FFFD) fail every check."""
+    with open(path, "r", encoding="ascii", errors="replace", newline="\n") as fh:
+        line = fh.readline()
+        header = line.removesuffix("\n")
+        if not line or header not in headers:
+            raise ReportFormatError(f"{path}: " + (f"unrecognized header {header!r}" if line else "empty file"))
+        if header == line:
+            raise _row_error(path, 1, line, "a header")
+        yield header
+        yield from enumerate(fh, start=2)
+
+
+def _row_error(path: Path, lineno: int, line: str, what: str) -> ReportFormatError:
+    """The error naming a line that is not `what`, or that ends the file without a newline."""
+    if not line.endswith("\n"):
+        return ReportFormatError(f"{path}:{lineno}: the file ends in this line, without a newline: {line!r}")
+    return ReportFormatError(f"{path}:{lineno}: not {what}: {line[:-1]!r}")
 
 
 def results_mode(path: Path) -> Optional[str]:
@@ -161,53 +171,45 @@ def results_mode(path: Path) -> Optional[str]:
     return next((mode for mode, h in HEADERS.items() if h.encode() == header), None)
 
 
-def read_results(path: Path, mode: Optional[str] = None) -> list[Witness]:
-    """The witnesses a results file records, in file order; a prime-schema
-    row is a second-family witness.  Parses either schema by header, or only
-    `mode`'s schema if given.  A row is valid when `coverage_line` or
-    `prime_line` writes its witness back as the row stands and q and every
-    coordinate are >= 1; raises with a line number on any other row."""
+def read_results(path: Path, mode: Optional[str] = None) -> Iterator[Witness]:
+    """The witnesses a results file records, one at a time in file order; a
+    prime-schema row is a second-family witness.  Parses either schema by
+    header, or only `mode`'s schema if given.  A row is valid when
+    `coverage_line` or `prime_line` writes its witness back as the row stands
+    and q and every coordinate are >= 1; raises with a line number on any
+    other row, once reading reaches it."""
     path = Path(path)
-    lines = _read_lines(path)
-    if not lines:
-        raise ReportFormatError(f"{path}: empty file")
-    header = lines[0]
-    if header not in HEADERS.values():
-        raise ReportFormatError(f"{path}: unrecognized header {header!r}")
+    rows = _rows(path, HEADERS.values())
+    header = next(rows)
     if mode is not None and header != HEADERS[mode]:
         raise ReportFormatError(f"{path}: need the {mode} schema {HEADERS[mode]!r}")
     prime = header == PRIME_HEADER
-    witnesses = []
     # tuple.__new__ skips the named tuples' Python-level __new__, a sixth of a row's cost
     new = tuple.__new__
-    for lineno, line in enumerate(lines[1:], start=2):
+    for lineno, line in rows:
         try:
             if prime:
                 q, x, y, z = line.split(",")
                 q, x, y, z, poly = int(q), int(x), int(y), int(z), P2
             else:
                 q, x, y, z, label = line.split(",")
-                q, x, y, z, poly = int(q), int(x), int(y or 1), int(z or 1), _POLY_OF_LABEL[label]
+                q, x, y, z, poly = int(q), int(x), int(y or 1), int(z or 1), _POLY_OF_LABEL_LF[label]
             w = new(Witness, (q, poly, new(WitnessTriple, (x, y, z))))
             text = prime_line(q, w.triple) if prime else coverage_line(w)
         except (ValueError, KeyError):
             text = None
-        if text != line + "\n" or q < 1 or x < 1 or y < 1 or z < 1:
-            raise ReportFormatError(f"{path}:{lineno}: not a row a scan writes, with q and x, y, z >= 1: {line!r}")
-        witnesses.append(w)
-    return witnesses
+        if text != line or q < 1 or x < 1 or y < 1 or z < 1:
+            raise _row_error(path, lineno, line, "a row a scan writes, with q and x, y, z >= 1")
+        yield w
 
 
 def read_results_q(path: Path) -> list[int]:
     """Parse a single-column unsolved file back into q values, each written
     as `write_unsolved` writes it: plain decimal digits, q >= 1."""
-    lines = _read_lines(path)
-    if not lines or lines[0] != "q":
-        raise ReportFormatError(f"{path}: not an unsolved-q file")
     qs = []
-    for lineno, line in enumerate(lines[1:], start=2):
-        if not line.isdigit() or line[0] == "0":  # no digit is outside ASCII: str(q) of a q >= 1
-            raise ReportFormatError(f"{path}:{lineno}: not a q >= 1 as a scan writes it: {line!r}")
+    for lineno, line in islice(_rows(path, ["q"]), 1, None):  # past the header
+        if not (line[:-1].isdigit() and line.endswith("\n")) or line[0] == "0":  # no digit is outside ASCII
+            raise _row_error(path, lineno, line, "a q >= 1 as a scan writes it")
         qs.append(int(line))
     return qs
 
@@ -216,13 +218,13 @@ def split_by_family(results_path: Path, out_dir: Path) -> list[Path]:
     """Split a coverage results file into q_with_p1.csv .. q_with_p4.csv.
 
     Each output is a headerless single column of q values in file order,
-    replicating the original analysis script.
+    replicating the original analysis script.  One pass reads the file and
+    keeps each family's column as text, which holds a q of any size in
+    about its digits; the files are written after it, so a malformed row
+    writes none.
     """
-    witnesses = read_results(results_path, "coverage")
-    out = []
+    columns = [io.StringIO() for _ in PolyId]
+    for q, poly, _ in read_results(results_path, "coverage"):
+        columns[poly - 1].write(f"{q}\n")
     out_dir = Path(out_dir)
-    for poly in PolyId:
-        path = out_dir / f"q_with_{poly.label}.csv"
-        write_lines(path, [str(w.q) for w in witnesses if w.poly is poly])
-        out.append(path)
-    return out
+    return [write_text(out_dir / f"q_with_{p.label}.csv", [c.getvalue()]) for p, c in zip(PolyId, columns)]

@@ -132,7 +132,7 @@ def test_criterion_3_prime_scan(tmp_path_factory, capsys):
     reports = run_coverage(cfg)
     solved = sum(r.solved_count for r in reports)
     unsolved = sum(len(r.unsolved) for r in reports)
-    rows = read_results(out / "Results" / "all_solutions.csv")
+    rows = list(read_results(out / "Results" / "all_solutions.csv"))
     ok = solved == PRIME_SOLUTIONS and unsolved == 0 and len(rows) == PRIME_SOLUTIONS
     _report(
         capsys,

@@ -13,7 +13,7 @@ from erdos_straus.batch import (
 )
 from erdos_straus.families import PolyId
 from erdos_straus.numutil import MR_LIMIT, is_prime, window_prime_count
-from erdos_straus.reports import read_results, read_results_q
+from erdos_straus.reports import read_results, read_results_q, write_results_batch, write_unsolved
 from erdos_straus.search import Witness, legacy_coverage_scan, prime_witness_search, wide_search
 
 from .oracles import Row, rows_text, wide_slice_per_q, witness_to_row
@@ -80,7 +80,7 @@ def test_run_coverage_tallies_match_rows(tmp_path):
     cfg = _cfg(tmp_path, q_max=120, batch_size=60)
     reports = run_coverage(cfg)
     for r in reports:
-        rows = read_results(tmp_path / f"results_batch{r.batch_index}.csv")
+        rows = list(read_results(tmp_path / f"results_batch{r.batch_index}.csv"))
         assert sum(r.tallies.values()) == r.solved_count == len(rows)
         for poly in PolyId:
             assert r.tallies[poly] == sum(1 for w in rows if w.poly is poly)
@@ -186,7 +186,7 @@ def test_chunked_coverage_matches_per_q_search_near_1e9(tmp_path, monkeypatch):
     q0 = 1_000_000_002
     cfg = _cfg(tmp_path, q_start=q0, q_max=q0 + 6 * 299, step=6, batch_size=300)
     run_coverage(cfg)
-    rows = read_results(tmp_path / "results_batch1.csv")
+    rows = list(read_results(tmp_path / "results_batch1.csv"))
     assert rows == [wide_search(q) for q in range(q0, q0 + 6 * 300, 6)]
 
 
@@ -341,6 +341,20 @@ def test_resume_rejects_a_record_whose_counts_are_off_by_one(tmp_path, cfg, edit
     assert (tmp_path / "checkpoint.json").read_bytes() == manifest
 
 
+def test_resume_rejects_an_unsolved_q_of_another_batch(tmp_path):
+    # batch 1's files replaced by no rows and one unsolved q of batch 2, and its
+    # record by theirs: digests and counts match, only the q range can tell
+    cfg = _cfg(tmp_path, **_PRIME)
+    reports = run_coverage(cfg)
+    results = write_results_batch([], 1, "prime", tmp_path)
+    unsolved = write_unsolved([reports[1].q_range[0]], 1, "prime", tmp_path)
+    manifest = _edit_record(tmp_path, 1, lambda record: record.update(
+        tallies=[0, 0, 0, 0], sha256=results.sha256, unsolved=1, unsolved_sha256=unsolved.sha256))
+    with pytest.raises(ResumeError, match=r"^batch 1, q in \[6, 107\]: its files hold q outside the batch$"):
+        run_coverage(cfg, resume=True)
+    assert (tmp_path / "checkpoint.json").read_bytes() == manifest
+
+
 def _old_format(record):
     record["rows"] = sum(record.pop("tallies"))
 
@@ -454,7 +468,7 @@ def test_run_prime_coverage_small(tmp_path):
     for q in range(6, 601, 6):
         if is_prime(4 * q + 1):
             expected.append((q, prime_witness_search(q)))
-    rows = read_results(tmp_path / "Results" / "all_solutions.csv")
+    rows = list(read_results(tmp_path / "Results" / "all_solutions.csv"))
     assert rows == [Witness(q, PolyId.P2, t) for q, t in expected]
     assert sum(r.solved_count for r in reports) == len(expected)
     assert read_results_q(tmp_path / "Results" / "all_unsolved.csv") == []

@@ -120,6 +120,23 @@ def test_resume_rejects_another_batchs_file(capsys, tmp_path):
     assert "batch 2, q in [11, 20]: results_batch2.csv is not the file the checkpoint recorded" in err
 
 
+def test_resume_rejects_another_batchs_files_and_record(capsys, tmp_path):
+    # batch 1's files and record copied over batch 2's: the digests match, the q do not
+    def tamper(out):
+        for name in ("results_batch{}.csv", "unsolved_batch{}.csv"):
+            (out / name.format(2)).write_bytes((out / name.format(1)).read_bytes())
+        manifest = json.loads((out / "checkpoint.json").read_text())
+        manifest["batches"]["2"] = manifest["batches"]["1"]
+        (out / "checkpoint.json").write_text(json.dumps(manifest))
+        tampered.append((out / "checkpoint.json").read_bytes())
+
+    tampered = []
+    code, _, err = _cover_then_tamper(capsys, tmp_path, tamper)
+    assert code == 65
+    assert "batch 2, q in [11, 20]: its files hold q outside the batch" in err
+    assert (tmp_path / "checkpoint.json").read_bytes() == tampered[0]
+
+
 def test_resume_rejects_a_truncated_batch_file(capsys, tmp_path):
     def tamper(out):
         path = out / "results_batch3.csv"
@@ -352,6 +369,9 @@ def test_verify_csv_prime_schema(capsys, tmp_path):
     "q,x,y,z,pi\n 2,1,1,1,p1\n",
     "q,x,y,z,pi\n02,1,1,1,p1\n",
     "q,x,y,z,pi\n2,1,1,1,1\n",  # a label without its p
+    # a last row without its newline
+    "q,x,y,z,pi\n2,1,1,1,p1",
+    "q,x,y,z\n18,2,1,4",
 ])
 def test_verify_csv_rejects_malformed_rows(capsys, tmp_path, text):
     path = tmp_path / "bad.csv"
@@ -359,6 +379,17 @@ def test_verify_csv_rejects_malformed_rows(capsys, tmp_path, text):
     code, _, err = run(capsys, "verify-csv", str(path))
     assert code == 65
     assert f"{path}:2:" in err
+
+
+def test_verify_csv_exits_on_the_first_bad_row_in_file_order(capsys, tmp_path):
+    # a wrong identity (exit 1) and a malformed row (exit 65) in either order
+    path = tmp_path / "rows.csv"
+    path.write_text("q,x,y,z,pi\n2,1,1,1,p1\n2,1,1,1,p2\n6,1,1\n")
+    assert run(capsys, "verify-csv", str(path)) == (1, f"{path}:3: invalid row 2,1,1,1,p2\n", "")
+    path.write_text("q,x,y,z,pi\n2,1,1,1,p1\n6,1,1\n2,1,1,1,p2\n")
+    code, out, err = run(capsys, "verify-csv", str(path))
+    assert (code, out) == (65, "")
+    assert f"{path}:3: not a row a scan writes" in err
 
 
 def test_verify_csv_rejects_a_non_ascii_file(capsys, tmp_path):
@@ -395,6 +426,23 @@ def test_split_rejects_prime_schema(capsys, tmp_path):
     path = write_results_batch(rows_text([Row(36, 2, 3, 2)]), 1, "prime", tmp_path)
     code, _, err = run(capsys, "split", str(path), "--out-dir", str(tmp_path))
     assert code == 65
+
+
+def test_split_writes_nothing_when_the_last_row_is_malformed(capsys, tmp_path):
+    path = tmp_path / "rows.csv"
+    path.write_text("q,x,y,z,pi\n2,1,1,1,p1\n6,1,1,,p3\n7,1,1\n")
+    out = tmp_path / "split"
+    code, _, err = run(capsys, "split", str(path), "--out-dir", str(out))
+    assert code == 65
+    assert f"{path}:4: not a row a scan writes" in err
+    assert not out.exists()
+    # the files of an earlier split stay as they are
+    out.mkdir()
+    for poly in range(1, 5):
+        (out / f"q_with_p{poly}.csv").write_text(f"{poly}\n")
+    before = {p.name: p.read_bytes() for p in out.iterdir()}
+    assert run(capsys, "split", str(path), "--out-dir", str(out))[0] == 65
+    assert {p.name: p.read_bytes() for p in out.iterdir()} == before
 
 
 def test_out_dir_from_environment(capsys, tmp_path, monkeypatch):

@@ -1,4 +1,5 @@
 import hashlib
+import tracemalloc
 
 import pytest
 from hypothesis import given, strategies as st
@@ -34,7 +35,7 @@ def _coverage_file(tmp_path, lines):
 
 def test_row_validation(tmp_path):
     good = ["6,1,1,,p3\n", "72,9,,,p4\n"]
-    assert read_results(_coverage_file(tmp_path, good)) == [
+    assert list(read_results(_coverage_file(tmp_path, good))) == [
         Witness(6, PolyId.P3, WitnessTriple(1, 1, 1)),
         Witness(72, PolyId.P4, WitnessTriple(9, 1, 1)),
     ]
@@ -45,7 +46,7 @@ def test_row_validation(tmp_path):
                 # written as the scan writes them, but not >= 1
                 "0,1,,,p4\n", "-2,1,1,1,p1\n", "2,1,-1,1,p1\n", "2,1,1,0,p1\n"):
         with pytest.raises(ReportFormatError, match=":3: "):
-            read_results(_coverage_file(tmp_path, good[:1] + [bad]))
+            list(read_results(_coverage_file(tmp_path, good[:1] + [bad])))
 
 
 def test_witness_row_rendering():
@@ -65,21 +66,21 @@ def test_row_witness_round_trip_small(tmp_path):
     witnesses = [staged_search(q) for q in range(1, 2 * 10**4 + 1)]
     assert {w.poly for w in witnesses} == set(PolyId)
     path = write_results_batch(map(coverage_line, witnesses), 1, "coverage", tmp_path)
-    assert read_results(path) == witnesses
+    assert list(read_results(path)) == witnesses
     # a prime row is the second-family witness of its q
     targets = [q for q in range(6, 2 * 10**4 + 1, 6) if is_prime(4 * q + 1)]
     triples = [prime_witness_search(q) for q in targets]
     path = write_results_batch(map(prime_line, targets, triples), 1, "prime", tmp_path)
-    assert read_results(path) == [Witness(q, PolyId.P2, t) for q, t in zip(targets, triples)]
+    assert list(read_results(path)) == [Witness(q, PolyId.P2, t) for q, t in zip(targets, triples)]
 
 
 def test_row_to_witness_rejects_prime_rows(tmp_path):
     # a prime row carries no family label, so it never reads as a coverage witness
     with pytest.raises(ReportFormatError, match=":2: not a row a scan writes"):
-        read_results(_coverage_file(tmp_path, ["36,2,3,2\n"]))
+        list(read_results(_coverage_file(tmp_path, ["36,2,3,2\n"])))
     prime = write_results_batch(rows_text([Row(36, 2, 3, 2)]), 1, "prime", tmp_path)
     with pytest.raises(ReportFormatError, match="need the coverage schema"):
-        read_results(prime, "coverage")
+        list(read_results(prime, "coverage"))
 
 
 def test_paths():
@@ -138,10 +139,11 @@ def test_read_results_q_names_the_bad_line(tmp_path):
         read_results_q(path)
 
 
-@pytest.mark.parametrize("line", ["0_2", "+5", "-3", " 7", "7 ", "07", "0", ""])
+@pytest.mark.parametrize("line", [pytest.param(f"{line}\n", id=line) for line in ["0_2", "+5", "-3", " 7", "7 ", "07", "0", ""]]
+                         + [pytest.param("9", id="9 without its newline")])
 def test_read_results_q_takes_only_what_a_scan_writes(tmp_path, line):
     path = tmp_path / "unsolved.csv"
-    path.write_text(f"q\n4\n{line}\n")
+    path.write_text(f"q\n4\n{line}")
     with pytest.raises(ReportFormatError, match=":3: "):
         read_results_q(path)
 
@@ -154,17 +156,17 @@ def test_readers_reject_a_non_ascii_file(tmp_path, read):
     for row in (b"2,1,1,1,p\xb91\n", b"2,1,1,1,p\xc2\xb9\n", b"\xb9\n", b"\xc2\xb9\n"):
         path.write_bytes(header + row)
         with pytest.raises(ReportFormatError, match=":2: "):
-            read(path)
+            list(read(path))
 
 
 def test_read_results_checks_the_schema_it_is_asked_for(tmp_path):
     prime = write_results_batch(rows_text([Row(36, 2, 3, 2)]), 1, "prime", tmp_path)
-    assert read_results(prime, "prime") == [Witness(36, PolyId.P2, WitnessTriple(2, 3, 2))]
+    assert list(read_results(prime, "prime")) == [Witness(36, PolyId.P2, WitnessTriple(2, 3, 2))]
     with pytest.raises(ReportFormatError, match="need the coverage schema"):
-        read_results(prime, "coverage")
+        list(read_results(prime, "coverage"))
     coverage = write_results_batch(rows_text([]), 1, "coverage", tmp_path)
     with pytest.raises(ReportFormatError, match="need the prime schema"):
-        read_results(coverage, "prime")
+        list(read_results(coverage, "prime"))
 
 
 def test_writers_return_the_digest_of_the_bytes_written(tmp_path):
@@ -205,12 +207,12 @@ def test_failed_write_keeps_the_previous_file(tmp_path):
 def test_read_results_round_trip(tmp_path):
     rows = _coverage_rows()
     path = write_results_batch(rows_text(rows), 1, "coverage", tmp_path)
-    assert read_results(path) == [staged_search(q) for q in range(1, 40)]
+    assert list(read_results(path)) == [staged_search(q) for q in range(1, 40)]
 
 
 def test_read_results_prime_round_trip(tmp_path):
     path = write_results_batch(rows_text([Row(36, 2, 3, 2)]), 1, "prime", tmp_path)
-    assert read_results(path) == [Witness(36, PolyId.P2, WitnessTriple(2, 3, 2))]
+    assert list(read_results(path)) == [Witness(36, PolyId.P2, WitnessTriple(2, 3, 2))]
 
 
 @pytest.mark.parametrize("text,fragment", [
@@ -223,12 +225,40 @@ def test_read_results_prime_round_trip(tmp_path):
     ("q,x,y,z\n18,2,,4\n", ":2: not a row a scan writes"),
     ("q,x,y,z\n18,2,1,0\n", "x, y, z >= 1: '18,2,1,0'"),
     ("q,x,y,z,pi\n2,1,1,,p1\n", ":2: not a row a scan writes"),
+    # rows end with a newline, the last one too
+    ("q,x,y,z,pi\n2,1,1,1,p1", ":2: the file ends in this line, without a newline: '2,1,1,1,p1'"),
+    ("q,x,y,z\n18,2,1,4", ":2: the file ends in this line, without a newline: '18,2,1,4'"),
+    ("q,x,y,z,pi", ":1: the file ends in this line, without a newline: 'q,x,y,z,pi'"),
 ])
 def test_read_results_errors(tmp_path, text, fragment):
     path = tmp_path / "bad.csv"
     path.write_text(text)
     with pytest.raises(ReportFormatError, match=fragment.replace("(", "\\(")):
-        read_results(path)
+        list(read_results(path))
+
+
+def test_read_results_reads_one_row_at_a_time(tmp_path):
+    # the 3rd row is malformed: the first two are handed out before reading reaches it
+    path = _coverage_file(tmp_path, ["2,1,1,1,p1\n", "6,1,1,,p3\n", "7,1,1\n", "72,9,,,p4\n"])
+    witnesses = read_results(path)
+    assert next(witnesses) == Witness(2, PolyId.P1, WitnessTriple(1, 1, 1))
+    assert next(witnesses) == Witness(6, PolyId.P3, WitnessTriple(1, 1, 1))
+    with pytest.raises(ReportFormatError, match=":4: not a row a scan writes"):
+        next(witnesses)
+
+
+def test_read_results_memory_does_not_grow_with_the_file(tmp_path):
+    rows = 2 * 10**5
+    path = write_results_batch((f"{q},1,{q},{q},p1\n" for q in range(1, rows + 1)), 1, "coverage", tmp_path)
+    tracemalloc.start()
+    try:
+        count = sum(1 for _ in read_results(path))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert count == rows
+    # tracemalloc reads about 50 kB here; a list of the witnesses peaks near 47 MB
+    assert peak < 1 << 20
 
 
 def test_split_by_family(tmp_path):

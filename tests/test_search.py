@@ -600,7 +600,7 @@ def test_wrong_witness_raises_under_python_O():
             path = Path(tmp) / "rows.csv"
             path.write_text("q,x,y,z,pi\\n02,1,1,1,p1\\n")
             try:
-                reports.read_results(path)
+                list(reports.read_results(path))
             except reports.ReportFormatError:
                 pass
             else:
