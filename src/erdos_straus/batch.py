@@ -12,12 +12,12 @@ from __future__ import annotations
 
 import json
 import logging
+import signal
 import time
 from dataclasses import dataclass
 from enum import Enum
-from itertools import takewhile
 from pathlib import Path
-from typing import TYPE_CHECKING, Callable, Iterable, NamedTuple, Optional, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from .families import PolyId
 from .numutil import MR_LIMIT, FactorWindow, prime_targets, window_prime_count
@@ -103,23 +103,28 @@ class BatchReport:
     resumed: bool = False
 
 
-# A pool gets a batch's work in about this many pieces.
-POOL_PARTS = 64
-
-
 def Pool(processes: int) -> _Pool:
     """A worker pool.  multiprocessing is imported here, not at module
     import, because loading it takes about 10 ms that single-worker scans
-    and the other commands would pay for nothing."""
+    and the other commands would pay for nothing.  Workers drop the parent's
+    SIGTERM handler (the CLI's cancel), so that `terminate` stops them."""
     from multiprocessing import Pool as pool_of
 
-    return pool_of(processes)
+    return pool_of(processes, initializer=signal.signal, initargs=(signal.SIGTERM, signal.SIG_DFL))
 
 
-def _map(pool: Optional[_Pool], fn, items: Sequence) -> list:
+def _map(pool: Optional[_Pool], fn, work: Iterable[Sequence]) -> Iterator[list]:
+    """`fn` over each batch's items, one list per batch, in batch order.  A pool is given batch
+    k+1, and none beyond, before batch k is collected, so it computes while the parent writes."""
     if pool is None:
-        return [fn(item) for item in items]
-    return pool.map(fn, items, chunksize=1)
+        yield from ([fn(item) for item in items] for items in work)
+        return
+    queued = []
+    for items in work:
+        queued.append(pool.map_async(fn, items, chunksize=1))
+        if len(queued) == 2:
+            yield queued.pop(0).get()
+    yield from (result.get() for result in queued)
 
 
 # A coverage slice's factor window spans [q_first + 1, q_last + WINDOW_MARGIN]:
@@ -346,36 +351,33 @@ def run_coverage(
     not rerun: `_reload` checks its files and takes its tallies from the
     record.  In coverage mode, small q (below the cube-probe horizon) are
     classified sequentially with the legacy scan semantics so the artifacts
-    match the reference CSVs.  The rest of each batch is cut into contiguous
-    range slices that fan out across workers; each comes back as CSV text,
-    its unsolved q and its per-family counts, and the texts are written in
-    q order.  The prefix and the pool are only set up when a batch that
-    needs them runs; a scan inside the prefix needs no pool.
+    match the reference CSVs.  The rest of each batch is cut into one
+    contiguous range slice per worker, queued with a pool while the parent
+    runs the prefix and writes the batch before; each comes back as CSV
+    text, its unsolved q and its per-family counts, and the texts are
+    written in q order.  The prefix and the pool are only set up when a
+    batch that needs them runs; a scan inside the prefix needs no pool.
     """
     mode, label = _MODES[cfg.mode], cfg.mode.value
     batches = mode.batches(cfg)
     recorded = _read_manifest(cfg, len(batches)) if resume else {}
     _prepare_output(cfg)
-    to_run = [qs for index, qs in enumerate(batches, start=1) if index not in recorded]
     # the completed batches' file records, JSON-encoded for the manifest
     records = {b: json.dumps(record) for b, record in recorded.items()}
-    prefix: dict[int, Optional[Witness]] = {}
-    if mode.legacy_prefix and any(qs[0] <= LEGACY_PROBE_LIMIT for qs in to_run):
-        # The legacy scan carries state from q to q, so it always runs over
-        # the whole prefix, reloaded batches included.
-        small = range(cfg.q_start, min(cfg.q_max, LEGACY_PROBE_LIMIT) + 1, cfg.step)
-        prefix = dict(legacy_coverage_scan(small))
-
-    parts = 1 if cfg.worker_count == 1 else POOL_PARTS
-    # per batch to run: how many prefix values, all <= LEGACY_PROBE_LIMIT, lead
-    # it, and the slices of the rest; no more workers start than a batch has slices
+    # The legacy scan carries state from q to q, so it always runs over the
+    # whole prefix, reloaded batches included, once a batch to run needs it.
+    top = min(cfg.q_max, LEGACY_PROBE_LIMIT) if mode.legacy_prefix else 0
+    small, prefix = range(cfg.q_start, top + 1, cfg.step), {}
+    # per batch to run: how many prefix values lead it, and the rest cut into
+    # one slice per worker; no more workers start than a batch has slices
     work = {}
     for index, qs in enumerate(batches, start=1):
         if index not in recorded:
-            lead = sum(1 for _ in takewhile(prefix.__contains__, qs))
-            work[index] = lead, _slices(qs[lead:], parts)
+            lead = len(range(qs.start, min(qs.stop, top + 1), qs.step))
+            work[index] = lead, _slices(qs[lead:], cfg.worker_count)
     processes = min(cfg.worker_count, max((len(slices) for _, slices in work.values()), default=0))
     pool = Pool(processes) if processes > 1 else None
+    solved = _map(pool, mode.solve, [slices for _, slices in work.values()])
     reports = []
     try:
         for index, qs in enumerate(batches, start=1):
@@ -386,9 +388,10 @@ def run_coverage(
             else:
                 if cancel is not None and cancel():
                     raise ScanCancelled(f"cancelled before batch {index} completed")
-                lead, slices = work.pop(index)
-                pieces = [_coverage_result((q, prefix[q]) for q in qs[:lead])] if lead else []
-                pieces += _map(pool, mode.solve, slices)
+                pieces = next(solved)
+                if lead := work[index][0]:
+                    prefix = prefix or dict(legacy_coverage_scan(small))
+                    pieces.insert(0, _coverage_result((q, prefix[q]) for q in qs[:lead]))
                 unsolved = [q for r in pieces for q in r.unsolved]
                 tallies = {p: sum(r.counts[p - 1] for r in pieces) for p in PolyId}
                 results = write_results_batch((r.text for r in pieces), index, label, cfg.output_dir)
@@ -411,6 +414,10 @@ def run_coverage(
                     resumed=resumed,
                 )
             )
+    except BaseException:
+        if pool is not None:
+            pool.terminate()  # a queued batch must not run on after the scan failed
+        raise
     finally:
         if pool is not None:
             pool.close()

@@ -1,5 +1,8 @@
 import hashlib
 import json
+import multiprocessing
+import signal
+import time
 
 import pytest
 
@@ -86,15 +89,28 @@ def test_run_coverage_tallies_match_rows(tmp_path):
             assert r.tallies[poly] == sum(1 for w in rows if w.poly is poly)
 
 
+def _files(out):
+    """Every file under `out`, by its path relative to `out`, with its bytes."""
+    return {p.relative_to(out): p.read_bytes() for p in sorted(out.rglob("*")) if p.is_file()}
+
+
 def test_run_coverage_worker_counts_byte_identical(tmp_path):
-    outs = {}
-    for workers in (1, 2):
-        out = tmp_path / f"w{workers}"
-        run_coverage(_cfg(out, worker_count=workers, q_max=2200))
-        outs[workers] = {
-            p.name: p.read_bytes() for p in sorted(out.glob("*.csv"))
-        }
-    assert outs[1] == outs[2]
+    # Every file, checkpoint.json included, on scans of several batches whose
+    # last batch is short, so that pooled batches are queued ahead of the one
+    # being written: cover --q-max 7000 --batch-size 2000 has 4 batches, and
+    # the prime scan 3 blocks.
+    scans = {
+        "cover-2200": dict(q_max=2200),
+        "cover-7000": dict(q_max=7000, batch_size=2000),
+        "primes": dict(_PRIME, q_max=30_000, batch_size=10_000),
+    }
+    for name, scan in scans.items():
+        outs = {}
+        for workers in (1, 2, 3):
+            out = tmp_path / name / f"w{workers}"
+            run_coverage(_cfg(out, worker_count=workers, **scan))
+            outs[workers] = _files(out)
+        assert len(outs[1]) >= 7 and outs[1] == outs[2] == outs[3], name
 
 
 def test_run_coverage_resume_skips_completed(tmp_path):
@@ -124,14 +140,22 @@ def test_full_resume_computes_no_prefix_and_starts_no_pool(tmp_path, monkeypatch
 
 
 class _InlinePool:
-    """Stands in for batch.Pool: records the size asked for and runs the work
-    inline, so a test can ask for any worker count without starting a process."""
+    """Stands in for batch.Pool: records the size asked for, and in `events`
+    each batch submitted and collected; runs the work inline, so a test can ask
+    for any worker count without starting a process."""
 
-    def __init__(self, sizes, processes):
+    def __init__(self, sizes, processes, events=None):
         sizes.append(processes)
+        self.events = [] if events is None else events
+        self.submitted = 0
 
-    def map(self, fn, items, chunksize=1):
-        return [fn(item) for item in items]
+    def map_async(self, fn, items, chunksize=1):
+        self.submitted += 1
+        self.events.append(("submit", self.submitted))
+        return _Submitted(self.events, self.submitted, [fn(item) for item in items])
+
+    def terminate(self):
+        self.events.append(("terminate", self.submitted))
 
     def close(self):
         pass
@@ -140,18 +164,124 @@ class _InlinePool:
         pass
 
 
+class _Submitted:
+    """A batch given to _InlinePool: `get` records its collection."""
+
+    def __init__(self, events, index, results):
+        self.events, self.index, self.results = events, index, results
+
+    def get(self):
+        self.events.append(("collect", self.index))
+        return self.results
+
+
 @pytest.mark.parametrize("workers", [3, 100_000])
 def test_pool_starts_no_more_workers_than_a_batch_has_slices(tmp_path, monkeypatch, workers):
     sizes = []
     monkeypatch.setattr(batch, "Pool", lambda processes: _InlinePool(sizes, processes))
     cfg = _cfg(tmp_path, q_start=10**6, q_max=10**6 + 2999, batch_size=2000, worker_count=workers)
     reports = run_coverage(cfg)
-    slices = [len(batch._slices(range(lo, hi + 1), batch.POOL_PARTS)) for lo, hi in (r.q_range for r in reports)]
-    assert slices == [12, 6]  # each slice at least as long as its window's 168 primes
+    slices = [len(batch._slices(range(lo, hi + 1), workers)) for lo, hi in (r.q_range for r in reports)]
+    # one slice per worker, each at least as long as its window's 168 primes
+    assert slices == {3: [3, 3], 100_000: [12, 6]}[workers]
     assert sizes == [min(workers, 12)]
     # a scan whose every batch is one slice starts no pool
     monkeypatch.setattr(batch, "Pool", _forbidden)
     run_coverage(_cfg(tmp_path / "one", q_start=10**6, q_max=10**6 + 99, worker_count=workers))
+
+
+def test_pool_is_given_one_batch_ahead_of_the_one_written(tmp_path, monkeypatch):
+    # Batch k+1 is submitted before batch k is collected, so the workers compute
+    # while the parent writes batch k; no batch further ahead is submitted, which
+    # bounds memory however many batches a scan has.  Batches come back in order.
+    events = []
+    monkeypatch.setattr(batch, "Pool", lambda processes: _InlinePool([], processes, events))
+    write = batch.write_results_batch
+
+    def logged_write(texts, index, *args):
+        events.append(("write", index))
+        return write(texts, index, *args)
+
+    monkeypatch.setattr(batch, "write_results_batch", logged_write)
+    scan = dict(q_start=10**6, q_max=10**6 + 4999, batch_size=1000)
+    run_coverage(_cfg(tmp_path / "pooled", worker_count=2, **scan))
+    assert events == [
+        ("submit", 1), ("submit", 2), ("collect", 1), ("write", 1),
+        ("submit", 3), ("collect", 2), ("write", 2),
+        ("submit", 4), ("collect", 3), ("write", 3),
+        ("submit", 5), ("collect", 4), ("write", 4),
+        ("collect", 5), ("write", 5),
+    ]
+    submitted = collected = 0
+    for event, index in events:
+        submitted += event == "submit"
+        collected += event == "collect"
+        assert submitted - collected <= 2
+    run_coverage(_cfg(tmp_path / "inline", **scan))
+    assert _files(tmp_path / "pooled") == _files(tmp_path / "inline")
+
+
+# The teardown scans: 3 batches of 1000 q from 10^6, 2 slices each.  _FAULTS
+# names what the slices of a batch do instead of solving: "raise", or "stall"
+# for a minute before solving, so that a scan which lets a queued batch run
+# on after it has failed takes that long to return.
+_TEARDOWN = dict(q_start=10**6, q_max=10**6 + 2999, batch_size=1000, worker_count=2)
+_FAULTS: dict[int, str] = {}
+
+
+def _faulty_slice(qs):
+    fault = _FAULTS.get((qs[0] - 10**6) // 1000 + 1)
+    if fault == "raise":
+        raise RuntimeError(f"the slice from q = {qs[0]} failed")
+    if fault == "stall":
+        time.sleep(60)
+    return batch._wide_slice(qs)
+
+
+@pytest.mark.parametrize("fault, faults, error", [
+    ("cancel", {2: "stall"}, ScanCancelled),  # batch 2 is queued when the cancel comes
+    ("worker", {2: "raise", 3: "stall"}, RuntimeError),
+    ("write", {3: "stall"}, OSError),
+], ids=["cancel", "worker-error", "write-error"])
+def test_a_failed_pooled_scan_stops_its_workers_and_resumes(tmp_path, monkeypatch, fault, faults, error):
+    cfg = _cfg(tmp_path / "failed", **_TEARDOWN)
+    monkeypatch.setattr(f"{__name__}._FAULTS", faults)
+    coverage = batch._MODES[ScanMode.COVERAGE]
+    monkeypatch.setitem(batch._MODES, ScanMode.COVERAGE, coverage._replace(solve=_faulty_slice))
+    write = batch.write_unsolved
+
+    def write_unsolved(unsolved, index, *args):
+        if fault == "write" and index == 2:
+            raise OSError("no space left on device")
+        return write(unsolved, index, *args)
+
+    monkeypatch.setattr(batch, "write_unsolved", write_unsolved)
+    calls = iter([False, True])  # batch 1 runs, then a cancel
+
+    def expire(signum, frame):  # not an OSError, which multiprocessing's waits swallow
+        raise AssertionError("the failed scan is waiting for its stalled workers")
+
+    # A SIGTERM handler in the parent, as the CLI sets for its cancel, which
+    # forked workers inherit; and a deadline well inside the stalled minute,
+    # repeated each second so that it breaks every wait of the teardown.
+    handlers = {signal.SIGTERM: signal.signal(signal.SIGTERM, lambda signum, frame: None),
+                signal.SIGALRM: signal.signal(signal.SIGALRM, expire)}
+    signal.setitimer(signal.ITIMER_REAL, 30, 1)
+    try:
+        with pytest.raises(error):
+            run_coverage(cfg, cancel=(lambda: next(calls)) if fault == "cancel" else None)
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        for signum, handler in handlers.items():
+            signal.signal(signum, handler)
+    assert multiprocessing.active_children() == []
+    assert json.loads((cfg.output_dir / "checkpoint.json").read_text())["completed"] == [1]
+
+    monkeypatch.undo()
+    reports = run_coverage(cfg, resume=True)
+    assert [r.resumed for r in reports] == [True, False, False]
+    run_coverage(_cfg(tmp_path / "whole", **_TEARDOWN))
+    assert _files(cfg.output_dir) == _files(tmp_path / "whole")
 
 
 def _forget_batches(out, *indexes):
@@ -191,31 +321,33 @@ def test_chunked_coverage_matches_per_q_search_near_1e9(tmp_path, monkeypatch):
 
 
 @pytest.mark.parametrize("step", [1, 6])
-@pytest.mark.parametrize("parts", [1, batch.POOL_PARTS])
-def test_slices_are_contiguous_and_window_bounded(step, parts):
+@pytest.mark.parametrize("workers", [1, 2, 3, 64])
+def test_slices_are_contiguous_and_window_bounded(step, workers):
     qs = range(7, 7 + step * 50_000, step)
-    slices = batch._slices(qs, parts)
+    slices = batch._slices(qs, workers)
     assert all(isinstance(s, range) and s.step == step for s in slices)
     assert [q for s in slices for q in s] == list(qs)
-    assert len(slices) >= parts
+    assert len(slices) >= workers
     assert all(s[-1] - s[0] + batch.WINDOW_MARGIN <= batch.WINDOW_SPAN for s in slices)
-    assert batch._slices(range(7, 7, step), parts) == []
+    assert batch._slices(range(7, 7, step), workers) == []
 
 
 def test_small_pooled_batch_near_1e9_is_one_slice():
     # a slice near 10^9 sieves 3401 primes; 64 slices of 47 q would each pay for that
     qs = range(1_000_000_002, 1_000_000_002 + 6 * 3001, 6)
-    assert batch._slices(qs, batch.POOL_PARTS) == [qs]
+    for workers in (2, 3, 64):
+        assert batch._slices(qs, workers) == [qs]
 
 
 @pytest.mark.parametrize("count", [3401, 20_000, 100_000])
 def test_pooled_slices_pay_for_their_sieve(count):
     qs = range(1_000_000_002, 1_000_000_002 + 6 * count, 6)
-    slices = batch._slices(qs, batch.POOL_PARTS)
-    assert [q for s in slices for q in s] == list(qs)
     cap = (batch.WINDOW_SPAN - batch.WINDOW_MARGIN) // 6 + 1
-    for s in slices[:-1]:
-        assert len(s) >= min(cap, window_prime_count(s[-1] + batch.WINDOW_MARGIN))
+    for workers in (2, 3, 64):
+        slices = batch._slices(qs, workers)
+        assert [q for s in slices for q in s] == list(qs)
+        for s in slices[:-1]:
+            assert len(s) >= min(cap, window_prime_count(s[-1] + batch.WINDOW_MARGIN))
 
 
 def _rows_of(witnesses):
