@@ -12,6 +12,7 @@ file, 74 I/O failure, 130 cancelled.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import os
 import signal
@@ -90,18 +91,27 @@ def build_parser() -> _Parser:
     return p
 
 
-def _install_cancel():
+@contextlib.contextmanager
+def _cancel_on_signal():
+    """A scan's cancel check: SIGINT and SIGTERM only set a flag while the
+    scan runs, and their earlier handlers are put back when it ends."""
     flag = {"stop": False}
 
     def handler(signum, frame):
         flag["stop"] = True
 
+    saved = {}
     try:
-        signal.signal(signal.SIGINT, handler)
-        signal.signal(signal.SIGTERM, handler)
+        for signum in (signal.SIGINT, signal.SIGTERM):
+            saved[signum] = signal.signal(signum, handler)
     except ValueError:
         pass  # not the main thread (tests)
-    return lambda: flag["stop"]
+    try:
+        yield lambda: flag["stop"]
+    finally:
+        for signum, old in saved.items():
+            if old is not None:  # None: set outside Python, cannot be put back
+                signal.signal(signum, old)
 
 
 def _scan_config(args, mode: ScanMode, q_start: int, step: int) -> BatchConfig:
@@ -125,7 +135,8 @@ def _scan_config(args, mode: ScanMode, q_start: int, step: int) -> BatchConfig:
 def _cmd_cover(args) -> int:
     cfg = _scan_config(args, ScanMode.COVERAGE, args.q_start, args.step)
     print(f"Batch size (number of q values per batch) = {cfg.batch_size}")
-    reports = run_coverage(cfg, cancel=_install_cancel(), resume=args.resume)
+    with _cancel_on_signal() as cancel:
+        reports = run_coverage(cfg, cancel=cancel, resume=args.resume)
     for r in reports:
         print(f"Batch {r.batch_index}: q in [{r.q_range[0]}, {r.q_range[1]}]")
         print(f"Unsolved q in batch {r.batch_index}: {len(r.unsolved)}")
@@ -148,7 +159,8 @@ def _cmd_primes(args) -> int:
         )
     cfg = _scan_config(args, ScanMode.PRIME_COVERAGE, q_start, 6)
     print(f"Batch size = {cfg.batch_size}")
-    reports = run_coverage(cfg, cancel=_install_cancel(), resume=args.resume)
+    with _cancel_on_signal() as cancel:
+        reports = run_coverage(cfg, cancel=cancel, resume=args.resume)
     for r in reports:
         print(
             f"Processing batch {r.batch_index}/{len(reports)}: "

@@ -9,7 +9,6 @@ costs nothing but memory.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from typing import NamedTuple, Optional
 
@@ -39,8 +38,7 @@ class Provenance(Enum):
     SQUARE_RECURSIVE = "SquareRecursive"
 
 
-@dataclass(frozen=True)
-class DecompositionRecord:
+class DecompositionRecord(NamedTuple):
     a: int
     triple: UnitFractionTriple
     provenance: Provenance
@@ -164,6 +162,13 @@ def decompose_case_p3(t: WitnessTriple) -> UnitFractionTriple:
     return _checked(a, triple)
 
 
+_CASES = {
+    PolyId.P1: (decompose_case_p1, Provenance.CASE_P1),
+    PolyId.P2: (decompose_case_p2, Provenance.CASE_P2),
+    PolyId.P3: (decompose_case_p3, Provenance.CASE_P3),
+}
+
+
 def decompose_square(x: int) -> DecompositionRecord:
     """Decomposition of 4/a for a = (2x-1)^2, x >= 2.
 
@@ -209,9 +214,5 @@ def decompose_any(a: int) -> DecompositionRecord:
     poly, t = witness.poly, witness.triple
     if poly is PolyId.P4:
         return decompose_square(t.x)
-    case = {
-        PolyId.P1: (decompose_case_p1, Provenance.CASE_P1),
-        PolyId.P2: (decompose_case_p2, Provenance.CASE_P2),
-        PolyId.P3: (decompose_case_p3, Provenance.CASE_P3),
-    }[poly]
-    return DecompositionRecord(a, case[0](t), case[1], witness=(poly, t))
+    case, provenance = _CASES[poly]
+    return DecompositionRecord(a, case(t), provenance, (poly, t))

@@ -4,6 +4,9 @@ Everything here is exact integer arithmetic; no floating point anywhere.
 Primality is a deterministic Miller-Rabin with the 13 prime bases up to 41,
 proven complete for every n < MR_LIMIT (about 3.317 * 10^24, above 2^64);
 it refuses larger n, so batch runs never depend on probabilistic answers.
+A smaller n runs only the first k bases, as few as are proven for its size
+by _MR_BOUNDS, the least strong pseudoprimes to the first k prime bases
+(OEIS A014233; Jaeschke 1993; Sorenson and Webster 2017).
 Factorization is trial division by the primes below 2^16, screened a run of
 primes at a time by one gcd, with Brent's Pollard-rho escalation for a
 cofactor above 2^32, and every divisor list is built from a factorization;
@@ -24,10 +27,29 @@ from math import gcd, isqrt, prod
 from typing import Iterator, Optional
 
 # MR_LIMIT is the least strong pseudoprime to all of these bases, so they are
-# proven complete below it.  Without 41 the bound would be the least strong
-# pseudoprime to the bases up to 37, 318665857834031151167461.
+# proven complete below it.
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 MR_LIMIT = 3_317_044_064_679_887_385_961_981
+
+# (psi_k, k): psi_k is the least strong pseudoprime to the first k prime
+# bases, so those k bases are proven exact for every n < psi_k.  A k missing
+# here has the same psi_k as the one listed before it (psi_8 = psi_7,
+# psi_10 = psi_11 = psi_9).  Sources: OEIS A014233; Pomerance, Selfridge and
+# Wagstaff (1980) and Jaeschke (1993) up to k = 8; Jiang and Deng (2014) for
+# k = 9..11; Sorenson and Webster (2017) for k = 12, 13.
+_MR_BOUNDS = (
+    (2047, 1),
+    (1373653, 2),
+    (25326001, 3),
+    (3215031751, 4),
+    (2152302898747, 5),
+    (3474749660383, 6),
+    (341550071728321, 7),
+    (3825123056546413051, 9),
+    (318665857834031151167461, 12),
+    (MR_LIMIT, 13),
+)
+_MR_PSI = [psi for psi, _ in _MR_BOUNDS]
 
 _RHO_CUTOFF = 1 << 32
 
@@ -72,7 +94,10 @@ SIEVE_MAX = 65537**2 - 1
 def is_prime(n: int) -> bool:
     """Deterministic Miller-Rabin, proven exact for every n < MR_LIMIT.
 
-    Raises ValueError for n >= MR_LIMIT, where no answer would be proven.
+    It runs the first k of the 13 bases for the first psi_k of _MR_BOUNDS
+    above n (OEIS A014233; Jaeschke 1993; Sorenson and Webster 2017): 3 for
+    n < 25326001, 6 near 4 * 10^12, 9 near 10^18.  Raises ValueError for
+    n >= MR_LIMIT, where no answer would be proven.
     """
     if n < 2:
         return False
@@ -86,7 +111,7 @@ def is_prime(n: int) -> bool:
     while d % 2 == 0:
         d //= 2
         r += 1
-    for a in _MR_BASES:
+    for a in _MR_BASES[: _MR_BOUNDS[bisect_right(_MR_PSI, n)][1]]:
         x = pow(a, d, n)
         if x == 1 or x == n - 1:
             continue
@@ -104,9 +129,12 @@ def _rho_factor(n: int) -> int:
 
     Brent (1980): the walk y -> y^2 + c is compared with a point x saved
     at each power of two, and the products of x - y are accumulated mod n
-    so that one gcd serves a block of _RHO_BLOCK steps.  When a block's
-    gcd comes out as n, the block is replayed one gcd per step; a walk
-    that still only finds n is retried with the next c.
+    so that one gcd serves a block of _RHO_BLOCK steps.  The walk is taken
+    four steps at a time, their four differences multiplied in with one
+    reduction mod n; the product mod n, and so each block's gcd, is the
+    same as reducing at every step.  When a block's gcd comes out as n,
+    the block is replayed one gcd per step; a walk that still only finds n
+    is retried with the next c.
     """
     if n % 2 == 0:
         return 2
@@ -119,7 +147,14 @@ def _rho_factor(n: int) -> int:
             k = 0
             while k < r and g == 1:
                 ys = y
-                for _ in range(min(_RHO_BLOCK, r - k)):
+                steps = min(_RHO_BLOCK, r - k)
+                for _ in range(steps >> 2):
+                    y1 = (y * y + c) % n
+                    y2 = (y1 * y1 + c) % n
+                    y3 = (y2 * y2 + c) % n
+                    y = (y3 * y3 + c) % n
+                    prod_ = prod_ * (x - y1) * (x - y2) * (x - y3) * (x - y) % n
+                for _ in range(steps & 3):  # only r = 1 and 2 leave a rest
                     y = (y * y + c) % n
                     prod_ = prod_ * (x - y) % n
                 g = gcd(prod_, n)

@@ -8,7 +8,7 @@ equations are checked by direct evaluation over exhaustively enumerated
 from __future__ import annotations
 
 from fractions import Fraction
-from math import isqrt
+from math import gcd, isqrt, prod
 from typing import NamedTuple, Optional
 
 from erdos_straus.families import PolyId, WitnessTriple, eval_poly
@@ -244,3 +244,77 @@ def witness_to_row(w) -> Row:
     if w.poly is PolyId.P3:
         return Row(w.q, w.triple.x, w.triple.y, None, "p3")
     return Row(w.q, w.triple.x, w.triple.y, w.triple.z, w.poly.label)
+
+
+def strong_probable_prime(n: int, a: int) -> bool:
+    """True iff odd n > 2 passes the Miller-Rabin round to base a: with
+    n - 1 = d 2^r, d odd, a^d = 1 or a^(d 2^i) = -1 (mod n) for some i < r."""
+    d, r = n - 1, 0
+    while d % 2 == 0:
+        d, r = d // 2, r + 1
+    x = pow(a, d, n)
+    if x in (1, n - 1):
+        return True
+    for _ in range(r - 1):
+        x = x * x % n
+        if x == n - 1:
+            return True
+    return False
+
+
+def rho_factor_by_step(n: int) -> int:
+    """Brent's rho as numutil._rho_factor ran it with one reduction mod n per
+    step: the same walk, blocks of 128 steps per gcd and backtrack."""
+    if n % 2 == 0:
+        return 2
+    for c in range(1, 100):
+        y, r, prod_, g = 2, 1, 1, 1
+        while g == 1:
+            x = y
+            for _ in range(r):
+                y = (y * y + c) % n
+            k = 0
+            while k < r and g == 1:
+                ys = y
+                for _ in range(min(128, r - k)):
+                    y = (y * y + c) % n
+                    prod_ = prod_ * (x - y) % n
+                g = gcd(prod_, n)
+                k += 128
+            r *= 2
+        if g == n:
+            g = 1
+            while g == 1:
+                ys = (ys * ys + c) % n
+                g = gcd(x - ys, n)
+        if g != n:
+            return g
+    raise ArithmeticError(f"rho failed to factor {n}")
+
+
+def prime_by_certificate(n: int) -> bool:
+    """Primality of n >= 2 decided without trusting the library's answer.
+
+    Below 2^32 by trial division.  Above, a composite is shown by the
+    nontrivial factorization factorize(n) finds, checked by multiplying it
+    out; a prime by a Lucas certificate: a base a < 100 of order n - 1,
+    over the prime factors of n - 1, each certified in turn.  A number
+    factorize calls prime but no base certifies is taken as composite, so a
+    wrong answer from is_prime shows as a disagreement, never as a pass.
+    """
+    from erdos_straus.numutil import factorize
+
+    if n < 1 << 32:
+        return n >= 2 and all(n % d for d in range(2, isqrt(n) + 1))
+    factors = factorize(n)
+    if factors != {n: 1}:
+        assert prod(p**e for p, e in factors.items()) == n
+        return False
+    order = factorize(n - 1)
+    assert prod(p**e for p, e in order.items()) == n - 1
+    if not all(prime_by_certificate(p) for p in order):
+        return False
+    return any(
+        pow(a, n - 1, n) == 1 and all(pow(a, (n - 1) // p, n) != 1 for p in order)
+        for a in range(2, 100)
+    )

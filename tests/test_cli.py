@@ -1,7 +1,9 @@
 import json
+import signal
 
 import pytest
 
+from erdos_straus import cli
 from erdos_straus.cli import build_parser, main
 from erdos_straus.numutil import MR_LIMIT
 from erdos_straus.reports import write_results_batch
@@ -278,6 +280,38 @@ def test_primes_q_start_1_to_5_rounds_up_to_6(capsys, tmp_path):
         code, out, _ = run(capsys, "primes", "--q-start", q_start, "--q-max", "30", "--out-dir", str(tmp_path))
         assert code == 0
         assert "qStart = 6, qMax = 30, step = 6" in out
+
+
+@pytest.mark.parametrize("command", ["cover", "primes"])
+def test_scan_puts_back_the_signal_handlers_it_replaced(capsys, tmp_path, monkeypatch, command):
+    # in-process callers of main keep their SIGINT and SIGTERM handlers
+    # after a scan that succeeds (exit 0) and after one that fails (exit 74)
+    signums = (signal.SIGINT, signal.SIGTERM)
+    run_coverage, during = cli.run_coverage, []
+
+    def recording_run_coverage(*args, **kwargs):
+        during.append([signal.getsignal(s) for s in signums])
+        return run_coverage(*args, **kwargs)
+
+    def own_handler(signum, frame):
+        pass
+
+    monkeypatch.setattr(cli, "run_coverage", recording_run_coverage)
+    saved = [signal.signal(s, own_handler) for s in signums]
+    try:
+        before = [signal.getsignal(s) for s in signums]
+        blocked = tmp_path / "a file"
+        blocked.write_text("")
+        for out_dir, code in ((tmp_path / "out", 0), (blocked, 74)):
+            argv = [command, "--q-max", "200", "--workers", "1", "--out-dir", str(out_dir)]
+            assert run(capsys, *argv)[0] == code
+            assert [signal.getsignal(s) for s in signums] == before
+    finally:
+        for s, handler in zip(signums, saved):
+            signal.signal(s, handler)
+    # the scans ran under the cancel flag's handlers, not the caller's
+    assert len(during) == 2
+    assert all(h is not own_handler and callable(h) for hs in during for h in hs)
 
 
 def test_decompose(capsys):

@@ -16,7 +16,14 @@ from erdos_straus.numutil import (
     window_prime_count,
 )
 
-from .oracles import divisors_ascending, divisors_by_trial, factor_by_trial
+from .oracles import (
+    divisors_ascending,
+    divisors_by_trial,
+    factor_by_trial,
+    prime_by_certificate,
+    rho_factor_by_step,
+    strong_probable_prime,
+)
 
 
 def _trial_is_prime(n: int) -> bool:
@@ -73,6 +80,56 @@ def test_is_prime_refuses_the_unproven_domain():
 @given(st.integers(min_value=0, max_value=200_000))
 def test_is_prime_agrees_with_trial_division(n):
     assert is_prime(n) == _trial_is_prime(n)
+
+
+_PSI = [psi for psi, _ in numutil_module._MR_BOUNDS]
+
+
+def test_mr_bounds_are_the_least_pseudoprimes_to_their_bases():
+    # each psi_k fools its first k bases, so no bound could be raised, and
+    # is_prime, which runs more bases from psi_k on, still rejects it
+    bounds = numutil_module._MR_BOUNDS
+    assert bounds[-1] == (MR_LIMIT, len(numutil_module._MR_BASES))
+    assert _PSI == sorted(set(_PSI))
+    assert [k for _, k in bounds] == sorted({k for _, k in bounds})
+    for psi, k in bounds:
+        assert all(strong_probable_prime(psi, a) for a in numutil_module._MR_BASES[:k]), psi
+        if psi < MR_LIMIT:
+            assert is_prime(psi) is False, psi
+
+
+@pytest.mark.parametrize("psi", [psi for psi in _PSI if psi < 1 << 32])
+def test_is_prime_agrees_with_trial_division_around_each_small_bound(psi):
+    for n in range(psi - 500, psi + 501):
+        assert is_prime(n) == _trial_is_prime(n), n
+
+
+def _straddling_semiprimes(psi):
+    """p * q with p the prime below isqrt(psi), and q the primes on either
+    side of psi / p: one product below psi, one above."""
+    p = isqrt(psi)
+    while not prime_by_certificate(p):
+        p -= 1
+    below = above = psi // p
+    while not prime_by_certificate(below) or p * below >= psi:
+        below -= 1
+    while not prime_by_certificate(above) or p * above <= psi:
+        above += 1
+    return p * below, p * above
+
+
+@pytest.mark.parametrize("psi", [psi for psi in _PSI if psi >= 1 << 32])
+def test_is_prime_agrees_with_a_certificate_around_each_large_bound(psi):
+    # every n from the prime before psi to the prime after it
+    for step in (-1, 1):
+        n, prime = psi, False
+        while not prime and n + step < MR_LIMIT:
+            n += step
+            prime = prime_by_certificate(n)
+            assert is_prime(n) == prime, n
+    for n in _straddling_semiprimes(psi):
+        if n < MR_LIMIT:
+            assert is_prime(n) is False, n
 
 
 def test_factorize_examples():
@@ -137,6 +194,40 @@ def test_rho_backtracks_when_a_block_gcd_is_n(monkeypatch):
         seen.clear()
         assert factorize(p**k) == {p: k}
         assert any(seen), (p, k)
+
+
+# Odd semiprimes whose smaller factor is the prime next to 2^e, e = 17..31.
+_RHO_SEMIPRIMES = [
+    next(p for p in range(1 << e | 1, 1 << e + 1, 2) if _trial_is_prime(p))
+    * (10**12 + 39)
+    for e in range(17, 32)
+]
+
+
+@pytest.mark.parametrize("n", _RHO_SEMIPRIMES + [65537**2, 65537**3, 65557**2])
+def test_rho_four_steps_per_reduction_finds_the_factor_of_one_per_step(n):
+    assert numutil_module._rho_factor(n) == rho_factor_by_step(n)
+
+
+def test_rho_finds_the_same_factor_in_walks_shorter_than_four_steps(monkeypatch):
+    # a factor the first or second block's gcd (r = 1 or 2 steps) finds
+    calls = []
+
+    def counting_gcd(a, b):
+        calls.append(b)
+        return gcd(a, b)
+
+    monkeypatch.setattr(numutil_module, "gcd", counting_gcd)
+    found_at = {1: [], 2: []}
+    for n in range(9, 3000, 2):
+        if _trial_is_prime(n):
+            continue
+        calls.clear()
+        d = numutil_module._rho_factor(n)
+        assert d == rho_factor_by_step(n), n
+        if len(calls) in found_at and d != n:
+            found_at[len(calls)].append(n)
+    assert found_at[1] and found_at[2]
 
 
 def _next_prime(n):
