@@ -48,7 +48,7 @@ if TYPE_CHECKING:
 
 log = logging.getLogger(__name__)
 
-MANIFEST_NAME = "checkpoint.json"
+MANIFEST_NAME = "checkpoint.jsonl"  # the scan's parameters, then one record per completed batch
 
 PAPER_STEPS = (1, 6)
 
@@ -59,7 +59,7 @@ class ScanMode(Enum):
 
 
 class ResumeError(Exception):
-    """The checkpoint manifest is missing, corrupt, or from another run."""
+    """The checkpoint journal is missing, corrupt, or from another run."""
 
 
 class ScanCancelled(Exception):
@@ -220,35 +220,30 @@ def _manifest_params(cfg: BatchConfig) -> dict:
     return {"mode": cfg.mode.value} | {k: getattr(cfg, k) for k in ("q_start", "q_max", "step", "batch_size")}
 
 
-def _write_manifest(cfg: BatchConfig, records: dict[int, str]) -> None:
-    """Write checkpoint.json: the scan's parameters, the completed batches,
-    and per batch its files' record, one line each.  `records` holds each
-    record already JSON-encoded, so a rewrite after every batch only joins
-    lines."""
-    head = json.dumps(_manifest_params(cfg) | {"completed": sorted(records)})
-    body = ",\n".join(f'"{b}": {records[b]}' for b in sorted(records))
-    # head without its closing brace, then the batches object
-    write_lines(cfg.output_dir / MANIFEST_NAME, [f'{head[:-1]},\n"batches": {{\n{body}\n}}}}'])
-
-
-_RECORD_KEYS = {"tallies", "sha256", "unsolved", "unsolved_sha256"}
+_RECORD_KEYS = {"batch", "tallies", "sha256", "unsolved", "unsolved_sha256"}
 
 
 def _read_manifest(cfg: BatchConfig, batch_count: int) -> dict[int, dict]:
-    """The file records of the batches the manifest in output_dir lists as
-    complete, after checking that it belongs to this scan of batch_count
-    batches and that each record is well formed."""
+    """The records, by batch, of the journal in output_dir, after checking that it belongs
+    to this scan of batch_count batches and that each record is well formed.  What follows
+    its last newline is a record that a crash cut short, if any: that batch reruns."""
     path = cfg.output_dir / MANIFEST_NAME
     if not path.exists():
         raise ResumeError(f"no checkpoint manifest at {path}")
     try:
-        data = json.loads(path.read_text())
+        head, *lines = path.read_text().split("\n")[:-1] or [""]  # no whole line: no header
+        data = json.loads(head)
         params = {k: data[k] for k in _manifest_params(cfg)}
-        records = {int(b): dict(data["batches"][str(b)]) for b in data["completed"]}
-        for b, r in records.items():  # the four keys; a tally per family and the unsolved count, ints >= 0
+        records = {}
+        for r in map(json.loads, lines):
+            b = r.get("batch") if type(r) is dict else None
+            if type(b) is not int or b in records:
+                raise ValueError(f"batch {b} is recorded twice" if type(b) is int else f"a record names no batch: {r}")
+            # the five keys; a tally per family and the unsolved count, ints >= 0
             counts = [*r["tallies"], r["unsolved"]] if r.keys() == _RECORD_KEYS and type(r["tallies"]) is list else []
             if len(counts) != len(PolyId) + 1 or any(type(n) is not int or n < 0 for n in counts):
                 raise ValueError(f"batch {b} has no record of its tallies, unsolved count and digests: {r}")
+            records[b] = r
     except (ValueError, TypeError, KeyError) as exc:
         raise ResumeError(f"corrupt checkpoint manifest {path}: {exc}") from exc
     if params != _manifest_params(cfg):
@@ -316,7 +311,7 @@ _MODES = {
 
 
 def _reload(cfg: BatchConfig, index: int, qs: range, record: dict) -> tuple[dict[PolyId, int], list[int]]:
-    """A completed batch's tallies, from its manifest record, and unsolved q, once
+    """A completed batch's tallies, from its journal record, and unsolved q, once
     its files match the record's digests and counts; no result row is parsed."""
     label, where = cfg.mode.value, f"batch {index}, q in [{qs.start}, {qs.stop - 1}]"
     paths = results_batch_path(index, label, cfg.output_dir), unsolved_path(index, label, cfg.output_dir)
@@ -347,7 +342,7 @@ def run_coverage(
 ) -> list[BatchReport]:
     """Scan [q_start, q_max] batch by batch in the mode `cfg.mode` names.
 
-    With `resume`, a batch the manifest in output_dir records complete is
+    With `resume`, a batch the journal in output_dir records complete is
     not rerun: `_reload` checks its files and takes its tallies from the
     record.  In coverage mode, small q (below the cube-probe horizon) are
     classified sequentially with the legacy scan semantics so the artifacts
@@ -362,8 +357,7 @@ def run_coverage(
     batches = mode.batches(cfg)
     recorded = _read_manifest(cfg, len(batches)) if resume else {}
     _prepare_output(cfg)
-    # the completed batches' file records, JSON-encoded for the manifest
-    records = {b: json.dumps(record) for b, record in recorded.items()}
+    journal, journal_written = cfg.output_dir / MANIFEST_NAME, False
     # The legacy scan carries state from q to q, so it always runs over the
     # whole prefix, reloaded batches included, once a batch to run needs it.
     top = min(cfg.q_max, LEGACY_PROBE_LIMIT) if mode.legacy_prefix else 0
@@ -396,13 +390,15 @@ def run_coverage(
                 tallies = {p: sum(r.counts[p - 1] for r in pieces) for p in PolyId}
                 results = write_results_batch((r.text for r in pieces), index, label, cfg.output_dir)
                 unsolved_file = write_unsolved(unsolved, index, label, cfg.output_dir)
-                records[index] = json.dumps({
-                    "tallies": list(tallies.values()),
-                    "sha256": results.sha256,
-                    "unsolved": len(unsolved),
-                    "unsolved_sha256": unsolved_file.sha256,
-                })
-                _write_manifest(cfg, records)
+                record = {"batch": index, "tallies": list(tallies.values()), "sha256": results.sha256,
+                          "unsolved": len(unsolved), "unsolved_sha256": unsolved_file.sha256}
+                if journal_written:
+                    with open(journal, "a", encoding="ascii") as fh:
+                        fh.write(json.dumps(record) + "\n")
+                else:  # the run's first batch writes the whole journal, records in batch order
+                    recorded[index] = record
+                    write_lines(journal, map(json.dumps, [_manifest_params(cfg), *map(recorded.get, sorted(recorded))]))
+                    journal_written = True
             reports.append(
                 BatchReport(
                     batch_index=index,

@@ -3,6 +3,7 @@ import json
 import multiprocessing
 import signal
 import time
+from pathlib import Path
 
 import pytest
 
@@ -19,6 +20,7 @@ from erdos_straus.numutil import MR_LIMIT, is_prime, window_prime_count
 from erdos_straus.reports import read_results, read_results_q, write_results_batch, write_unsolved
 from erdos_straus.search import Witness, legacy_coverage_scan, prime_witness_search, wide_search
 
+from .journal import edit_journal, journal_records, tree_bytes
 from .oracles import Row, rows_text, wide_slice_per_q, witness_to_row
 
 
@@ -89,13 +91,8 @@ def test_run_coverage_tallies_match_rows(tmp_path):
             assert r.tallies[poly] == sum(1 for w in rows if w.poly is poly)
 
 
-def _files(out):
-    """Every file under `out`, by its path relative to `out`, with its bytes."""
-    return {p.relative_to(out): p.read_bytes() for p in sorted(out.rglob("*")) if p.is_file()}
-
-
 def test_run_coverage_worker_counts_byte_identical(tmp_path):
-    # Every file, checkpoint.json included, on scans of several batches whose
+    # Every file, the journal included, on scans of several batches whose
     # last batch is short, so that pooled batches are queued ahead of the one
     # being written: cover --q-max 7000 --batch-size 2000 has 4 batches, and
     # the prime scan 3 blocks.
@@ -109,15 +106,14 @@ def test_run_coverage_worker_counts_byte_identical(tmp_path):
         for workers in (1, 2, 3):
             out = tmp_path / name / f"w{workers}"
             run_coverage(_cfg(out, worker_count=workers, **scan))
-            outs[workers] = _files(out)
+            outs[workers] = tree_bytes(out)
         assert len(outs[1]) >= 7 and outs[1] == outs[2] == outs[3], name
 
 
 def test_run_coverage_resume_skips_completed(tmp_path):
     cfg = _cfg(tmp_path)
     first = run_coverage(cfg)
-    manifest = json.loads((tmp_path / "checkpoint.json").read_text())
-    assert manifest["completed"] == [1, 2, 3]
+    assert list(journal_records(tmp_path)) == [1, 2, 3]
 
     second = run_coverage(cfg, resume=True)
     assert all(r.resumed for r in second)
@@ -218,7 +214,7 @@ def test_pool_is_given_one_batch_ahead_of_the_one_written(tmp_path, monkeypatch)
         collected += event == "collect"
         assert submitted - collected <= 2
     run_coverage(_cfg(tmp_path / "inline", **scan))
-    assert _files(tmp_path / "pooled") == _files(tmp_path / "inline")
+    assert tree_bytes(tmp_path / "pooled") == tree_bytes(tmp_path / "inline")
 
 
 # The teardown scans: 3 batches of 1000 q from 10^6, 2 slices each.  _FAULTS
@@ -275,31 +271,30 @@ def test_a_failed_pooled_scan_stops_its_workers_and_resumes(tmp_path, monkeypatc
         for signum, handler in handlers.items():
             signal.signal(signum, handler)
     assert multiprocessing.active_children() == []
-    assert json.loads((cfg.output_dir / "checkpoint.json").read_text())["completed"] == [1]
+    assert list(journal_records(cfg.output_dir)) == [1]
 
     monkeypatch.undo()
     reports = run_coverage(cfg, resume=True)
     assert [r.resumed for r in reports] == [True, False, False]
     run_coverage(_cfg(tmp_path / "whole", **_TEARDOWN))
-    assert _files(cfg.output_dir) == _files(tmp_path / "whole")
+    assert tree_bytes(cfg.output_dir) == tree_bytes(tmp_path / "whole")
 
 
 def _forget_batches(out, *indexes):
-    """Rewrite the manifest in `out` as if `indexes` had never completed."""
-    path = out / "checkpoint.json"
-    manifest = json.loads(path.read_text())
-    manifest["completed"] = [b for b in manifest["completed"] if b not in indexes]
-    for b in indexes:
-        del manifest["batches"][str(b)]
-    path.write_text(json.dumps(manifest))
+    """Rewrite the journal in `out` as if `indexes` had never completed."""
+    def forget(records):
+        for b in indexes:
+            del records[b]
+
+    edit_journal(out, forget)
 
 
 def test_resume_past_the_prefix_skips_it(tmp_path, monkeypatch):
     cfg = _cfg(tmp_path, q_max=2400, batch_size=2100)
     run_coverage(cfg)
     before = (tmp_path / "results_batch2.csv").read_bytes()
-    manifest = (tmp_path / "checkpoint.json").read_bytes()
-    # a crash after batch 1: batch 2 wrote no files and no manifest record
+    manifest = (tmp_path / batch.MANIFEST_NAME).read_bytes()
+    # a crash after batch 1: batch 2 wrote no files and no journal record
     (tmp_path / "results_batch2.csv").unlink()
     (tmp_path / "unsolved_batch2.csv").unlink()
     _forget_batches(tmp_path, 2)
@@ -307,7 +302,7 @@ def test_resume_past_the_prefix_skips_it(tmp_path, monkeypatch):
     reports = run_coverage(cfg, resume=True)
     assert [r.resumed for r in reports] == [True, False]
     assert (tmp_path / "results_batch2.csv").read_bytes() == before
-    assert (tmp_path / "checkpoint.json").read_bytes() == manifest
+    assert (tmp_path / batch.MANIFEST_NAME).read_bytes() == manifest
 
 
 def test_chunked_coverage_matches_per_q_search_near_1e9(tmp_path, monkeypatch):
@@ -416,12 +411,16 @@ def _sha256(path):
 
 def test_manifest_records_each_batchs_files(tmp_path):
     run_coverage(_cfg(tmp_path))
-    manifest = json.loads((tmp_path / "checkpoint.json").read_text())
+    head = (tmp_path / batch.MANIFEST_NAME).read_text().split("\n", 1)[0]
+    assert json.loads(head) == {"mode": "coverage", "q_start": 1, "q_max": 300, "step": 1, "batch_size": 100}
+    records = journal_records(tmp_path)
+    assert list(records) == [1, 2, 3]
     for i in (1, 2, 3):
         results = tmp_path / f"results_batch{i}.csv"
         unsolved = tmp_path / f"unsolved_batch{i}.csv"
         labels = [line.rsplit(",", 1)[1] for line in results.read_text().splitlines()[1:]]
-        assert manifest["batches"][str(i)] == {
+        assert records[i] == {
+            "batch": i,
             "tallies": [labels.count(p.label) for p in PolyId],
             "sha256": _sha256(results),
             "unsolved": 0,
@@ -430,13 +429,9 @@ def test_manifest_records_each_batchs_files(tmp_path):
 
 
 def _edit_record(out, index, edit):
-    """Apply `edit` to batch `index`'s record in the manifest in `out`; the
-    manifest's bytes after the edit."""
-    path = out / "checkpoint.json"
-    manifest = json.loads(path.read_text())
-    edit(manifest["batches"][str(index)])
-    path.write_text(json.dumps(manifest))
-    return path.read_bytes()
+    """Apply `edit` to batch `index`'s record in the journal in `out`; the
+    journal's bytes after the edit."""
+    return edit_journal(out, lambda records: edit(records[index]))
 
 
 def _raise_tally(family):
@@ -470,7 +465,7 @@ def test_resume_rejects_a_record_whose_counts_are_off_by_one(tmp_path, cfg, edit
     with pytest.raises(ResumeError) as exc:
         run_coverage(cfg, resume=True)
     assert str(exc.value) == message
-    assert (tmp_path / "checkpoint.json").read_bytes() == manifest
+    assert (tmp_path / batch.MANIFEST_NAME).read_bytes() == manifest
 
 
 def test_resume_rejects_an_unsolved_q_of_another_batch(tmp_path):
@@ -484,7 +479,7 @@ def test_resume_rejects_an_unsolved_q_of_another_batch(tmp_path):
         tallies=[0, 0, 0, 0], sha256=results.sha256, unsolved=1, unsolved_sha256=unsolved.sha256))
     with pytest.raises(ResumeError, match=r"^batch 1, q in \[6, 107\]: its files hold q outside the batch$"):
         run_coverage(cfg, resume=True)
-    assert (tmp_path / "checkpoint.json").read_bytes() == manifest
+    assert (tmp_path / batch.MANIFEST_NAME).read_bytes() == manifest
 
 
 def _old_format(record):
@@ -508,29 +503,25 @@ def test_resume_rejects_a_malformed_record(tmp_path, edit):
     manifest = _edit_record(tmp_path, 2, edit)
     with pytest.raises(ResumeError, match="corrupt checkpoint manifest .*batch 2 has no record of its tallies"):
         run_coverage(cfg, resume=True)
-    assert (tmp_path / "checkpoint.json").read_bytes() == manifest
+    assert (tmp_path / batch.MANIFEST_NAME).read_bytes() == manifest
 
 
 def test_resume_needs_a_record_for_each_skipped_batch(tmp_path):
+    # batch 2 is listed, but its line holds no record of its files
     cfg = _cfg(tmp_path)
     run_coverage(cfg)
-    path = tmp_path / "checkpoint.json"
-    manifest = json.loads(path.read_text())
-    del manifest["batches"]["2"]
-    path.write_text(json.dumps(manifest))
+    manifest = edit_journal(tmp_path, lambda records: records.update({2: {"batch": 2}}))
     with pytest.raises(ResumeError, match="corrupt checkpoint manifest"):
         run_coverage(cfg, resume=True)
+    assert (tmp_path / batch.MANIFEST_NAME).read_bytes() == manifest
 
 
 @pytest.mark.parametrize("stray", [0, 4, 7])
 def test_resume_rejects_a_batch_the_scan_has_not(tmp_path, stray):
     cfg = _cfg(tmp_path / "out")
     run_coverage(cfg)
-    path = tmp_path / "out" / "checkpoint.json"
-    manifest = json.loads(path.read_text())
-    manifest["completed"].append(stray)
-    manifest["batches"][str(stray)] = manifest["batches"]["2"]
-    path.write_text(json.dumps(manifest))
+    path = tmp_path / "out" / batch.MANIFEST_NAME
+    edit_journal(path.parent, lambda records: records.update({stray: dict(records[2], batch=stray)}))
     before = {p.name: p.read_bytes() for p in path.parent.iterdir()}
     with pytest.raises(ResumeError, match=rf"records batches \[{stray}\]; this scan has batches 1 to 3"):
         run_coverage(cfg, resume=True)
@@ -545,19 +536,58 @@ def test_checkpoint_resume_errors(tmp_path):
     run_coverage(cfg)
     with pytest.raises(ResumeError):
         run_coverage(_cfg(tmp_path / "out", q_max=301), resume=True)  # different scan
-    (tmp_path / "out" / "checkpoint.json").write_text("{not json")
-    with pytest.raises(ResumeError):
-        run_coverage(cfg, resume=True)
+    for text in ("{not json", "{not json\n"):  # a header cut short, a whole one
+        (tmp_path / "out" / batch.MANIFEST_NAME).write_text(text)
+        with pytest.raises(ResumeError):
+            run_coverage(cfg, resume=True)
 
 
 def test_explicit_completed_batches(tmp_path):
     cfg = _cfg(tmp_path)
     run_coverage(cfg)
-    manifest = (tmp_path / "checkpoint.json").read_bytes()
+    manifest = (tmp_path / batch.MANIFEST_NAME).read_bytes()
     _forget_batches(tmp_path, 1, 3)  # only batch 2 is recorded complete
     reports = run_coverage(cfg, resume=True)
     assert [r.resumed for r in reports] == [False, True, False]
-    assert (tmp_path / "checkpoint.json").read_bytes() == manifest
+    assert (tmp_path / batch.MANIFEST_NAME).read_bytes() == manifest
+
+
+def test_journal_is_written_whole_once_then_appended(tmp_path, monkeypatch):
+    # A 50-batch scan writes its journal whole at its first batch and appends
+    # one line per later batch.  A resume writes it whole at the first batch it
+    # reruns, the recorded batches and that one in batch order, and appends the
+    # rest; after a crash, which leaves the first batches recorded, it ends as a
+    # straight run's.  A full resume writes nothing.
+    writes = []
+    write_lines, builtin_open = batch.write_lines, open
+
+    def counting_write_lines(path, lines):
+        writes.append(("whole", path.name))
+        return write_lines(path, lines)
+
+    def counting_open(path, mode="r", *args, **kwargs):
+        if "a" in mode:
+            writes.append(("append", Path(path).name))
+        return builtin_open(path, mode, *args, **kwargs)
+
+    monkeypatch.setattr(batch, "write_lines", counting_write_lines)
+    monkeypatch.setattr(batch, "open", counting_open, raising=False)
+    cfg = _cfg(tmp_path, q_max=50, batch_size=1)
+    run_coverage(cfg)
+    name = batch.MANIFEST_NAME
+    assert writes == [("whole", name)] + [("append", name)] * 49
+    straight, records = (tmp_path / name).read_bytes(), journal_records(tmp_path)
+    for rerun in ([50], list(range(41, 51)), list(range(1, 51)), [1, 2], [3, 17, 41, 50], []):
+        _forget_batches(tmp_path, *rerun)
+        writes.clear()
+        reports = run_coverage(cfg, resume=True)
+        assert [b for b, r in enumerate(reports, start=1) if not r.resumed] == rerun
+        assert writes == ([("whole", name)] + [("append", name)] * (len(rerun) - 1) if rerun else [])
+        assert journal_records(tmp_path) == records
+        assert list(journal_records(tmp_path)) == sorted(set(records) - set(rerun[1:])) + rerun[1:]
+        if rerun == list(range(51 - len(rerun), 51)):  # as a crash leaves it: the last batches unrecorded
+            assert (tmp_path / name).read_bytes() == straight
+        (tmp_path / name).write_bytes(straight)
 
 
 def test_fresh_run_records_only_the_batches_it_wrote(tmp_path):
@@ -566,8 +596,7 @@ def test_fresh_run_records_only_the_batches_it_wrote(tmp_path):
     calls = iter([False, True])  # batch 1 runs, then a cancel
     with pytest.raises(ScanCancelled):
         run_coverage(cfg, cancel=lambda: next(calls))
-    manifest = json.loads((tmp_path / "checkpoint.json").read_text())
-    assert manifest["completed"] == [1]
+    assert list(journal_records(tmp_path)) == [1]
 
 
 def test_cancellation_writes_nothing_for_the_cancelled_batch(tmp_path):

@@ -1,13 +1,17 @@
 import json
+import random
 import signal
+from pathlib import Path
 
 import pytest
 
 from erdos_straus import cli
+from erdos_straus.batch import MANIFEST_NAME
 from erdos_straus.cli import build_parser, main
 from erdos_straus.numutil import MR_LIMIT
 from erdos_straus.reports import write_results_batch
 
+from .journal import edit_journal, tree_bytes
 from .oracles import Row, rows_text
 
 
@@ -127,16 +131,13 @@ def test_resume_rejects_another_batchs_files_and_record(capsys, tmp_path):
     def tamper(out):
         for name in ("results_batch{}.csv", "unsolved_batch{}.csv"):
             (out / name.format(2)).write_bytes((out / name.format(1)).read_bytes())
-        manifest = json.loads((out / "checkpoint.json").read_text())
-        manifest["batches"]["2"] = manifest["batches"]["1"]
-        (out / "checkpoint.json").write_text(json.dumps(manifest))
-        tampered.append((out / "checkpoint.json").read_bytes())
+        tampered.append(edit_journal(out, lambda records: records.update({2: dict(records[1], batch=2)})))
 
     tampered = []
     code, _, err = _cover_then_tamper(capsys, tmp_path, tamper)
     assert code == 65
     assert "batch 2, q in [11, 20]: its files hold q outside the batch" in err
-    assert (tmp_path / "checkpoint.json").read_bytes() == tampered[0]
+    assert (tmp_path / MANIFEST_NAME).read_bytes() == tampered[0]
 
 
 def test_resume_rejects_a_truncated_batch_file(capsys, tmp_path):
@@ -174,29 +175,94 @@ def test_resume_rejects_an_edited_batch_file(capsys, tmp_path):
 
 def test_resume_rejects_a_batch_index_the_scan_has_not(capsys, tmp_path):
     # the scan has batches 1 to 3; batch 7 carries batch 2's record
+    def edit(records):
+        records[7] = dict(records.pop(2), batch=7)
+        del records[3]
+
     def tamper(out):
-        manifest = json.loads((out / "checkpoint.json").read_text())
-        manifest["completed"] = [1, 7]
-        manifest["batches"] = {"1": manifest["batches"]["1"], "7": manifest["batches"]["2"]}
-        (out / "checkpoint.json").write_text(json.dumps(manifest))
-        tampered.append((out / "checkpoint.json").read_bytes())
+        tampered.append(edit_journal(out, edit))
 
     tampered = []
     code, _, err = _cover_then_tamper(capsys, tmp_path, tamper)
     assert code == 65
     assert "records batches [7]; this scan has batches 1 to 3" in err
-    assert (tmp_path / "checkpoint.json").read_bytes() == tampered[0]
+    assert (tmp_path / MANIFEST_NAME).read_bytes() == tampered[0]
 
 
 def test_resume_rejects_a_manifest_without_file_records(capsys, tmp_path):
+    # every batch is listed, each by its index alone
     def tamper(out):
-        manifest = json.loads((out / "checkpoint.json").read_text())
-        del manifest["batches"]
-        (out / "checkpoint.json").write_text(json.dumps(manifest))
+        edit_journal(out, lambda records: records.update({b: {"batch": b} for b in records}))
 
     code, _, err = _cover_then_tamper(capsys, tmp_path, tamper)
     assert code == 65
     assert "corrupt checkpoint manifest" in err
+
+
+def _relabel(index, label):
+    def edit(records):
+        records[index]["batch"] = label
+    return edit
+
+
+@pytest.mark.parametrize("edit, message", [
+    (_relabel(3, 2), ": batch 2 is recorded twice\n"),  # batch 3's record relabelled
+    (_relabel(2, "2"), ": a record names no batch: {'batch': '2', "),
+    (_relabel(1, True), ": a record names no batch: {'batch': True, "),
+], ids=["batch-twice", "string-batch", "bool-batch"])
+def test_resume_rejects_a_malformed_batch_index(capsys, tmp_path, edit, message):
+    def tamper(out):
+        edit_journal(out, edit)
+        before.update(tree_bytes(out))
+
+    before = {}
+    code, _, err = _cover_then_tamper(capsys, tmp_path, tamper)
+    assert code == 65
+    assert "corrupt checkpoint manifest" in err and message in err
+    assert tree_bytes(tmp_path) == before
+
+
+def test_resume_does_not_read_an_old_checkpoint_json(capsys, tmp_path):
+    # the manifest format before the journal: rerun such a scan without --resume
+    old = json.dumps({"mode": "coverage", "q_start": 1, "q_max": 30, "step": 1, "batch_size": 10,
+                      "completed": [1], "batches": {"1": {"tallies": [1, 9, 0, 0], "sha256": "0" * 64,
+                                                          "unsolved": 0, "unsolved_sha256": "0" * 64}}})
+    (tmp_path / "checkpoint.json").write_text(old)
+    code, _, err = run(capsys, "cover", "--q-max", "30", "--batch-size", "10", "--workers", "1",
+                       "--out-dir", str(tmp_path), "--resume")
+    assert code == 65
+    assert f"no checkpoint manifest at {tmp_path / 'checkpoint.jsonl'}\n" in err
+    assert tree_bytes(tmp_path) == {Path("checkpoint.json"): old.encode()}
+
+
+@pytest.mark.parametrize("argv", [
+    ["cover", "--q-max", "500", "--batch-size", "100"],
+    ["primes", "--q-max", "3000", "--batch-size", "600"],
+], ids=["cover", "primes"])
+def test_resume_after_the_journal_is_cut_at_any_byte(capsys, tmp_path, argv):
+    # A crash may cut the journal anywhere in the line being appended.  Cut past
+    # its header line, a resume reruns the batches whose records were cut and
+    # leaves every file, the journal included, as a straight run writes it.  Cut
+    # inside the header, there is no journal to resume: exit 65, nothing written.
+    argv = [*argv, "--workers", "1", "--out-dir", str(tmp_path)]
+    assert run(capsys, *argv)[0] == 0
+    straight = tree_bytes(tmp_path)
+    journal = straight[Path(MANIFEST_NAME)]
+    ends = [i + 1 for i, byte in enumerate(journal) if byte == ord("\n")]
+    header = ends[0]
+    assert len(ends) >= 6 and ends[-1] == len(journal)  # the header and at least 5 batches
+    sampled = random.Random(21).sample(range(header, len(journal)), 20)
+    cuts = {end + d for end in ends for d in (-1, 0, 1)} | set(sampled)
+    for cut in sorted(c for c in cuts if header <= c < len(journal)):
+        (tmp_path / MANIFEST_NAME).write_bytes(journal[:cut])
+        code, _, err = run(capsys, *argv, "--resume")
+        assert (code, err) == (0, ""), cut
+        assert tree_bytes(tmp_path) == straight, cut
+    for cut in range(header):
+        (tmp_path / MANIFEST_NAME).write_bytes(journal[:cut])
+        code, _, err = run(capsys, *argv, "--resume")
+        assert code == 65 and "corrupt checkpoint manifest" in err, cut
+        assert tree_bytes(tmp_path) == straight | {Path(MANIFEST_NAME): journal[:cut]}, cut
 
 
 def test_prime_resume_rejects_a_truncated_batch_file(capsys, tmp_path):
