@@ -39,13 +39,21 @@ from .search import (
     staged_search,
     wide_search,
 )
-from .batch import (
-    BatchConfig,
-    BatchReport,
-    ScanMode,
-    run_coverage,
-)
 
 __version__ = "1.0.0"
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+# The scan driver's names, imported from `batch` on first use (PEP 562), so
+# that importing the package, `decompose` or `witness` loads no scan driver.
+_BATCH_NAMES = ("BatchConfig", "BatchReport", "ScanMode", "run_coverage")
+
+
+def __getattr__(name: str):
+    if name not in _BATCH_NAMES:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from . import batch
+
+    return getattr(batch, name)
+
+
+# every public name and submodule; batch and reports load later but stay listed
+__all__ = sorted([name for name in dir() if not name.startswith("_")] + [*_BATCH_NAMES, "batch", "reports"])

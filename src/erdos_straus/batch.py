@@ -11,10 +11,8 @@ byte-identical artifacts; results are always reduced in q order.
 from __future__ import annotations
 
 import json
-import logging
 import signal
 import time
-from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator, NamedTuple, Optional, Sequence
@@ -46,8 +44,6 @@ from .search import (
 if TYPE_CHECKING:
     from multiprocessing.pool import Pool as _Pool
 
-log = logging.getLogger(__name__)
-
 MANIFEST_NAME = "checkpoint.jsonl"  # the scan's parameters, then one record per completed batch
 
 PAPER_STEPS = (1, 6)
@@ -66,8 +62,7 @@ class ScanCancelled(Exception):
     """A cancellation signal stopped the scan between work items."""
 
 
-@dataclass(frozen=True)
-class BatchConfig:
+class _Config(NamedTuple):
     q_start: int
     q_max: int
     step: int = 1
@@ -76,7 +71,15 @@ class BatchConfig:
     worker_count: int = 1
     output_dir: Path = Path(".")
 
-    def __post_init__(self) -> None:
+
+class BatchConfig(_Config):
+    """A scan's parameters, checked when the config is built (a NamedTuple
+    cannot define its own `__new__`, hence the base class)."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if self.q_start < 1 or self.q_start > self.q_max:
             raise ValueError(f"need 1 <= q_start <= q_max, got {self.q_start} and {self.q_max}")
         if self.step < 1 or self.batch_size < 1 or self.worker_count < 1:
@@ -89,11 +92,17 @@ class BatchConfig:
         if self.mode is ScanMode.PRIME_COVERAGE and self.step != 6:
             raise ValueError("prime coverage requires step = 6")
         if self.step not in PAPER_STEPS:
-            log.warning("step=%d is not one of the reference runs (1 or 6)", self.step)
+            import logging  # about 8 ms at import, for this one warning
+
+            logging.getLogger(__name__).warning("step=%d is not one of the reference runs (1 or 6)", self.step)
+        return self
+
+    @classmethod
+    def _make(cls, iterable):  # so that `_replace` checks its config too
+        return cls(*iterable)
 
 
-@dataclass
-class BatchReport:
+class BatchReport(NamedTuple):
     batch_index: int
     q_range: tuple[int, int]
     solved_count: int
@@ -390,8 +399,8 @@ def run_coverage(
                 tallies = {p: sum(r.counts[p - 1] for r in pieces) for p in PolyId}
                 results = write_results_batch((r.text for r in pieces), index, label, cfg.output_dir)
                 unsolved_file = write_unsolved(unsolved, index, label, cfg.output_dir)
-                record = {"batch": index, "tallies": list(tallies.values()), "sha256": results.sha256,
-                          "unsolved": len(unsolved), "unsolved_sha256": unsolved_file.sha256}
+                record = {"batch": index, "tallies": list(tallies.values()), "sha256": file_digest(results)[0],
+                          "unsolved": len(unsolved), "unsolved_sha256": file_digest(unsolved_file)[0]}
                 if journal_written:
                     with open(journal, "a", encoding="ascii") as fh:
                         fh.write(json.dumps(record) + "\n")

@@ -12,18 +12,15 @@ file, 74 I/O failure, 130 cancelled.
 from __future__ import annotations
 
 import argparse
-import contextlib
 import functools
 import os
-import signal
 import sys
 from pathlib import Path
 
-from .batch import BatchConfig, ResumeError, ScanCancelled, ScanMode, run_coverage
 from .decompose import UnsolvedError, decompose_any, verify_exact
 from .families import PolyId, eval_poly
 from .numutil import MR_LIMIT, is_prime
-from .reports import ReportFormatError, coverage_line, prime_line, read_results, results_mode, split_by_family
+from .reports import ReportFormatError, coverage_line, open_results, prime_line, split_by_family
 from .search import staged_search
 
 EX_UNSOLVED = 2
@@ -32,10 +29,15 @@ EX_NONDISTINCT = 5
 EX_USAGE = 64
 EX_DATAERR = 65
 EX_IOERR = 74
+EX_CANCELLED = 130
 
 
 class UsageError(Exception):
     """Arguments that parse but make no valid request (exit 64)."""
+
+
+class _Exit(Exception):
+    """A failure that exits with code `args[0]` after printing `args[1]` to stderr."""
 
 
 class _Parser(argparse.ArgumentParser):
@@ -91,52 +93,55 @@ def build_parser() -> _Parser:
     return p
 
 
-@contextlib.contextmanager
-def _cancel_on_signal():
-    """A scan's cancel check: SIGINT and SIGTERM only set a flag while the
-    scan runs, and their earlier handlers are put back when it ends."""
-    flag = {"stop": False}
+def _run_scan(args, mode: str, q_start: int, step: int, size_label: str) -> tuple:
+    """Run a cover or primes scan (`mode` a ScanMode value) after printing
+    its range and batch size lines; its config and batch reports.  Only
+    these two commands import the scan driver, `batch`, and `signal`.
+    While the scan runs, SIGINT and SIGTERM only set a flag that cancels
+    it between work items, and their earlier handlers are put back when it
+    ends.  A bad checkpoint leaves as exit 65, a cancelled scan as 130."""
+    import signal
 
-    def handler(signum, frame):
-        flag["stop"] = True
+    from .batch import BatchConfig, ResumeError, ScanCancelled, ScanMode, run_coverage
 
-    saved = {}
-    try:
-        for signum in (signal.SIGINT, signal.SIGTERM):
-            saved[signum] = signal.signal(signum, handler)
-    except ValueError:
-        pass  # not the main thread (tests)
-    try:
-        yield lambda: flag["stop"]
-    finally:
-        for signum, old in saved.items():
-            if old is not None:  # None: set outside Python, cannot be put back
-                signal.signal(signum, old)
-
-
-def _scan_config(args, mode: ScanMode, q_start: int, step: int) -> BatchConfig:
-    """The scan's config; prints the range header line."""
     try:
         cfg = BatchConfig(
             q_start=q_start,
             q_max=args.q_max,
             step=step,
             batch_size=args.batch_size,
-            mode=mode,
+            mode=ScanMode(mode),
             worker_count=args.workers,
             output_dir=_out_dir(args),
         )
     except ValueError as exc:
         raise UsageError(str(exc).replace("_", "-")) from None  # the flags' spelling
     print(f"qStart = {cfg.q_start}, qMax = {cfg.q_max}, step = {cfg.step}")
-    return cfg
+    print(f"{size_label} = {cfg.batch_size}")
+    flag, saved = {"stop": False}, {}
+
+    def handler(signum, frame):
+        flag["stop"] = True
+
+    try:
+        for signum in (signal.SIGINT, signal.SIGTERM):
+            saved[signum] = signal.signal(signum, handler)
+    except ValueError:
+        pass  # not the main thread (tests)
+    try:
+        return cfg, run_coverage(cfg, cancel=lambda: flag["stop"], resume=args.resume)
+    except ResumeError as exc:
+        raise _Exit(EX_DATAERR, f"error: {exc}") from exc
+    except ScanCancelled as exc:
+        raise _Exit(EX_CANCELLED, f"cancelled: {exc}") from exc
+    finally:
+        for signum, old in saved.items():
+            if old is not None:  # None: set outside Python, cannot be put back
+                signal.signal(signum, old)
 
 
 def _cmd_cover(args) -> int:
-    cfg = _scan_config(args, ScanMode.COVERAGE, args.q_start, args.step)
-    print(f"Batch size (number of q values per batch) = {cfg.batch_size}")
-    with _cancel_on_signal() as cancel:
-        reports = run_coverage(cfg, cancel=cancel, resume=args.resume)
+    _, reports = _run_scan(args, "coverage", args.q_start, args.step, "Batch size (number of q values per batch)")
     for r in reports:
         print(f"Batch {r.batch_index}: q in [{r.q_range[0]}, {r.q_range[1]}]")
         print(f"Unsolved q in batch {r.batch_index}: {len(r.unsolved)}")
@@ -157,10 +162,7 @@ def _cmd_primes(args) -> int:
             f"--q-start {args.q_start} rounds up to the multiple of 6, q = {q_start}, "
             f"which is above --q-max {args.q_max}"
         )
-    cfg = _scan_config(args, ScanMode.PRIME_COVERAGE, q_start, 6)
-    print(f"Batch size = {cfg.batch_size}")
-    with _cancel_on_signal() as cancel:
-        reports = run_coverage(cfg, cancel=cancel, resume=args.resume)
+    cfg, reports = _run_scan(args, "prime", q_start, 6, "Batch size")
     for r in reports:
         print(
             f"Processing batch {r.batch_index}/{len(reports)}: "
@@ -221,9 +223,10 @@ def _cmd_witness(args) -> int:
 
 def _cmd_verify_csv(args) -> int:
     # One pass: the first bad row in file order decides the exit code, 1 or 65.
-    prime = results_mode(args.path) == "prime"  # rows of prime targets 4q+1
+    mode, witnesses = open_results(args.path)
+    prime = mode == "prime"  # rows of prime targets 4q+1
     rows = 0
-    for rows, w in enumerate(read_results(args.path), start=1):
+    for rows, w in enumerate(witnesses, start=1):
         a = 4 * w.q + 1  # unproven, hence unverified, from MR_LIMIT on
         if eval_poly(w.poly, w.triple) != w.q or (prime and not (a < MR_LIMIT and is_prime(a))):
             line = prime_line(w.q, w.triple) if prime else coverage_line(w)
@@ -255,12 +258,12 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EX_USAGE
-    except (ReportFormatError, ResumeError) as exc:
+    except ReportFormatError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EX_DATAERR
-    except ScanCancelled as exc:
-        print(f"cancelled: {exc}", file=sys.stderr)
-        return 130
+    except _Exit as exc:
+        print(exc.args[1], file=sys.stderr)
+        return exc.args[0]
     except OSError as exc:
         print(f"I/O error: {exc}", file=sys.stderr)
         return EX_IOERR

@@ -13,8 +13,10 @@ is no overflow boundary to worry about.
 from __future__ import annotations
 
 from enum import IntEnum
-from fractions import Fraction
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 
 class PolyId(IntEnum):
@@ -137,5 +139,7 @@ def kzs_condition(p: KzsPoint) -> Fraction:
     The master decomposition of 4/(4q+1) has integer denominators exactly
     when this value is an integer greater than z.
     """
+    from fractions import Fraction  # imports decimal too, about 4 ms that no command needs
+
     _check_kzs(p)
     return Fraction((4 * p.z + 1) * p.kappa * p.z, 4 * p.s - 1)

@@ -34,12 +34,6 @@ class ReportFormatError(Exception):
     """A CSV file does not match either of the two row schemas."""
 
 
-class Written(type(Path())):  # the concrete class: Path takes subclasses only from Python 3.12
-    """The path of a file a writer wrote; `sha256` is the hex digest of the bytes written."""
-
-    sha256: str
-
-
 def coverage_line(w: Witness) -> str:
     """A witness's coverage row as newline-terminated CSV text."""
     q, poly, (x, y, z) = w
@@ -67,7 +61,7 @@ def unsolved_path(batch_index: Optional[int], mode: str, out_dir: Path) -> Path:
     return out_dir / ("unsolved_all.csv" if batch_index is None else f"unsolved_batch{batch_index}.csv")
 
 
-def write_results_batch(text: Iterable[str], batch_index: int, mode: str, out_dir: Path) -> Written:
+def write_results_batch(text: Iterable[str], batch_index: int, mode: str, out_dir: Path) -> Path:
     """Write one batch's results file: the schema header, then `text`,
     blocks of newline-terminated rows already in q order."""
     if mode not in HEADERS:
@@ -76,7 +70,7 @@ def write_results_batch(text: Iterable[str], batch_index: int, mode: str, out_di
     return write_text(path, chain([HEADERS[mode] + "\n"], text))
 
 
-def write_results_aggregate(batch_paths: Iterable[Path], out_dir: Path) -> Written:
+def write_results_aggregate(batch_paths: Iterable[Path], out_dir: Path) -> Path:
     """Prime mode's all_solutions.csv under Results/: the rows of the prime
     batch files, in the order given, under one header."""
 
@@ -91,7 +85,7 @@ def write_results_aggregate(batch_paths: Iterable[Path], out_dir: Path) -> Writt
     return write_text(path, text())
 
 
-def write_unsolved(qs: Sequence[int], batch_index: Optional[int], mode: str, out_dir: Path) -> Written:
+def write_unsolved(qs: Sequence[int], batch_index: Optional[int], mode: str, out_dir: Path) -> Path:
     """Single-column unsolved file; batch_index None means the aggregate."""
     if any(qs[i] >= qs[i + 1] for i in range(len(qs) - 1)):
         raise ValueError("unsolved q values must be sorted and deduplicated")
@@ -99,35 +93,28 @@ def write_unsolved(qs: Sequence[int], batch_index: Optional[int], mode: str, out
     return write_lines(path, ["q"] + [str(q) for q in qs])
 
 
-def write_lines(path: Path, lines: Iterable[str]) -> Written:
+def write_lines(path: Path, lines: Iterable[str]) -> Path:
     """`write_text` of the lines, newline-terminated, as one block: per line it costs 2x."""
     return write_text(path, ["".join([line + "\n" for line in lines])])
 
 
-def write_text(path: Path, text: Iterable[str]) -> Written:
+def write_text(path: Path, text: Iterable[str]) -> Path:
     """Write the text blocks, ASCII-encoded, to a temp file beside `path`,
-    hashing the bytes as they go, then rename it over `path`: a crash leaves
-    the old file or the new one, and a failed write removes the temp file."""
-    import hashlib  # loads OpenSSL (a few ms and MB), which only writers need
-
+    then rename it over `path`: a crash leaves the old file or the new one,
+    and a failed write removes the temp file.  Returns `path`."""
     path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_name(f".{path.name}.tmp")
-    digest = hashlib.sha256()
     try:
         with open(tmp, "wb") as fh:
             for block in text:
-                data = block.encode("ascii")
-                digest.update(data)
-                fh.write(data)
+                fh.write(block.encode("ascii"))
         os.replace(tmp, path)
     except BaseException as exc:
         tmp.unlink(missing_ok=True)
         if isinstance(exc, OSError):
             raise OSError(f"cannot write report file {path}: {exc}") from exc
         raise
-    written = Written(path)
-    written.sha256 = digest.hexdigest()
-    return written
+    return path
 
 
 def file_digest(path: Path) -> tuple[str, int]:
@@ -164,26 +151,28 @@ def _row_error(path: Path, lineno: int, line: str, what: str) -> ReportFormatErr
     return ReportFormatError(f"{path}:{lineno}: not {what}: {line[:-1]!r}")
 
 
-def results_mode(path: Path) -> Optional[str]:
-    """The mode whose schema header a results file starts with, or None."""
-    with open(path, "rb") as fh:
-        header = fh.readline().removesuffix(b"\n")
-    return next((mode for mode, h in HEADERS.items() if h.encode() == header), None)
-
-
-def read_results(path: Path, mode: Optional[str] = None) -> Iterator[Witness]:
-    """The witnesses a results file records, one at a time in file order; a
-    prime-schema row is a second-family witness.  Parses either schema by
-    header, or only `mode`'s schema if given.  A row is valid when
+def open_results(path: Path) -> tuple[str, Iterator[Witness]]:
+    """Open a results file and check its header: the mode whose schema it
+    has, and the witnesses its rows record, one at a time in file order; a
+    prime-schema row is a second-family witness.  A row is valid when
     `coverage_line` or `prime_line` writes its witness back as the row stands
     and q and every coordinate are >= 1; raises with a line number on any
     other row, once reading reaches it."""
     path = Path(path)
     rows = _rows(path, HEADERS.values())
-    header = next(rows)
-    if mode is not None and header != HEADERS[mode]:
+    prime = next(rows) == PRIME_HEADER
+    return ("prime" if prime else "coverage"), _witnesses(path, rows, prime)
+
+
+def read_results(path: Path, mode: Optional[str] = None) -> Iterator[Witness]:
+    """`open_results`'s witnesses, of either schema, or only of `mode`'s if given."""
+    found, witnesses = open_results(path)
+    if mode is not None and found != mode:
         raise ReportFormatError(f"{path}: need the {mode} schema {HEADERS[mode]!r}")
-    prime = header == PRIME_HEADER
+    yield from witnesses
+
+
+def _witnesses(path: Path, rows: Iterator, prime: bool) -> Iterator[Witness]:
     # tuple.__new__ skips the named tuples' Python-level __new__, a sixth of a row's cost
     new = tuple.__new__
     for lineno, line in rows:

@@ -17,7 +17,7 @@ from erdos_straus.batch import (
 )
 from erdos_straus.families import PolyId
 from erdos_straus.numutil import MR_LIMIT, is_prime, window_prime_count
-from erdos_straus.reports import read_results, read_results_q, write_results_batch, write_unsolved
+from erdos_straus.reports import file_digest, read_results, read_results_q, write_results_batch, write_unsolved
 from erdos_straus.search import Witness, legacy_coverage_scan, prime_witness_search, wide_search
 
 from .journal import edit_journal, journal_records, tree_bytes
@@ -56,6 +56,55 @@ def test_config_validation(tmp_path):
         assert _cfg(tmp_path, q_start=top - 1, q_max=top - 1, mode=mode, step=step)
         with pytest.raises(ValueError, match="q_max"):
             _cfg(tmp_path, q_start=top - 1, q_max=top, mode=mode, step=step)
+
+
+@pytest.mark.parametrize("kw, message", [
+    (dict(q_start=0), "need 1 <= q_start <= q_max, got 0 and 300"),
+    (dict(q_start=10, q_max=5), "need 1 <= q_start <= q_max, got 10 and 5"),
+    (dict(step=0), "step, batch_size and worker_count must be >= 1"),
+    (dict(batch_size=0), "step, batch_size and worker_count must be >= 1"),
+    (dict(worker_count=-1), "step, batch_size and worker_count must be >= 1"),
+    (dict(q_max=MR_LIMIT // 4), f"q_max = {MR_LIMIT // 4} is too large: primality is proven only below {MR_LIMIT}"),
+    (dict(mode=ScanMode.PRIME_COVERAGE), "prime coverage requires step = 6"),
+])
+def test_config_rejects_each_input_with_its_message(tmp_path, kw, message):
+    with pytest.raises(ValueError) as exc:
+        _cfg(tmp_path, **kw)
+    assert str(exc.value) == message
+    with pytest.raises(ValueError) as exc:  # a config built from another is checked too
+        _cfg(tmp_path)._replace(**kw)
+    assert str(exc.value) == message
+
+
+def test_config_is_immutable_and_compares_by_value(tmp_path):
+    cfg = _cfg(tmp_path)
+    with pytest.raises(AttributeError):
+        cfg.q_max = 400
+    assert cfg == _cfg(tmp_path) and hash(cfg) == hash(_cfg(tmp_path))
+    assert cfg != _cfg(tmp_path, q_max=400) and cfg._replace(q_max=400) == _cfg(tmp_path, q_max=400)
+    assert cfg.q_max == 300 and cfg.output_dir == tmp_path
+
+
+def test_package_still_exports_the_scan_driver():
+    import erdos_straus
+
+    assert erdos_straus.__all__ == [
+        "BatchConfig", "BatchReport", "DecompositionRecord", "KzsPoint", "PolyId", "Provenance", "ScanMode",
+        "UnitFractionTriple", "UnsolvedError", "Witness", "WitnessTriple", "batch", "check_p4", "decompose",
+        "decompose_4q2", "decompose_4q3", "decompose_any", "decompose_case_p1", "decompose_case_p2",
+        "decompose_case_p3", "decompose_kzs", "decompose_mult4", "decompose_square", "eval_poly",
+        "even_6c2_family", "even_6c4_family", "families", "kzs_condition", "kzs_q", "numutil", "odd_family",
+        "prime_witness_search", "reports", "run_coverage", "search", "shifted_value", "small_cube_search",
+        "solve_p1_given_x", "solve_p2_given_x", "solve_p3_given_x", "staged_search", "verify_exact",
+        "wide_search",
+    ]
+    names = {}
+    exec("from erdos_straus import *", names)
+    assert sorted(n for n in names if n != "__builtins__") == erdos_straus.__all__
+    assert names["run_coverage"] is erdos_straus.run_coverage is run_coverage
+    assert (names["BatchConfig"], names["BatchReport"], names["ScanMode"]) == (BatchConfig, batch.BatchReport, ScanMode)
+    with pytest.raises(AttributeError, match="has no attribute 'no_such_name'"):
+        erdos_straus.no_such_name
 
 
 def test_nonreference_step_warns(tmp_path, caplog):
@@ -476,7 +525,7 @@ def test_resume_rejects_an_unsolved_q_of_another_batch(tmp_path):
     results = write_results_batch([], 1, "prime", tmp_path)
     unsolved = write_unsolved([reports[1].q_range[0]], 1, "prime", tmp_path)
     manifest = _edit_record(tmp_path, 1, lambda record: record.update(
-        tallies=[0, 0, 0, 0], sha256=results.sha256, unsolved=1, unsolved_sha256=unsolved.sha256))
+        tallies=[0, 0, 0, 0], sha256=file_digest(results)[0], unsolved=1, unsolved_sha256=file_digest(unsolved)[0]))
     with pytest.raises(ResumeError, match=r"^batch 1, q in \[6, 107\]: its files hold q outside the batch$"):
         run_coverage(cfg, resume=True)
     assert (tmp_path / batch.MANIFEST_NAME).read_bytes() == manifest

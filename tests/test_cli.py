@@ -1,11 +1,15 @@
 import json
+import os
 import random
 import signal
+import subprocess
+import sys
+import textwrap
 from pathlib import Path
 
 import pytest
 
-from erdos_straus import cli
+from erdos_straus import batch, cli
 from erdos_straus.batch import MANIFEST_NAME
 from erdos_straus.cli import build_parser, main
 from erdos_straus.numutil import MR_LIMIT
@@ -353,7 +357,7 @@ def test_scan_puts_back_the_signal_handlers_it_replaced(capsys, tmp_path, monkey
     # in-process callers of main keep their SIGINT and SIGTERM handlers
     # after a scan that succeeds (exit 0) and after one that fails (exit 74)
     signums = (signal.SIGINT, signal.SIGTERM)
-    run_coverage, during = cli.run_coverage, []
+    run_coverage, during = batch.run_coverage, []
 
     def recording_run_coverage(*args, **kwargs):
         during.append([signal.getsignal(s) for s in signums])
@@ -362,7 +366,7 @@ def test_scan_puts_back_the_signal_handlers_it_replaced(capsys, tmp_path, monkey
     def own_handler(signum, frame):
         pass
 
-    monkeypatch.setattr(cli, "run_coverage", recording_run_coverage)
+    monkeypatch.setattr(batch, "run_coverage", recording_run_coverage)  # cli imports it when a scan runs
     saved = [signal.signal(s, own_handler) for s in signums]
     try:
         before = [signal.getsignal(s) for s in signums]
@@ -563,3 +567,34 @@ def test_one_parser_reads_the_environment_per_command(capsys, tmp_path, monkeypa
     code, _, _ = run(capsys, "split", str(source))
     assert code == 0
     assert (tmp_path / "second" / "q_with_p1.csv").exists()
+
+
+# Modules that answering one a or one q has no use for: the scan driver, and
+# what only a scan, a resume or kzs_condition needs.
+_NOT_FOR_ONE_A = ("erdos_straus.batch", "dataclasses", "logging", "fractions", "decimal", "json", "hashlib",
+                  "multiprocessing")
+
+
+@pytest.mark.parametrize("argvs, absent", [
+    ([["decompose", "9"], ["witness", "13"]], _NOT_FOR_ONE_A),
+    ([["cover", "--q-start", "6", "--q-max", "6", "--step", "6", "--batch-size", "1", "--workers", "1",
+       "--out-dir", "{out}"]], ("dataclasses", "logging", "fractions")),
+    ([["split", "{csv}", "--out-dir", "{out}"]], ("dataclasses", "logging", "fractions", "hashlib")),
+], ids=["decompose-witness", "cover", "split"])
+def test_a_command_imports_only_the_modules_it_runs(tmp_path, argvs, absent):
+    # in a fresh interpreter, as a command line starts
+    csv = write_results_batch(rows_text([Row(1, 1, 1, 1, "p2"), Row(72, 9, None, None, "p4")]), 1, "coverage",
+                              tmp_path)
+    argvs = [[arg.format(out=tmp_path / "out", csv=csv) for arg in argv] for argv in argvs]
+    script = textwrap.dedent(f"""
+        import contextlib, io, sys
+        import erdos_straus, erdos_straus.cli, erdos_straus.decompose
+        with contextlib.redirect_stdout(io.StringIO()):
+            codes = [erdos_straus.cli.main(argv) for argv in {argvs!r}]
+        print(codes, [name for name in {absent!r} if name in sys.modules])
+    """)
+    src = str(Path(cli.__file__).parents[1])
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": src}, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == f"{[0] * len(argvs)} []\n"

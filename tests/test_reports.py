@@ -11,6 +11,7 @@ from erdos_straus.reports import (
     PRIME_HEADER,
     ReportFormatError,
     coverage_line,
+    file_digest,
     prime_line,
     read_results,
     read_results_q,
@@ -169,12 +170,14 @@ def test_read_results_checks_the_schema_it_is_asked_for(tmp_path):
         list(read_results(coverage, "prime"))
 
 
-def test_writers_return_the_digest_of_the_bytes_written(tmp_path):
+def test_file_digest_is_the_sha256_of_the_bytes_written(tmp_path):
     rows = rows_text([Row(1, 1, 1, 1, "p2"), Row(72, 9, None, None, "p4")])
     for written in (write_results_batch(rows, 1, "coverage", tmp_path),
                     write_unsolved([4, 9], 1, "coverage", tmp_path),
                     write_lines(tmp_path / "empty.csv", [])):
-        assert written.sha256 == hashlib.sha256(written.read_bytes()).hexdigest()
+        data = written.read_bytes()
+        assert file_digest(written) == (hashlib.sha256(data).hexdigest(), data.count(b"\n"))
+    assert written == tmp_path / "empty.csv"  # a writer returns the path it wrote
     assert not list(tmp_path.glob(".*"))  # no temp file is left
 
 
