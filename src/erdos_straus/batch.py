@@ -17,7 +17,7 @@ from enum import Enum
 from pathlib import Path
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator, NamedTuple, Optional, Sequence
 
-from .families import PolyId
+from .families import PolyId, check_value
 from .numutil import MR_LIMIT, FactorWindow, prime_targets, window_prime_count
 from .reports import (
     FAMILY_LABELS,
@@ -39,6 +39,7 @@ from .search import (
     prime_witness_search,
     sweep_from_x2,
     x1_row,
+    x1_yz,
 )
 
 if TYPE_CHECKING:
@@ -122,11 +123,19 @@ def Pool(processes: int) -> _Pool:
     return pool_of(processes, initializer=signal.signal, initargs=(signal.SIGTERM, signal.SIG_DFL))
 
 
-def _map(pool: Optional[_Pool], fn, work: Iterable[Sequence]) -> Iterator[list]:
+def _map(pool: Optional[_Pool], fn, work: Iterable[Sequence],
+         cancel: Optional[Callable[[], bool]] = None) -> Iterator[list]:
     """`fn` over each batch's items, one list per batch, in batch order.  A pool is given batch
-    k+1, and none beyond, before batch k is collected, so it computes while the parent writes."""
+    k+1, and none beyond, before batch k is collected, so it computes while the parent writes.
+    Without a pool, `cancel` is asked between a batch's items; a cancel raises ScanCancelled."""
     if pool is None:
-        yield from ([fn(item) for item in items] for items in work)
+        for items in work:
+            results = []
+            for item in items:
+                if results and cancel is not None and cancel():
+                    raise ScanCancelled(f"cancelled before the slice from q = {item[0]} was solved")
+                results.append(fn(item))
+            yield results
         return
     queued = []
     for items in work:
@@ -204,11 +213,15 @@ def _wide_slice(qs: range) -> SliceResult:
 
 def _prime_slice(qs: range) -> SliceResult:
     """prime_witness_search on each q of a slice with 4q+1 prime; one sieve
-    pass, `prime_targets`, finds those q and the prime that settles x = 1."""
+    pass, `prime_targets`, finds those q and the prime p that settles x = 1,
+    whose rows are written with no search, each checked as P2."""
     lines, unsolved = [], []
     for q, p in prime_targets(qs):
-        t = prime_witness_search(q, p)
-        if t is None:
+        if p is not None:
+            y, z = x1_yz(q + 1, p)
+            check_value(PolyId.P2, (1, y, z), q)
+            lines.append(f"{q},1,{y},{z}\n")
+        elif (t := prime_witness_search(q, None)) is None:
             unsolved.append(q)
         else:
             lines.append(prime_line(q, t))
@@ -361,6 +374,7 @@ def run_coverage(
     text, its unsolved q and its per-family counts, and the texts are
     written in q order.  The prefix and the pool are only set up when a
     batch that needs them runs; a scan inside the prefix needs no pool.
+    `cancel` is asked before each batch and, without a pool, between slices.
     """
     mode, label = _MODES[cfg.mode], cfg.mode.value
     batches = mode.batches(cfg)
@@ -380,7 +394,7 @@ def run_coverage(
             work[index] = lead, _slices(qs[lead:], cfg.worker_count)
     processes = min(cfg.worker_count, max((len(slices) for _, slices in work.values()), default=0))
     pool = Pool(processes) if processes > 1 else None
-    solved = _map(pool, mode.solve, [slices for _, slices in work.values()])
+    solved = _map(pool, mode.solve, [slices for _, slices in work.values()], cancel)
     reports = []
     try:
         for index, qs in enumerate(batches, start=1):

@@ -8,9 +8,11 @@ A smaller n runs only the first k bases, as few as are proven for its size
 by _MR_BOUNDS, the least strong pseudoprimes to the first k prime bases
 (OEIS A014233; Jaeschke 1993; Sorenson and Webster 2017).
 Factorization is trial division by the primes below 2^16, screened a run of
-primes at a time by one gcd, with Brent's Pollard-rho escalation for a
-cofactor above 2^32, and every divisor list is built from a factorization;
-`least_prime_factor` stops at the first small prime of a residue class.
+primes at a time by one gcd; what it leaves below 2^32 is 1 or a prime, and
+only a cofactor above that goes to Miller-Rabin and Brent's Pollard rho.
+`factorize` and `least_prime_factor` share that one division, the latter
+stopping at its first prime of a residue class, and every divisor list is
+built from a factorization.
 `FactorWindow` sieves those small primes over a contiguous range once, so a
 scan asking about many neighbouring n factors each without trial division;
 `prime_targets` sieves them once over the q = 6c of a prime scan, so it finds
@@ -24,7 +26,7 @@ from array import array
 from bisect import bisect_left, bisect_right
 from itertools import compress
 from math import gcd, isqrt, prod
-from typing import Iterator, Optional
+from typing import Optional
 
 # MR_LIMIT is the least strong pseudoprime to all of these bases, so they are
 # proven complete below it.
@@ -170,24 +172,26 @@ def _rho_factor(n: int) -> int:
     raise ArithmeticError(f"rho failed to factor {n}")  # pragma: no cover
 
 
-def _small_factors(n: int) -> Iterator[tuple[int, int, int]]:
-    """(p, e, rest) for each prime p < 2^16 dividing n exactly e times,
-    ascending; rest is n with every prime up to p divided out.
+def _trial_divide(n: int, m: int = 1, r: int = -1) -> tuple[dict[int, int], int, Optional[int]]:
+    """({p: e}, rest, hit) for the primes p < 2^16 dividing n exactly e times,
+    in ascending order, up to the first p with p % m == r, the hit (None if
+    there is none; the default class has no member).  rest is n with every
+    prime found divided out; with no hit it is 1, a prime, or a number with
+    no prime factor below 2^16, and below 2^32 that is 1 or a prime.
 
     Trial division is screened a run of primes at a time: one gcd of n
     with the run's product, and a prime-by-prime pass only over a run whose
     gcd is above 1, which ends once what is left of the gcd is one prime.
-    The scan stops at a run whose least prime p has p*p > rest, where rest
-    is 1 or prime.  A scan that runs out of runs leaves a rest with no
-    prime factor below 2^16.
+    It stops at a run whose least prime p has p*p > rest.
     """
+    factors: dict[int, int] = {}
     for run, run_product in _RUNS:
         if run[0] * run[0] > n:
-            return
+            break
         g = gcd(n, run_product)  # the run's primes dividing n, multiplied
+        if g == 1:
+            continue
         for p in run:
-            if g == 1:
-                break
             if g < p * p:  # one prime left in g
                 p = g
             elif g % p:
@@ -196,16 +200,21 @@ def _small_factors(n: int) -> Iterator[tuple[int, int, int]]:
             while n % p == 0:
                 n //= p
                 e += 1
-            yield p, e, n
+            factors[p] = e
+            if p % m == r:
+                return factors, n, p
+            if g == p:
+                break
             g //= p
+    return factors, n, None
 
 
 def _large_primes(n: int) -> list[int]:
-    """The prime factors, with multiplicity, of an n >= 1 with no prime
-    factor below 2^16: below 2^32 such an n is 1 or prime; above it,
-    Miller-Rabin decides and rho splits."""
+    """The prime factors, with multiplicity, of an n >= 2^32 with no prime
+    factor below 2^16: Miller-Rabin decides and rho splits, and a factor
+    below 2^32 is prime."""
     primes = []
-    stack = [n] if n > 1 else []
+    stack = [n]
     while stack:
         m = stack.pop()
         if m < _RHO_CUTOFF or is_prime(m):
@@ -221,12 +230,12 @@ def factorize(n: int) -> dict[int, int]:
     """Prime factorization of n >= 1 as {prime: exponent}."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    factors: dict[int, int] = {}
-    rest = n
-    for p, e, rest in _small_factors(n):
-        factors[p] = e
-    for p in _large_primes(rest):
-        factors[p] = factors.get(p, 0) + 1
+    factors, rest, _ = _trial_divide(n)
+    if rest >= _RHO_CUTOFF:
+        for p in _large_primes(rest):
+            factors[p] = factors.get(p, 0) + 1
+    elif rest > 1:
+        factors[rest] = 1
     return factors
 
 
@@ -239,10 +248,11 @@ def least_prime_factor(n: int, m: int, r: int) -> Optional[int]:
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    rest = n
-    for p, _, rest in _small_factors(n):
-        if p % m == r:
-            return p
+    _, rest, p = _trial_divide(n, m, r)
+    if p is not None:
+        return p
+    if rest < _RHO_CUTOFF:
+        return rest if rest > 1 and rest % m == r else None
     return min((p for p in _large_primes(rest) if p % m == r), default=None)
 
 
@@ -294,16 +304,9 @@ def prime_targets(qs: range) -> list[tuple[int, Optional[int]]]:
         if p <= reach and p % 3 == 2:
             i = -n0 * 4 * inverse % p  # q+1 = n0 + 6i
             least[i::p] = array("H", [p]) * len(range(i, size, p))
-    targets = []
-    for i in compress(range(size), keep):
-        q = qs[i]
-        if 4 * q + 1 > SIEVE_MAX and not is_prime(4 * q + 1):
-            continue
-        p = least[i] or None
-        if p is None and q + 1 > SIEVE_MAX:
-            p = least_prime_factor(q + 1, 3, 2)
-        targets.append((q, p))
-    return targets
+    return [(q, p or (least_prime_factor(q + 1, 3, 2) if q + 1 > SIEVE_MAX else None))
+            for q, p in zip(compress(qs, keep), compress(least, keep))
+            if 4 * q + 1 <= SIEVE_MAX or is_prime(4 * q + 1)]
 
 
 def window_prime_count(hi: int) -> int:

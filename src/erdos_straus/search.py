@@ -19,8 +19,9 @@ effect in an ascending scan is provably confined to q <= 35*(sqrt(q)+2),
 i.e. nothing beyond q ~ 1400 can ever be touched.
 
 `prime_witness_search` is the prime program's staged second-family search,
-each stage a least-divisor lookup.  Every witness any of these searches
-returns has passed `families.check_value`.
+each stage a least-divisor lookup, and at x = 1, y = 1 and z = 1, where that
+divisor is a prime, a `least_prime_factor` lookup.  Every witness any of
+these searches returns has passed `families.check_value`.
 """
 
 from __future__ import annotations
@@ -118,8 +119,9 @@ def solve_p2_given_x(
     return None if d is None else ((d + x) // (4 * x - 1), (q + x) // d)
 
 
-# Class members _least_divisor tries by division before it factors n.  Per call
-# (2-vCPU x86-64, Python 3.11) 12 to 20 ran alike, 5% faster than 6, 10% than 3.
+# Class members _least_divisor tries by division before it factors n.  Over the
+# primes benchmark's slices (2-vCPU x86-64, Python 3.11) 12 and 20 ran alike, 2-6%
+# faster than 6 and 32; over scan-hard's, all four ran within 2% of each other.
 _CLASS_SCAN = 12
 
 
@@ -131,16 +133,18 @@ def _least_divisor(n: int, m: int, r: int, cm: int = 1, cr: int = 0,
     order, so the first to divide n with a qualifying cofactor is the answer;
     if they reach n, there is none.  Else every qualifying divisor is at least
     r + _CLASS_SCAN*m, so the least multiplied out of n's factorization
-    (`window`'s if given) is exact.
+    (`window`'s if given) is exact; it is kept in one pass over the divisors.
     """
     for d in range(r, min(n, r + (_CLASS_SCAN - 1) * m) + 1, m):
         if n % d == 0 and n // d % cm == cr:
             return d
     if n < r + _CLASS_SCAN * m:
         return None
-    factors = factorize(n) if window is None else window.factorize(n)
-    found = [d for d in divisors_of(factors) if d % m == r and (cm == 1 or n // d % cm == cr)]
-    return min(found) if found else None
+    least = None
+    for d in divisors_of(factorize(n) if window is None else window.factorize(n)):
+        if d % m == r and (least is None or d < least) and n // d % cm == cr:
+            least = d
+    return least
 
 
 def solve_p3_given_x(q: int, x: int) -> Optional[int]:
@@ -177,7 +181,7 @@ def _x1_prime(n: int, window: Optional[FactorWindow] = None) -> Optional[int]:
     return least_prime_factor(n, 3, 2) if window is None else window.least_prime_factor(n, 3, 2)
 
 
-def _x1_yz(n: int, p: int) -> tuple[int, int]:
+def x1_yz(n: int, p: int) -> tuple[int, int]:
     """(y, z) at x = 1 from a prime p | n = q+1: P1's for p = 3, else P2's."""
     return (p + 1) // 3, n // p
 
@@ -190,7 +194,7 @@ def x1_row(q: int, window: Optional[FactorWindow] = None) -> Optional[tuple[Poly
     p = 3 if n % 3 == 0 else _x1_prime(n, window)
     if p is None:
         return None
-    poly, (y, z) = P1 if p == 3 else P2, _x1_yz(n, p)
+    poly, (y, z) = P1 if p == 3 else P2, x1_yz(n, p)
     check_value(poly, (1, y, z), q)
     return poly, y, z
 
@@ -254,7 +258,7 @@ def _first_prime_candidate(q: int, p: Optional[int]) -> Optional[WitnessTriple]:
     """First second-family candidate for q, in the prime program's stage order;
     p is _x1_prime(q + 1)."""
     if p is not None:
-        return WitnessTriple(1, *_x1_yz(q + 1, p))
+        return WitnessTriple(1, *x1_yz(q + 1, p))
     for x in (2, 3):
         yz = solve_p2_given_x(q, x)
         if yz is not None:
@@ -263,15 +267,25 @@ def _first_prime_candidate(q: int, p: Optional[int]) -> Optional[WitnessTriple]:
     xmax = x_sweep_bound(q)
     # y: with k = 4y-1, E = (4x-1)k - 1 divides a+4x-1 iff it divides ka+1, as
     # k(a+4x-1) = ka+1 + E and gcd(k, E) = 1; E is 3k-1 mod 4k and grows with x.
-    for y in (1, 2, 3):
+    # At y = 1, E = 4(3x-1) divides 3a+1 = 4(3q+1) iff 3x-1 divides 3q+1, so
+    # 3x-1 is the least prime p = 2 mod 3 of 3q+1, by x1_row's argument.
+    p = least_prime_factor(3 * q + 1, 3, 2)
+    if p is not None and (p + 1) // 3 <= xmax:
+        return WitnessTriple((p + 1) // 3, 1, (q + (p + 1) // 3) // p)
+    for y in (2, 3):
         k = 4 * y - 1
         e = _least_divisor(k * a + 1, 4 * k, 3 * k - 1)
         if e is not None and (e + k + 1) // (4 * k) <= xmax:
             x = (e + k + 1) // (4 * k)
             return WitnessTriple(x, y, (a + 4 * x - 1) // e)
     # z: with f = 4x-1, 4zf divides a-1+4x(z+1) = (a+z) + f(z+1) iff f divides
-    # a+z and 4z divides (a+z)/f + z+1.
-    for z in (1, 2, 3):
+    # a+z and 4z divides (a+z)/f + z+1.  At z = 1, the odd f divides a+1 =
+    # 2(2q+1) iff it divides 2q+1, and then (a+1)/f is 2 mod 4, so f is the
+    # least prime 3 mod 4 of 2q+1: each divisor 3 mod 4 has such a prime factor.
+    f = least_prime_factor(2 * q + 1, 4, 3)
+    if f is not None and (f + 1) // 4 <= xmax:
+        return WitnessTriple((f + 1) // 4, ((a + 1) // f + 2) // 4, 1)
+    for z in (2, 3):
         f = _least_divisor(a + z, 4, 3, 4 * z, -(z + 1) % (4 * z))
         if f is not None and (f + 1) // 4 <= xmax:
             return WitnessTriple((f + 1) // 4, ((a + z) // f + z + 1) // (4 * z), z)

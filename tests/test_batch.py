@@ -17,7 +17,15 @@ from erdos_straus.batch import (
 )
 from erdos_straus.families import PolyId
 from erdos_straus.numutil import MR_LIMIT, is_prime, window_prime_count
-from erdos_straus.reports import file_digest, read_results, read_results_q, write_results_batch, write_unsolved
+from erdos_straus.reports import (
+    file_digest,
+    read_results,
+    read_results_q,
+    results_batch_path,
+    unsolved_path,
+    write_results_batch,
+    write_unsolved,
+)
 from erdos_straus.search import Witness, legacy_coverage_scan, prime_witness_search, wide_search
 
 from .journal import edit_journal, journal_records, tree_bytes
@@ -653,6 +661,41 @@ def test_cancellation_writes_nothing_for_the_cancelled_batch(tmp_path):
     with pytest.raises(ScanCancelled):
         run_coverage(cfg, cancel=lambda: True)
     assert sorted(p.name for p in tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("mode, kw", [
+    # 2 batches of 50,000 q = 6c, each cut into 5 slices of at most 10,913 q
+    (ScanMode.PRIME_COVERAGE, dict(step=6, q_start=6, q_max=600_000, batch_size=300_000)),
+    # 2 batches of 25,000 q = 6c past the legacy prefix, 3 slices each
+    (ScanMode.COVERAGE, dict(step=6, q_start=10**6, q_max=10**6 + 299_994, batch_size=25_000)),
+], ids=["primes", "cover"])
+def test_a_serial_scan_is_cancelled_between_the_slices_of_a_batch(tmp_path, monkeypatch, mode, kw):
+    cfg = _cfg(tmp_path / "cancelled", mode=mode, **kw)
+    solved = []
+    plain = batch._MODES[mode]
+
+    def solve(qs):
+        solved.append(qs)
+        return plain.solve(qs)
+
+    monkeypatch.setitem(batch._MODES, mode, plain._replace(solve=solve))
+    run_coverage(cfg._replace(output_dir=tmp_path / "counted"))
+    first = len(solved) // 2  # batch 1's slices
+    assert first >= 3 and len(solved) == 2 * first
+    solved.clear()
+    with pytest.raises(ScanCancelled) as cancelled:
+        run_coverage(cfg, cancel=lambda: len(solved) > first)  # set once batch 2's first slice is solved
+    assert len(solved) == first + 1  # batch 2 stopped before its second slice
+    assert str(cancelled.value) == f"cancelled before the slice from q = {solved[-1][-1] + 6} was solved"
+    assert list(journal_records(cfg.output_dir)) == [1]
+    for path in results_batch_path, unsolved_path:
+        assert path(1, mode.value, cfg.output_dir).exists() and not path(2, mode.value, cfg.output_dir).exists()
+
+    monkeypatch.undo()
+    reports = run_coverage(cfg, resume=True)
+    assert [r.resumed for r in reports] == [True, False]
+    run_coverage(cfg._replace(output_dir=tmp_path / "whole"))
+    assert tree_bytes(cfg.output_dir) == tree_bytes(tmp_path / "whole")
 
 
 def test_unwritable_output_dir_raises_before_compute(tmp_path):

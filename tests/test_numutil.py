@@ -298,6 +298,28 @@ def test_least_prime_factor_property(s, a, b, residue):
     assert least_prime_factor(n, m, r) == expect == _least_prime_oracle(n, m, r)
 
 
+# Where trial division hands over: the largest prime below 2^16 and the two
+# above it, alone and multiplied by a small prime; around 2^32, where a
+# cofactor stops being 1 or a prime; 65537^2, the least n past the sieve.
+_HANDOVER = (
+    [s * p * q for s in (1, 6) for i, p in enumerate((65521, 65537, 65539)) for q in (65521, 65537, 65539)[i:]]
+    + [(1 << 32) + k for k in range(-16, 17)]
+    + [65537**2, 3 * 65537**2]
+)
+
+
+@pytest.mark.parametrize("n", _HANDOVER)
+def test_factorize_and_least_prime_factor_at_the_trial_division_handover(n):
+    expect = factor_by_trial(n)
+    assert factorize(n) == expect
+    misses = 0
+    for m, r in RESIDUES + [(4, 1), (12, 11), (65536, 65535)]:
+        least = min((p for p in expect if p % m == r), default=None)
+        assert least_prime_factor(n, m, r) == least, (m, r)
+        misses += least is None
+    assert misses  # a class with no prime of n
+
+
 def test_least_prime_factor_rejects_n_below_1():
     with pytest.raises(ValueError):
         least_prime_factor(0, 3, 2)

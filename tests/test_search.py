@@ -190,7 +190,7 @@ def _sweep_from_x1(q, window=None):
 
 def _x1_closed_form(q, window=None):
     p = search_module._x1_prime(q + 1, window)
-    return None if p is None else search_module._x1_yz(q + 1, p)
+    return None if p is None else search_module.x1_yz(q + 1, p)
 
 
 def _x1_row_by_solvers(q):
@@ -557,6 +557,48 @@ def test_prime_search_matches_the_sweep_for_any_q(base, offset):
     assert prime_witness_search(q) == prime_candidate_by_sweep(q)
 
 
+def _y1_z1_by_least_primes(q):
+    """The prime search's y = 1 and z = 1 divisors as it takes them: E = 4p,
+    p the least prime 2 mod 3 of 3q+1, and f, the least prime 3 mod 4 of 2q+1."""
+    p = least_prime_factor(3 * q + 1, 3, 2)
+    return None if p is None else 4 * p, least_prime_factor(2 * q + 1, 4, 3)
+
+
+def _y1_z1_by_divisors(q):
+    """The same divisors by their definition: the least E = 8 mod 12 of 3a+1,
+    and the least f = 3 mod 4 of a+1 with (a+1)/f = 2 mod 4, a = 4q+1."""
+    a = 4 * q + 1
+    return least_divisor_by_sorted_list(3 * a + 1, 12, 8), least_divisor_by_sorted_list(a + 1, 4, 3, 4, 2)
+
+
+def test_y1_and_z1_stages_are_least_prime_lookups_for_every_small_q():
+    found = [0, 0]
+    for q in range(1, 10**5 + 1):
+        got = _y1_z1_by_least_primes(q)
+        assert got == _y1_z1_by_divisors(q), q
+        found = [n + (d is not None) for n, d in zip(found, got)]
+    assert 0 < min(found) and max(found) < 10**5  # each stage both hits and misses
+
+
+def _q_past_2_16(s, a, b, d):
+    """A q whose dq+1, d = 2 or 3, is 6s+1 (times 5 if need be) times the
+    primes P, Q from a and b up, above 2^16: unless 6s+1 holds a prime of the
+    class, the lookup reaches the cofactor PQ, above 2^32, and splits it by rho."""
+    n = (6 * s + 1) * _prime_above(a) * _prime_above(b)
+    n *= 5 if n % d != 1 else 1  # d = 3 and n = 2 mod 3
+    return (n - 1) // d
+
+
+@given(st.one_of(
+    st.sampled_from([10**9, 12 * 10**9, 4 * 10**12]).flatmap(lambda base: st.integers(base, base + 10**6)),
+    st.builds(_q_past_2_16, st.integers(0, 10**4), st.integers(1 << 16, 10**7), st.integers(1 << 16, 10**7),
+              st.sampled_from([2, 3])),
+))
+@settings(max_examples=200, deadline=None)
+def test_y1_and_z1_stages_are_least_prime_lookups_at_scale(q):
+    assert _y1_z1_by_least_primes(q) == _y1_z1_by_divisors(q), q
+
+
 def test_solve_p2_given_x_is_the_prime_programs_p2_search():
     # E = (4x-1)(4y-1) - 1 = 4M and a + 4x - 1 = 4(q+x): the same first hit
     for q in range(1, 1500):
@@ -579,6 +621,39 @@ def test_prime_witness_search_rejects_a_wrong_triple(monkeypatch):
     monkeypatch.setattr(search_module, "solve_p2_given_x", _wrong_p2)
     with pytest.raises(AssertionError, match="p2"):
         prime_witness_search(36)
+
+
+def test_prime_slice_rejects_a_wrong_x1_prime_under_python_O():
+    # _prime_slice writes x = 1 rows with no search; each must still be checked
+    script = textwrap.dedent(
+        """
+        import sys
+        from erdos_straus import batch
+
+        if not sys.flags.optimize:
+            sys.exit("not running under -O")
+        # 4q+1 = 97 and 337 are prime; q+1 = 25 and 85 have the least prime 2 mod 3 5
+        for q, p in ((24, 2), (24, 25), (84, 7)):  # not dividing q+1, not a prime, not dividing
+            batch.prime_targets = lambda qs, target=(q, p): [target]
+            try:
+                batch._prime_slice(range(q, q + 6, 6))
+            except AssertionError:
+                continue
+            sys.exit(f"wrong x = 1 prime {p} accepted for q = {q}")
+        batch.prime_targets = lambda qs: [(24, 5), (84, 5)]
+        if batch._prime_slice(range(24, 90, 6)).text != "24,1,2,5\\n84,1,2,17\\n":
+            sys.exit("right x = 1 primes not written as rows")
+        """
+    )
+    src = str(Path(families_module.__file__).parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", script],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": src},
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_wrong_witness_raises_under_python_O():
