@@ -17,7 +17,7 @@ from enum import Enum
 from pathlib import Path
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator, NamedTuple, Optional, Sequence
 
-from .families import PolyId, check_value
+from .families import P1, P2, PolyId, check_value
 from .numutil import MR_LIMIT, FactorWindow, prime_targets, window_prime_count
 from .reports import (
     FAMILY_LABELS,
@@ -38,7 +38,6 @@ from .search import (
     legacy_coverage_scan,
     prime_witness_search,
     sweep_from_x2,
-    x1_row,
     x1_yz,
 )
 
@@ -192,23 +191,37 @@ def _coverage_result(hits: Iterable[tuple[int, Optional[Witness]]]) -> SliceResu
 
 
 def _wide_slice(qs: range) -> SliceResult:
-    """wide_search on each q of a contiguous slice, sharing one factor window;
-    x = 1 rows (`x1_row`) are written with no Witness."""
+    """wide_search on each q of a contiguous slice, sharing one factor window.
+    x = 1 is settled inline by the rule `x1_row` states, each row checked and
+    written with no Witness; only the q it leaves run `sweep_from_x2`."""
     window = FactorWindow(qs[0] + 1, qs[-1] + WINDOW_MARGIN)
+    least_prime, p1_label, p2_label = window.least_prime_factor, FAMILY_LABELS[0], FAMILY_LABELS[1]
     lines, unsolved, counts = [], [], [0] * len(PolyId)
+    append = lines.append
+    p1 = p2 = 0
     for q in qs:
-        row = x1_row(q, window)
-        if row is not None:
-            poly, y, z = row
-            line = f"{q},1,{y},{z},{FAMILY_LABELS[poly - 1]}\n"
+        n = q + 1
+        if n % 3 == 0:
+            z = n // 3
+            check_value(P1, (1, 1, z), q)
+            append(f"{q},1,1,{z},{p1_label}\n")
+            p1 += 1
+        elif n % 2 == 0:
+            z = n // 2
+            check_value(P2, (1, 1, z), q)
+            append(f"{q},1,1,{z},{p2_label}\n")
+            p2 += 1
+        elif (p := least_prime(n, 3, 2)) is not None:
+            y, z = (p + 1) // 3, n // p
+            check_value(P2, (1, y, z), q)
+            append(f"{q},1,{y},{z},{p2_label}\n")
+            p2 += 1
         elif (w := sweep_from_x2(q, window)) is not None:
-            poly, line = w.poly, coverage_line(w)
+            append(coverage_line(w))
+            counts[w.poly - 1] += 1
         else:
             unsolved.append(q)
-            continue
-        lines.append(line)
-        counts[poly - 1] += 1
-    return SliceResult("".join(lines), unsolved, counts)
+    return SliceResult("".join(lines), unsolved, [counts[0] + p1, counts[1] + p2, *counts[2:]])
 
 
 def _prime_slice(qs: range) -> SliceResult:
@@ -219,7 +232,7 @@ def _prime_slice(qs: range) -> SliceResult:
     for q, p in prime_targets(qs):
         if p is not None:
             y, z = x1_yz(q + 1, p)
-            check_value(PolyId.P2, (1, y, z), q)
+            check_value(P2, (1, y, z), q)
             lines.append(f"{q},1,{y},{z}\n")
         elif (t := prime_witness_search(q, None)) is None:
             unsolved.append(q)

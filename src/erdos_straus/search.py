@@ -189,7 +189,8 @@ def x1_yz(n: int, p: int) -> tuple[int, int]:
 def x1_row(q: int, window: Optional[FactorWindow] = None) -> Optional[tuple[PolyId, int, int]]:
     """x = 1 of the sweep in closed form: (family, y, z), checked, or None.
     With n = q+1, P1 for 3 | n, else P2 at p = _x1_prime(n, window): each
-    divisor d % 3 == 2 of n has a prime factor p % 3 == 2 <= d.  P3 needs 2 | n."""
+    divisor d % 3 == 2 of n has a prime factor p % 3 == 2 <= d.  P3 needs 2 | n.
+    `batch._wide_slice` applies the same rule in its loop, with no call per q."""
     n = q + 1
     p = 3 if n % 3 == 0 else _x1_prime(n, window)
     if p is None:
@@ -211,17 +212,17 @@ def wide_search(q: int) -> Optional[Witness]:
 
 def sweep_from_x2(q: int, window: Optional[FactorWindow] = None) -> Optional[Witness]:
     """wide_search for a q that x = 1 leaves: the sweep over 2 <= x <=
-    x_sweep_bound(q), P1 then P2 then P3 at each x, then the x(x-1) check."""
+    x_sweep_bound(q), P1 then P2 then P3 at each x, then the x(x-1) check;
+    each x is solved inline as `solve_p*_given_x` solves it (n > 0, so m | n gives n >= m)."""
     for x in range(2, x_sweep_bound(q) + 1):
-        yz = solve_p1_given_x(q, x)
-        if yz is not None:
-            return _checked_witness(q, P1, WitnessTriple(x, *yz))
-        yz = solve_p2_given_x(q, x, window)
-        if yz is not None:
-            return _checked_witness(q, P2, WitnessTriple(x, *yz))
-        y = solve_p3_given_x(q, x)
-        if y is not None:
-            return _checked_witness(q, P3, WitnessTriple(x, y, 1))
+        m, n = 4 * x - 1, q + x
+        if n % m == 0:
+            return _checked_witness(q, P1, WitnessTriple(x, 1, n // m))
+        d = _least_divisor(n, m, 3 * x - 1, window=window)
+        if d is not None:
+            return _checked_witness(q, P2, WitnessTriple(x, (d + x) // m, n // d))
+        if (q + 3 * x - 2) % (8 * x - 6) == 0:
+            return _checked_witness(q, P3, WitnessTriple(x, (q + 3 * x - 2) // (8 * x - 6), 1))
     x = check_p4(q)
     if x is not None:
         return _checked_witness(q, P4, WitnessTriple(x, 1, 1))

@@ -67,6 +67,27 @@ def wide_slice_per_q(qs):
     return _coverage_result((q, wide_search(q)) for q in qs)
 
 
+def sweep_by_solvers(q: int, window=None):
+    """search.sweep_from_x2 through the public per-family solvers: P1, then
+    P2, then P3 at each 2 <= x <= x_sweep_bound(q), then the x(x-1) check."""
+    from erdos_straus.search import (
+        Witness, check_p4, solve_p1_given_x, solve_p2_given_x, solve_p3_given_x, x_sweep_bound,
+    )
+
+    for x in range(2, x_sweep_bound(q) + 1):
+        yz = solve_p1_given_x(q, x)
+        if yz is not None:
+            return Witness(q, PolyId.P1, WitnessTriple(x, *yz))
+        yz = solve_p2_given_x(q, x, window)
+        if yz is not None:
+            return Witness(q, PolyId.P2, WitnessTriple(x, *yz))
+        y = solve_p3_given_x(q, x)
+        if y is not None:
+            return Witness(q, PolyId.P3, WitnessTriple(x, y, 1))
+    x = check_p4(q)
+    return None if x is None else Witness(q, PolyId.P4, WitnessTriple(x, 1, 1))
+
+
 def _naive_xmax(q: int) -> int:
     # largest x with (2x-1)^2 <= 4q+1, found by counting up
     x = 1

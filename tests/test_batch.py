@@ -406,10 +406,19 @@ def _rows_of(witnesses):
     return "".join(rows_text(witness_to_row(w) for w in witnesses if w is not None))
 
 
+# Every q from the legacy prefix's end to 10^5, as one slice whose window is
+# longer than WINDOW_SPAN, which `_slices` never makes (so is the last range's);
+# windows near 10^9, and windows with q+1 = 65537^2 inside, where the factor
+# window stops at SIEVE_MAX; each at step 1 and at step 6 (multiples of 6, as
+# the step-6 scans run).
 @pytest.mark.parametrize("qs", [
-    range(2049, 6049),
-    range(1_000_000_002, 1_000_000_002 + 6 * 400, 6),
-    range(65537**2 - 200, 65537**2 + 200),
+    range(2049, 10**5 + 1),
+    range(1_000_000_002, 1_000_000_002 + 6 * 3000, 6),
+    range(65537**2 - 3000, 65537**2 + 3000),
+    range(2052, 10**5 + 1, 6),
+    range(10**9 - 3000, 10**9 + 3000),
+    range(65537**2 - 1 - 6 * 1500, 65537**2 + 6 * 1500, 6),
+    range(10**6 + 2, 10**6 + 2 + 6 * 12_000, 6),
 ])
 def test_coverage_slice_text_is_the_row_rendering(qs):
     got = batch._wide_slice(qs)
@@ -422,10 +431,15 @@ def test_coverage_slice_text_is_the_row_rendering(qs):
 @pytest.mark.parametrize("step", [1, 6])
 @pytest.mark.parametrize("first", [2052, 10**6 + 2, 10**9 + 2, 65537**2 - 1801])
 def test_coverage_slice_matches_the_per_q_path(first, step):
-    # multiples of 6 from each start, as the step-6 scans run; the last start
-    # puts q+1 = 65537^2 in the slice, past the window's cap
-    qs = range(first, first + 3600, step)
-    assert batch._wide_slice(qs) == wide_slice_per_q(qs)
+    # multiples of 6 from each start, as the step-6 scans run, cut into slices
+    # as a scan cuts them: from the first start every q up to 10^5; the last
+    # start puts q+1 = 65537^2 in the slice, past the window's cap
+    qs = range(first, 10**5 + 1 if first < 10**5 else first + 3600, step)
+    pieces = [batch._wide_slice(s) for s in batch._slices(qs, 3)]
+    got = batch.SliceResult("".join(r.text for r in pieces), [q for r in pieces for q in r.unsolved],
+                            [sum(c) for c in zip(*(r.counts for r in pieces))])
+    assert got == wide_slice_per_q(qs)
+    assert got.counts[0] and got.counts[1]  # x = 1 rows of both families
 
 
 def test_prefix_text_is_the_row_rendering():

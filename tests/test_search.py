@@ -40,6 +40,7 @@ from .oracles import (
     p2_divisor_instance,
     prime_candidate_by_sweep,
     stale_square_by_loop,
+    sweep_by_solvers,
 )
 
 qs = st.integers(min_value=1, max_value=50_000)
@@ -174,18 +175,8 @@ def _sweep_at_x1(q, window=None):
 
 def _sweep_from_x1(q, window=None):
     """wide_search as a plain sweep from x = 1, without the closed form."""
-    for x in range(1, x_sweep_bound(q) + 1):
-        yz = solve_p1_given_x(q, x)
-        if yz is not None:
-            return Witness(q, PolyId.P1, WitnessTriple(x, *yz))
-        yz = solve_p2_given_x(q, x, window)
-        if yz is not None:
-            return Witness(q, PolyId.P2, WitnessTriple(x, *yz))
-        y = solve_p3_given_x(q, x)
-        if y is not None:
-            return Witness(q, PolyId.P3, WitnessTriple(x, y, 1))
-    x = check_p4(q)
-    return None if x is None else Witness(q, PolyId.P4, WitnessTriple(x, 1, 1))
+    hit = _sweep_at_x1(q, window)
+    return sweep_by_solvers(q, window) if hit is None else Witness(q, *hit)
 
 
 def _x1_closed_form(q, window=None):
@@ -218,15 +209,48 @@ def _no_x1_answer(q):
     return all(solve(q, 1) is None for solve in (solve_p1_given_x, solve_p2_given_x, solve_p3_given_x))
 
 
-@pytest.mark.parametrize("qs", [range(1, 20_001), range(10**9 - 3000, 10**9 + 3000)])
+@pytest.mark.parametrize("qs", [range(1, 10**5 + 1), range(10**9 - 3000, 10**9 + 3000)])
 def test_sweep_from_x2_is_wide_search_where_x1_has_no_answer(qs):
+    # every q up to 10^5 that x = 1 leaves, against the loop over the solvers
     window = FactorWindow(qs[0] + 1, qs[-1] + 64)
     swept = [q for q in qs if _no_x1_answer(q)]
     assert len(swept) > len(qs) // 20
     for q in swept:
-        expect = wide_search(q)
+        expect = sweep_by_solvers(q)
+        assert sweep_by_solvers(q, window) == expect, q
         assert sweep_from_x2(q) == expect, q
         assert sweep_from_x2(q, window) == expect, q
+        assert wide_search(q) == expect, q
+
+
+def _left_by_x1(q):
+    """The first q' >= q that x = 1 leaves: a multiple of 6 whose q'+1 has no
+    prime 2 mod 3."""
+    q += -q % 6
+    while x1_row(q) is not None:
+        q += 6
+    return q
+
+
+@given(st.sampled_from([10**9, 4 * 10**12]).flatmap(lambda base: st.integers(base, base + 10**6)).map(_left_by_x1),
+       st.booleans())
+@settings(max_examples=200, deadline=None)
+def test_sweep_from_x2_matches_the_solver_loop_at_scale(q, with_window):
+    window = FactorWindow(q + 1, q + 64) if with_window else None
+    assert sweep_from_x2(q, window) == sweep_by_solvers(q, window) == sweep_by_solvers(q), q
+
+
+@pytest.mark.parametrize("with_window", [False, True])
+def test_sweep_from_x2_matches_the_solver_loop_on_oblong_q(with_window):
+    # q = x(x-1): 4q+1 is a square, and the sweep runs to its end on the P4 q
+    p4 = 0
+    for x in range(2, 1001):
+        q = x * (x - 1)
+        window = FactorWindow(q + 1, q + 64) if with_window else None
+        expect = sweep_by_solvers(q)
+        assert sweep_from_x2(q, window) == expect, q
+        p4 += expect.poly is PolyId.P4
+    assert p4 > 20
 
 
 @pytest.mark.parametrize("n", [
@@ -716,7 +740,8 @@ def test_wrong_witness_raises_under_python_O():
         else:
             sys.exit("wrong x = 1 prime accepted")
         families.eval_poly = lambda poly, t: -1
-        for q in (2, 4):  # 3 | q+1 gives a P1 row; q+1 = 5, a P2 row from the window
+        # 3 | q+1 gives a P1 row; q+1 = 5, a P2 row from the window; q+1 = 4, the even-n P2 row
+        for q in (2, 4, 3):
             try:
                 batch._wide_slice(range(q, q + 1))
             except AssertionError:
