@@ -36,7 +36,7 @@ from .search import (
     LEGACY_PROBE_LIMIT,
     Witness,
     legacy_coverage_scan,
-    prime_witness_search,
+    prime_search_from_x2,
     sweep_from_x2,
     x1_yz,
 )
@@ -192,8 +192,8 @@ def _coverage_result(hits: Iterable[tuple[int, Optional[Witness]]]) -> SliceResu
 
 def _wide_slice(qs: range) -> SliceResult:
     """wide_search on each q of a contiguous slice, sharing one factor window.
-    x = 1 is settled inline by the rule `x1_row` states, each row checked and
-    written with no Witness; only the q it leaves run `sweep_from_x2`."""
+    x = 1 is settled inline by the rule `wide_search` states, each row checked
+    and written with no Witness; only the q it leaves run `sweep_from_x2`."""
     window = FactorWindow(qs[0] + 1, qs[-1] + WINDOW_MARGIN)
     least_prime, p1_label, p2_label = window.least_prime_factor, FAMILY_LABELS[0], FAMILY_LABELS[1]
     lines, unsolved, counts = [], [], [0] * len(PolyId)
@@ -225,16 +225,16 @@ def _wide_slice(qs: range) -> SliceResult:
 
 
 def _prime_slice(qs: range) -> SliceResult:
-    """prime_witness_search on each q of a slice with 4q+1 prime; one sieve
-    pass, `prime_targets`, finds those q and the prime p that settles x = 1,
-    whose rows are written with no search, each checked as P2."""
+    """prime_witness_search on each q of a slice with 4q+1 prime; one sieve pass,
+    `prime_targets`, finds those q and the x = 1 prime p, whose rows are written
+    with no search, each checked as P2; the rest run `prime_search_from_x2`."""
     lines, unsolved = [], []
     for q, p in prime_targets(qs):
         if p is not None:
             y, z = x1_yz(q + 1, p)
             check_value(P2, (1, y, z), q)
             lines.append(f"{q},1,{y},{z}\n")
-        elif (t := prime_witness_search(q, None)) is None:
+        elif (t := prime_search_from_x2(q)) is None:
             unsolved.append(q)
         else:
             lines.append(prime_line(q, t))

@@ -59,7 +59,8 @@ _RHO_CUTOFF = 1 << 32
 _RHO_BLOCK = 128
 
 # Primes below 2^16, enough for trial division of any n < 2^32.
-def _small_primes(limit: int = 1 << 16) -> list[int]:
+def _small_primes() -> list[int]:
+    limit = 1 << 16
     half = limit // 2
     sieve = bytearray([1]) * half  # sieve[i] stands for the odd 2i + 1
     sieve[0] = 0

@@ -5,10 +5,13 @@ fields for families that do not use them, prime files carry q,x,y,z only.
 Coverage batch files are named results_batch<B>.csv with an unpadded index
 at the output root; prime batch files are results_batch<BBB>.csv, zero
 padded to three digits, under a Results/ subdirectory.  Fields are plain
-ASCII, comma separated, never quoted; rows end with a newline.  Scans
-write rows as text (`coverage_line`, `prime_line`), and these two writers
-are the whole statement of the row format: `read_results` accepts a row
-exactly when writing its witness back gives the row as it stands.
+ASCII, comma separated, never quoted; rows end with a newline.  Rows are
+written as text by `coverage_line` and `prime_line`, and by the slice
+solvers `batch._wide_slice` and `batch._prime_slice`, which format their
+x = 1 rows themselves; the tests `test_coverage_slice_text_is_the_row_rendering`
+and `test_prime_slice_text_is_the_row_rendering` keep those rows equal to
+the two writers'.  `read_results` accepts a row exactly when writing its
+witness back gives the row as it stands.
 """
 
 from __future__ import annotations

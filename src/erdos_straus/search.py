@@ -18,17 +18,21 @@ classifications that quirk produces, so coverage scans emulate it; the
 effect in an ascending scan is provably confined to q <= 35*(sqrt(q)+2),
 i.e. nothing beyond q ~ 1400 can ever be touched.
 
-`prime_witness_search` is the prime program's staged second-family search,
-each stage a least-divisor lookup, and at x = 1, y = 1 and z = 1, where that
-divisor is a prime, a `least_prime_factor` lookup.  Every witness any of
-these searches returns has passed `families.check_value`.
+Both searches have one shape: the x = 1 closed form, then one routine from
+x = 2 on, which is all a slice solver calls for the q its own x = 1 rows
+leave.  `wide_search` is x = 1, then `sweep_from_x2`.  `prime_witness_search`,
+the prime program's staged second-family search, is x = 1, then
+`prime_search_from_x2`: each later stage a least-divisor lookup, and at
+y = 1 and z = 1, where that divisor is a prime, a `least_prime_factor`
+lookup, as at x = 1.  Every witness any of these searches returns has
+passed `families.check_value`.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
 from math import isqrt
-from typing import Any, Iterable, Iterator, NamedTuple, Optional
+from typing import Iterable, Iterator, NamedTuple, Optional
 
 from .families import P1, P2, P3, P4, PolyId, WitnessTriple, check_value, eval_poly
 from .numutil import FactorWindow, divisors_of, factorize, least_prime_factor
@@ -103,19 +107,16 @@ def solve_p1_given_x(q: int, x: int) -> Optional[tuple[int, int]]:
     return None
 
 
-def solve_p2_given_x(
-    q: int, x: int, window: Optional[FactorWindow] = None
-) -> Optional[tuple[int, int]]:
+def solve_p2_given_x(q: int, x: int) -> Optional[tuple[int, int]]:
     """First solution of P2(x, y, z) = q for fixed x, if any.
 
     P2 = q rearranges to z * M = q + x with M = y(4x-1) - x, so M runs over
     divisors of q+x congruent to 3x-1 mod 4x-1, all of them at least 3x-1
-    (y >= 1).  The smallest such divisor wins.  `window`, when given,
-    supplies q+x's factorization, not its divisors; the result is the same.
+    (y >= 1).  The smallest such divisor wins.
     """
     if q < 1 or x < 1:
         raise ValueError("q and x must be >= 1")
-    d = _least_divisor(q + x, 4 * x - 1, 3 * x - 1, window=window)
+    d = _least_divisor(q + x, 4 * x - 1, 3 * x - 1)
     return None if d is None else ((d + x) // (4 * x - 1), (q + x) // d)
 
 
@@ -174,11 +175,9 @@ def x_sweep_bound(q: int) -> int:
     return (1 + isqrt(4 * q + 1)) // 2
 
 
-def _x1_prime(n: int, window: Optional[FactorWindow] = None) -> Optional[int]:
+def _x1_prime(n: int) -> Optional[int]:
     """The least prime p % 3 == 2 dividing n, or None: 2 for even n."""
-    if n % 2 == 0:
-        return 2
-    return least_prime_factor(n, 3, 2) if window is None else window.least_prime_factor(n, 3, 2)
+    return 2 if n % 2 == 0 else least_prime_factor(n, 3, 2)
 
 
 def x1_yz(n: int, p: int) -> tuple[int, int]:
@@ -186,28 +185,22 @@ def x1_yz(n: int, p: int) -> tuple[int, int]:
     return (p + 1) // 3, n // p
 
 
-def x1_row(q: int, window: Optional[FactorWindow] = None) -> Optional[tuple[PolyId, int, int]]:
-    """x = 1 of the sweep in closed form: (family, y, z), checked, or None.
-    With n = q+1, P1 for 3 | n, else P2 at p = _x1_prime(n, window): each
-    divisor d % 3 == 2 of n has a prime factor p % 3 == 2 <= d.  P3 needs 2 | n.
-    `batch._wide_slice` applies the same rule in its loop, with no call per q."""
-    n = q + 1
-    p = 3 if n % 3 == 0 else _x1_prime(n, window)
-    if p is None:
-        return None
-    poly, (y, z) = P1 if p == 3 else P2, x1_yz(n, p)
-    check_value(poly, (1, y, z), q)
-    return poly, y, z
-
-
 def wide_search(q: int) -> Optional[Witness]:
     """Stages B and C only: the wide x sweep, then the x(x-1) check; the whole
     classification of q > LEGACY_PROBE_LIMIT in an ascending scan.
-    `x1_row` settles x = 1 in closed form; `sweep_from_x2` is the sweep proper."""
+
+    x = 1 is settled in closed form.  With n = q+1, P1 hits for 3 | n, else
+    P2 at the prime p = _x1_prime(n), as each divisor d % 3 == 2 of n has a
+    prime factor p % 3 == 2 <= d; P3 needs 2 | n, where P2 hits first.  The
+    q it leaves run `sweep_from_x2`.  `batch._wide_slice` applies the same
+    rule in its loop, with no call per q."""
     if q < 1:
         raise ValueError("q must be >= 1")
-    row = x1_row(q)
-    return sweep_from_x2(q) if row is None else Witness(q, row[0], WitnessTriple(1, *row[1:]))
+    n = q + 1
+    p = 3 if n % 3 == 0 else _x1_prime(n)
+    if p is None:
+        return sweep_from_x2(q)
+    return _checked_witness(q, P1 if p == 3 else P2, WitnessTriple(1, *x1_yz(n, p)))
 
 
 def sweep_from_x2(q: int, window: Optional[FactorWindow] = None) -> Optional[Witness]:
@@ -255,53 +248,13 @@ def legacy_coverage_scan(qs: Iterable[int]) -> Iterator[tuple[int, Optional[Witn
         yield q, hit
 
 
-def _first_prime_candidate(q: int, p: Optional[int]) -> Optional[WitnessTriple]:
-    """First second-family candidate for q, in the prime program's stage order;
-    p is _x1_prime(q + 1)."""
-    if p is not None:
-        return WitnessTriple(1, *x1_yz(q + 1, p))
-    for x in (2, 3):
-        yz = solve_p2_given_x(q, x)
-        if yz is not None:
-            return WitnessTriple(x, *yz)
-    a = 4 * q + 1
-    xmax = x_sweep_bound(q)
-    # y: with k = 4y-1, E = (4x-1)k - 1 divides a+4x-1 iff it divides ka+1, as
-    # k(a+4x-1) = ka+1 + E and gcd(k, E) = 1; E is 3k-1 mod 4k and grows with x.
-    # At y = 1, E = 4(3x-1) divides 3a+1 = 4(3q+1) iff 3x-1 divides 3q+1, so
-    # 3x-1 is the least prime p = 2 mod 3 of 3q+1, by x1_row's argument.
-    p = least_prime_factor(3 * q + 1, 3, 2)
-    if p is not None and (p + 1) // 3 <= xmax:
-        return WitnessTriple((p + 1) // 3, 1, (q + (p + 1) // 3) // p)
-    for y in (2, 3):
-        k = 4 * y - 1
-        e = _least_divisor(k * a + 1, 4 * k, 3 * k - 1)
-        if e is not None and (e + k + 1) // (4 * k) <= xmax:
-            x = (e + k + 1) // (4 * k)
-            return WitnessTriple(x, y, (a + 4 * x - 1) // e)
-    # z: with f = 4x-1, 4zf divides a-1+4x(z+1) = (a+z) + f(z+1) iff f divides
-    # a+z and 4z divides (a+z)/f + z+1.  At z = 1, the odd f divides a+1 =
-    # 2(2q+1) iff it divides 2q+1, and then (a+1)/f is 2 mod 4, so f is the
-    # least prime 3 mod 4 of 2q+1: each divisor 3 mod 4 has such a prime factor.
-    f = least_prime_factor(2 * q + 1, 4, 3)
-    if f is not None and (f + 1) // 4 <= xmax:
-        return WitnessTriple((f + 1) // 4, ((a + 1) // f + 2) // 4, 1)
-    for z in (2, 3):
-        f = _least_divisor(a + z, 4, 3, 4 * z, -(z + 1) % (4 * z))
-        if f is not None and (f + 1) // 4 <= xmax:
-            return WitnessTriple((f + 1) // 4, ((a + z) // f + z + 1) // (4 * z), z)
-    for x in range(4, xmax + 1):
-        yz = solve_p2_given_x(q, x)
-        if yz is not None:
-            return WitnessTriple(x, *yz)
-    return None
+def _checked_p2(q: int, x: int, y: int, z: int) -> WitnessTriple:
+    t = WitnessTriple(x, y, z)
+    check_value(P2, t, q)
+    return t
 
 
-# prime_witness_search's default x1_prime: look it up, as None means q+1 has none
-_LOOK_UP: Any = object()
-
-
-def prime_witness_search(q: int, x1_prime: Optional[int] = _LOOK_UP) -> Optional[WitnessTriple]:
+def prime_witness_search(q: int) -> Optional[WitnessTriple]:
     """Witness (x, y, z) with (4x-1)(4yz-1) - 4xz = 4q+1, staged.
 
     Callers gate on 4q+1 being prime; the search itself only needs q >= 1.
@@ -309,14 +262,54 @@ def prime_witness_search(q: int, x1_prime: Optional[int] = _LOOK_UP) -> Optional
     y in {1,2,3} and z in {1,2,3}, each taking its smallest x <= xmax from
     the least divisor in a residue class, then x in [4, xmax].  The
     identity is the second family's 4*P2 + 1, so the x stages are
-    `solve_p2_given_x`, and the first candidate is checked as P2(x, y, z) = q.
-    `x1_prime`, when given, is the x = 1 stage's prime, _x1_prime(q + 1), as
-    a prime slice reads it off `numutil.prime_targets`; the result is the
-    same either way.
+    `solve_p2_given_x`, and a witness is checked as P2(x, y, z) = q.  x = 1
+    is the P2 half of `wide_search`'s closed form, at p = _x1_prime(q + 1);
+    the q it leaves run `prime_search_from_x2`.
     """
     if q < 1:
         raise ValueError("q must be >= 1")
-    t = _first_prime_candidate(q, _x1_prime(q + 1) if x1_prime is _LOOK_UP else x1_prime)
-    if t is not None:
-        check_value(P2, t, q)
-    return t
+    p = _x1_prime(q + 1)
+    return prime_search_from_x2(q) if p is None else _checked_p2(q, 1, *x1_yz(q + 1, p))
+
+
+def prime_search_from_x2(q: int) -> Optional[WitnessTriple]:
+    """prime_witness_search for a q that x = 1 leaves: the prime program's
+    stages after x = 1, in its order; a triple is checked as P2(x, y, z) = q,
+    as `sweep_from_x2` checks its Witness.  A prime slice calls it on each
+    target whose q+1 `numutil.prime_targets` finds no prime 2 mod 3 for."""
+    for x in (2, 3):
+        yz = solve_p2_given_x(q, x)
+        if yz is not None:
+            return _checked_p2(q, x, *yz)
+    a = 4 * q + 1
+    xmax = x_sweep_bound(q)
+    # y: with k = 4y-1, E = (4x-1)k - 1 divides a+4x-1 iff it divides ka+1, as
+    # k(a+4x-1) = ka+1 + E and gcd(k, E) = 1; E is 3k-1 mod 4k and grows with x.
+    # At y = 1, E = 4(3x-1) divides 3a+1 = 4(3q+1) iff 3x-1 divides 3q+1, so
+    # 3x-1 is the least prime p = 2 mod 3 of 3q+1, by the argument of x = 1
+    # in wide_search.
+    p = least_prime_factor(3 * q + 1, 3, 2)
+    if p is not None and (p + 1) // 3 <= xmax:
+        return _checked_p2(q, (p + 1) // 3, 1, (q + (p + 1) // 3) // p)
+    for y in (2, 3):
+        k = 4 * y - 1
+        e = _least_divisor(k * a + 1, 4 * k, 3 * k - 1)
+        if e is not None and (e + k + 1) // (4 * k) <= xmax:
+            x = (e + k + 1) // (4 * k)
+            return _checked_p2(q, x, y, (a + 4 * x - 1) // e)
+    # z: with f = 4x-1, 4zf divides a-1+4x(z+1) = (a+z) + f(z+1) iff f divides
+    # a+z and 4z divides (a+z)/f + z+1.  At z = 1, the odd f divides a+1 =
+    # 2(2q+1) iff it divides 2q+1, and then (a+1)/f is 2 mod 4, so f is the
+    # least prime 3 mod 4 of 2q+1: each divisor 3 mod 4 has such a prime factor.
+    f = least_prime_factor(2 * q + 1, 4, 3)
+    if f is not None and (f + 1) // 4 <= xmax:
+        return _checked_p2(q, (f + 1) // 4, ((a + 1) // f + 2) // 4, 1)
+    for z in (2, 3):
+        f = _least_divisor(a + z, 4, 3, 4 * z, -(z + 1) % (4 * z))
+        if f is not None and (f + 1) // 4 <= xmax:
+            return _checked_p2(q, (f + 1) // 4, ((a + z) // f + z + 1) // (4 * z), z)
+    for x in range(4, xmax + 1):
+        yz = solve_p2_given_x(q, x)
+        if yz is not None:
+            return _checked_p2(q, x, *yz)
+    return None

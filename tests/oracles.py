@@ -67,7 +67,7 @@ def wide_slice_per_q(qs):
     return _coverage_result((q, wide_search(q)) for q in qs)
 
 
-def sweep_by_solvers(q: int, window=None):
+def sweep_by_solvers(q: int):
     """search.sweep_from_x2 through the public per-family solvers: P1, then
     P2, then P3 at each 2 <= x <= x_sweep_bound(q), then the x(x-1) check."""
     from erdos_straus.search import (
@@ -78,7 +78,7 @@ def sweep_by_solvers(q: int, window=None):
         yz = solve_p1_given_x(q, x)
         if yz is not None:
             return Witness(q, PolyId.P1, WitnessTriple(x, *yz))
-        yz = solve_p2_given_x(q, x, window)
+        yz = solve_p2_given_x(q, x)
         if yz is not None:
             return Witness(q, PolyId.P2, WitnessTriple(x, *yz))
         y = solve_p3_given_x(q, x)

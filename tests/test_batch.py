@@ -1,14 +1,18 @@
 import hashlib
+import itertools
 import json
 import multiprocessing
 import signal
+import tempfile
 import time
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from erdos_straus import batch
 from erdos_straus.batch import (
+    MANIFEST_NAME,
     BatchConfig,
     ResumeError,
     ScanCancelled,
@@ -30,6 +34,7 @@ from erdos_straus.search import Witness, legacy_coverage_scan, prime_witness_sea
 
 from .journal import edit_journal, journal_records, tree_bytes
 from .oracles import Row, rows_text, wide_slice_per_q, witness_to_row
+from .test_search import _Q_FAR
 
 
 def _cfg(tmp_path, **kw):
@@ -450,12 +455,25 @@ def test_prefix_text_is_the_row_rendering():
     assert got.unsolved == []
 
 
+def _around(q, count):
+    """count multiples of 6 centred on q."""
+    first = q - q % 6 - 6 * (count // 2)
+    return range(first, first + 6 * count, 6)
+
+
 def test_prime_slice_text_is_the_row_rendering():
-    qs = range(6, 6007, 6)
-    got = batch._prime_slice(qs)
-    rows = [Row(q, *prime_witness_search(q)) for q in qs if is_prime(4 * q + 1)]
-    assert got.text == "".join(rows_text(rows))
-    assert (got.unsolved, got.counts) == ([], [0, len(rows), 0, 0])
+    # q from 6; and windows where `prime_targets` confirms 4q+1 with is_prime
+    # (near 10^9, and from 4q+1 = 65537^2 on) or looks up q+1's least prime with
+    # least_prime_factor (from q+1 = 65537^2 on, and at _Q_FAR, whose q+1 has its
+    # least prime 2 mod 3 past 2^16)
+    for qs in (range(6, 6007, 6), _around(10**9, 2000), _around(65537**2 // 4, 2000),
+               _around(65537**2 - 1, 2000), _around(_Q_FAR, 2000)):
+        got = batch._prime_slice(qs)
+        found = [(q, prime_witness_search(q)) for q in qs if is_prime(4 * q + 1)]
+        rows = [Row(q, *t) for q, t in found if t is not None]
+        assert got.text == "".join(rows_text(rows)), qs
+        assert (got.unsolved, got.counts) == ([q for q, t in found if t is None], [0, len(rows), 0, 0]), qs
+        assert {r.x == 1 for r in rows} == {True, False}, qs  # rows the sieve settles and rows searched
 
 
 @pytest.mark.parametrize("resume", [False, True], ids=["fresh", "full-resume"])
@@ -710,6 +728,34 @@ def test_a_serial_scan_is_cancelled_between_the_slices_of_a_batch(tmp_path, monk
     assert [r.resumed for r in reports] == [True, False]
     run_coverage(cfg._replace(output_dir=tmp_path / "whole"))
     assert tree_bytes(cfg.output_dir) == tree_bytes(tmp_path / "whole")
+
+
+# Four batches each; the cover scan's first is all legacy prefix and its second
+# starts with the rest of it
+_CANCELLED_SCANS = {
+    "cover": dict(q_max=6000, batch_size=1500),
+    "primes": dict(mode=ScanMode.PRIME_COVERAGE, step=6, q_start=6, q_max=6000, batch_size=1500),
+}
+
+
+@given(st.sampled_from(sorted(_CANCELLED_SCANS)), st.lists(st.integers(0, 14), min_size=1, max_size=3))
+@settings(max_examples=50, deadline=None)
+def test_a_serial_scan_cancelled_anywhere_resumes_to_the_straight_runs_bytes(name, stops):
+    # each run is cancelled after a drawn number of cancel checks (or ends first)
+    # and resumes the last, or starts afresh while no batch is recorded; a last
+    # run resumes to the end
+    with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as patch:
+        patch.setattr(batch, "WINDOW_SPAN", batch.WINDOW_MARGIN + 500)  # a small batch cut into 2-3 slices
+        cfg = _cfg(Path(tmp) / "cancelled", **_CANCELLED_SCANS[name])
+        for stop in [*stops, None]:
+            checks = itertools.count()
+            try:
+                run_coverage(cfg, cancel=None if stop is None else lambda: next(checks) >= stop,
+                             resume=(cfg.output_dir / MANIFEST_NAME).exists())
+            except ScanCancelled:
+                pass
+        run_coverage(cfg._replace(output_dir=Path(tmp) / "straight"))
+        assert tree_bytes(cfg.output_dir) == tree_bytes(Path(tmp) / "straight")
 
 
 def test_unwritable_output_dir_raises_before_compute(tmp_path):

@@ -26,7 +26,6 @@ from erdos_straus.search import (
     staged_search,
     sweep_from_x2,
     wide_search,
-    x1_row,
     x_sweep_bound,
 )
 
@@ -161,32 +160,29 @@ def test_wide_search_examples():
     assert wide_search(6) == Witness(6, PolyId.P3, WitnessTriple(2, 1, 1))
 
 
-def _sweep_at_x1(q, window=None):
+def _sweep_at_x1(q):
     """The sweep's x = 1 step through the per-family solvers."""
     yz = solve_p1_given_x(q, 1)
     if yz is not None:
         return PolyId.P1, WitnessTriple(1, *yz)
-    yz = solve_p2_given_x(q, 1, window)
+    yz = solve_p2_given_x(q, 1)
     if yz is not None:
         return PolyId.P2, WitnessTriple(1, *yz)
     y = solve_p3_given_x(q, 1)
     return None if y is None else (PolyId.P3, WitnessTriple(1, y, 1))
 
 
-def _sweep_from_x1(q, window=None):
+def _sweep_from_x1(q):
     """wide_search as a plain sweep from x = 1, without the closed form."""
-    hit = _sweep_at_x1(q, window)
-    return sweep_by_solvers(q, window) if hit is None else Witness(q, *hit)
+    hit = _sweep_at_x1(q)
+    return sweep_by_solvers(q) if hit is None else Witness(q, *hit)
 
 
 def _x1_closed_form(q, window=None):
-    p = search_module._x1_prime(q + 1, window)
+    """P2's (y, z) at x = 1 by wide_search's rule; with `window`, by its
+    least prime 2 mod 3, as a coverage slice looks it up (2 for even q+1)."""
+    p = search_module._x1_prime(q + 1) if window is None else window.least_prime_factor(q + 1, 3, 2)
     return None if p is None else search_module.x1_yz(q + 1, p)
-
-
-def _x1_row_by_solvers(q):
-    hit = _sweep_at_x1(q)
-    return None if hit is None else (hit[0], hit[1].y, hit[1].z)
 
 
 @pytest.mark.parametrize("lo,count", [
@@ -201,8 +197,7 @@ def test_x1_closed_form_matches_the_solvers(lo, count):
         expect = solve_p2_given_x(q, 1)
         assert _x1_closed_form(q, window) == expect, q
         assert _x1_closed_form(q) == expect, q
-        assert x1_row(q, window) == _x1_row_by_solvers(q), q
-        assert wide_search(q) == _sweep_from_x1(q, window), q
+        assert wide_search(q) == _sweep_from_x1(q), q
 
 
 def _no_x1_answer(q):
@@ -217,7 +212,6 @@ def test_sweep_from_x2_is_wide_search_where_x1_has_no_answer(qs):
     assert len(swept) > len(qs) // 20
     for q in swept:
         expect = sweep_by_solvers(q)
-        assert sweep_by_solvers(q, window) == expect, q
         assert sweep_from_x2(q) == expect, q
         assert sweep_from_x2(q, window) == expect, q
         assert wide_search(q) == expect, q
@@ -227,7 +221,7 @@ def _left_by_x1(q):
     """The first q' >= q that x = 1 leaves: a multiple of 6 whose q'+1 has no
     prime 2 mod 3."""
     q += -q % 6
-    while x1_row(q) is not None:
+    while _x1_closed_form(q) is not None:
         q += 6
     return q
 
@@ -237,7 +231,7 @@ def _left_by_x1(q):
 @settings(max_examples=200, deadline=None)
 def test_sweep_from_x2_matches_the_solver_loop_at_scale(q, with_window):
     window = FactorWindow(q + 1, q + 64) if with_window else None
-    assert sweep_from_x2(q, window) == sweep_by_solvers(q, window) == sweep_by_solvers(q), q
+    assert sweep_from_x2(q, window) == sweep_by_solvers(q), q
 
 
 @pytest.mark.parametrize("with_window", [False, True])
@@ -273,17 +267,15 @@ def test_x1_closed_form_past_the_window(n):
 def test_x1_closed_form_property(q, offset, with_window):
     window = FactorWindow(max(1, q + 1 - offset), q + 1 + offset) if with_window else None
     assert _x1_closed_form(q, window) == solve_p2_given_x(q, 1)
-    assert x1_row(q, window) == _x1_row_by_solvers(q)
     hit = _sweep_at_x1(q)
     if hit is not None:  # wide_search stops at x = 1
         assert wide_search(q) == Witness(q, *hit)
 
 
-@given(st.integers(min_value=1, max_value=10**7), st.booleans())
+@given(st.integers(min_value=1, max_value=10**7))
 @settings(max_examples=150, deadline=None)
-def test_wide_search_matches_the_plain_sweep(q, with_window):
-    window = FactorWindow(q + 1, q + 64) if with_window else None
-    assert wide_search(q) == _sweep_from_x1(q, window)
+def test_wide_search_matches_the_plain_sweep(q):
+    assert wide_search(q) == _sweep_from_x1(q)
 
 
 # (m, r, cm, cr) of every least-divisor lookup: the sweep's and the prime
@@ -441,16 +433,6 @@ def test_x1_table_finds_a_least_prime_past_2_16():
     assert (q + 1) // 65537 % 3 == 2 and 65537 < isqrt(q + 1)
     assert (q, 65537) in prime_targets(range(q - 600, q + 600, 6))
     assert least_prime_factor(q + 1, 3, 2) == 65537
-
-
-def test_prime_witness_search_takes_the_x1_prime(monkeypatch):
-    qs = [q for start in (6, 10**9 - 10**9 % 6, _Q_FAR - 600) for q in range(start, start + 1200, 6)]
-    expect = {q: prime_witness_search(q) for q in qs}
-    # a given prime, None included, is used as is: no lookup
-    monkeypatch.setattr(search_module, "_x1_prime", None)
-    got = {q: prime_witness_search(q, least_prime_factor(q + 1, 3, 2)) for q in qs}
-    assert got == expect
-    assert any(least_prime_factor(q + 1, 3, 2) is None for q in qs)
 
 
 @given(st.integers(1, 10**12))
@@ -637,7 +619,7 @@ def test_solve_p2_given_x_matches_prime_program_near_1e9(c, x):
     assert solve_p2_given_x(q, x) == p2_divisor_instance(4 * q + 1, x)
 
 
-def _wrong_p2(q, x, window=None):
+def _wrong_p2(q, x):
     return (1, 1)
 
 
@@ -724,7 +706,7 @@ def test_wrong_witness_raises_under_python_O():
                 continue
             sys.exit(f"{fn.__name__} accepted a wrong least divisor")
         search._least_divisor = least_divisor
-        search.solve_p2_given_x = lambda q, x, window=None: (1, 1)
+        search.solve_p2_given_x = lambda q, x: (1, 1)
         try:
             search.prime_witness_search(36)
         except AssertionError:
@@ -747,6 +729,14 @@ def test_wrong_witness_raises_under_python_O():
             except AssertionError:
                 continue
             sys.exit(f"wrong x = 1 row accepted for q = {q}")
+        # and the per-q searches' x = 1 witnesses, the prime search's at q+1 = 25
+        for fn, q in ((search.wide_search, 2), (search.wide_search, 4), (search.wide_search, 3),
+                      (search.prime_witness_search, 24)):
+            try:
+                fn(q)
+            except AssertionError:
+                continue
+            sys.exit(f"{fn.__name__} accepted a wrong x = 1 witness for q = {q}")
         for fn, arg in ((families.odd_family, 1), (families.even_6c4_family, 0),
                         (families.even_6c2_family, 0)):
             try:
