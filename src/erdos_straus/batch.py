@@ -42,7 +42,8 @@ from .search import (
 )
 
 if TYPE_CHECKING:
-    from multiprocessing.pool import Pool as _Pool
+    from multiprocessing.connection import Connection
+    from queue import SimpleQueue
 
 MANIFEST_NAME = "checkpoint.jsonl"  # the scan's parameters, then one record per completed batch
 
@@ -56,10 +57,6 @@ class ScanMode(Enum):
 
 class ResumeError(Exception):
     """The checkpoint journal is missing, corrupt, or from another run."""
-
-
-class ScanCancelled(Exception):
-    """A cancellation signal stopped the scan between work items."""
 
 
 class _Config(NamedTuple):
@@ -112,36 +109,84 @@ class BatchReport(NamedTuple):
     resumed: bool = False
 
 
-def Pool(processes: int) -> _Pool:
-    """A worker pool.  multiprocessing is imported here, not at module
-    import, because loading it takes about 10 ms that single-worker scans
-    and the other commands would pay for nothing.  Workers drop the parent's
-    SIGTERM handler (the CLI's cancel), so that `terminate` stops them."""
-    from multiprocessing import Pool as pool_of
+def _worker(conn: Connection, fn) -> None:
+    """A scan's worker process: `fn` of each item its parent sends on `conn`, or the
+    exception it raised, sent back in order until the parent sends None.  It ignores
+    SIGINT, which a terminal's Ctrl-C sends the whole process group, and takes SIGTERM's
+    default action, not the parent's handler: the parent alone is interrupted."""
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+    signal.signal(signal.SIGTERM, signal.SIG_DFL)
+    while (item := conn.recv()) is not None:
+        try:
+            conn.send(fn(item))
+        except Exception as exc:  # the parent raises it
+            conn.send(exc)
 
-    return pool_of(processes, initializer=signal.signal, initargs=(signal.SIGTERM, signal.SIG_DFL))
+
+def _receive(conn: Connection, results: SimpleQueue) -> None:
+    """Each result a worker sends, onto `results`, so that it computes on while the parent
+    writes; once the worker has ended, an error for a `get` past its last result."""
+    try:
+        while True:
+            results.put(conn.recv())
+    except (EOFError, ConnectionResetError):  # ended; reset if it had items still unread
+        results.put(ChildProcessError("a scan's worker process ended"))
 
 
-def _map(pool: Optional[_Pool], fn, work: Iterable[Sequence],
-         cancel: Optional[Callable[[], bool]] = None) -> Iterator[list]:
-    """`fn` over each batch's items, one list per batch, in batch order.  A pool is given batch
-    k+1, and none beyond, before batch k is collected, so it computes while the parent writes.
-    Without a pool, `cancel` is asked between a batch's items; a cancel raises ScanCancelled."""
-    if pool is None:
-        for items in work:
-            results = []
-            for item in items:
-                if results and cancel is not None and cancel():
-                    raise ScanCancelled(f"cancelled before the slice from q = {item[0]} was solved")
-                results.append(fn(item))
-            yield results
+def _map(processes: int, fn, work: Iterable[Sequence]) -> Iterator[list]:
+    """`fn` over each batch's items, one list per batch, in batch order: in this process, or
+    with `processes` >= 2 in as many workers, item i of a batch in worker i mod `processes`.
+    Batch k+1, and none beyond, is sent before batch k is collected, so the workers compute
+    while the parent writes.  Closing the generator early terminates the workers at once:
+    each has a pipe of its own, so that none leaves a lock held or a message cut short that
+    another process waits on.  The parent waits in `SimpleQueue.get`, which an interrupt
+    leaves as it was."""
+    if processes < 2:
+        yield from ([fn(item) for item in items] for items in work)
         return
-    queued = []
-    for items in work:
-        queued.append(pool.map_async(fn, items, chunksize=1))
-        if len(queued) == 2:
-            yield queued.pop(0).get()
-    yield from (result.get() for result in queued)
+    import multiprocessing  # about 10 ms to load, which a serial scan does not pay
+    import threading
+    from queue import SimpleQueue
+
+    conns, workers = [], []
+    for _ in range(processes):  # forked on Linux: before any reader thread starts
+        here, there = multiprocessing.Pipe()
+        workers.append(multiprocessing.Process(target=_worker, args=(there, fn), daemon=True))
+        workers[-1].start()
+        there.close()
+        conns.append(here)
+    results = [SimpleQueue() for _ in conns]
+    readers = [threading.Thread(target=_receive, args=pair, daemon=True) for pair in zip(conns, results)]
+    for reader in readers:
+        reader.start()
+
+    def collect(count: int) -> list:
+        batch = [results[i % processes].get() for i in range(count)]
+        if errors := [result for result in batch if isinstance(result, BaseException)]:
+            raise errors[0]
+        return batch
+
+    try:
+        sent = []
+        for items in work:
+            for i, item in enumerate(items):
+                conns[i % processes].send(item)
+            sent.append(len(items))
+            if len(sent) == 2:
+                yield collect(sent.pop(0))
+        last = [collect(count) for count in sent]
+        for conn in conns:  # the workers end their run before the last batch is written
+            conn.send(None)
+        for worker in workers:
+            worker.join()
+        yield from last
+    finally:
+        for worker in workers:
+            worker.terminate()
+            worker.join()
+        for reader, conn in zip(readers, conns):
+            reader.join()
+            conn.close()
 
 
 # A coverage slice's factor window spans [q_first + 1, q_last + WINDOW_MARGIN]:
@@ -372,9 +417,7 @@ def _reload(cfg: BatchConfig, index: int, qs: range, record: dict) -> tuple[dict
     return dict(zip(PolyId, record["tallies"])), unsolved
 
 
-def run_coverage(
-    cfg: BatchConfig, cancel: Optional[Callable[[], bool]] = None, resume: bool = False
-) -> list[BatchReport]:
+def run_coverage(cfg: BatchConfig, resume: bool = False) -> list[BatchReport]:
     """Scan [q_start, q_max] batch by batch in the mode `cfg.mode` names.
 
     With `resume`, a batch the journal in output_dir records complete is
@@ -382,12 +425,13 @@ def run_coverage(
     record.  In coverage mode, small q (below the cube-probe horizon) are
     classified sequentially with the legacy scan semantics so the artifacts
     match the reference CSVs.  The rest of each batch is cut into one
-    contiguous range slice per worker, queued with a pool while the parent
+    contiguous range slice per worker, sent to the workers while the parent
     runs the prefix and writes the batch before; each comes back as CSV
     text, its unsolved q and its per-family counts, and the texts are
-    written in q order.  The prefix and the pool are only set up when a
-    batch that needs them runs; a scan inside the prefix needs no pool.
-    `cancel` is asked before each batch and, without a pool, between slices.
+    written in q order.  The prefix and the workers are only set up when a
+    batch that needs them runs; a scan inside the prefix needs no workers.
+    An exception, an interrupt's too, stops the scan and terminates the
+    workers; the batch in progress leaves no record, and `resume` reruns it.
     """
     mode, label = _MODES[cfg.mode], cfg.mode.value
     batches = mode.batches(cfg)
@@ -406,8 +450,7 @@ def run_coverage(
             lead = len(range(qs.start, min(qs.stop, top + 1), qs.step))
             work[index] = lead, _slices(qs[lead:], cfg.worker_count)
     processes = min(cfg.worker_count, max((len(slices) for _, slices in work.values()), default=0))
-    pool = Pool(processes) if processes > 1 else None
-    solved = _map(pool, mode.solve, [slices for _, slices in work.values()], cancel)
+    solved = _map(processes, mode.solve, [slices for _, slices in work.values()])
     reports = []
     try:
         for index, qs in enumerate(batches, start=1):
@@ -416,8 +459,6 @@ def run_coverage(
             if resumed:
                 tallies, unsolved = _reload(cfg, index, qs, recorded[index])
             else:
-                if cancel is not None and cancel():
-                    raise ScanCancelled(f"cancelled before batch {index} completed")
                 pieces = next(solved)
                 if lead := work[index][0]:
                     prefix = prefix or dict(legacy_coverage_scan(small))
@@ -446,14 +487,8 @@ def run_coverage(
                     resumed=resumed,
                 )
             )
-    except BaseException:
-        if pool is not None:
-            pool.terminate()  # a queued batch must not run on after the scan failed
-        raise
     finally:
-        if pool is not None:
-            pool.close()
-            pool.join()
+        solved.close()  # a queued batch must not run on after the scan failed or was interrupted
 
     if mode.aggregate:
         write_results_aggregate(

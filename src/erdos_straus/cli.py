@@ -97,12 +97,12 @@ def _run_scan(args, mode: str, q_start: int, step: int, size_label: str) -> tupl
     """Run a cover or primes scan (`mode` a ScanMode value) after printing
     its range and batch size lines; its config and batch reports.  Only
     these two commands import the scan driver, `batch`, and `signal`.
-    While the scan runs, SIGINT and SIGTERM only set a flag that cancels
-    it between work items, and their earlier handlers are put back when it
-    ends.  A bad checkpoint leaves as exit 65, a cancelled scan as 130."""
+    While the scan runs, SIGINT and SIGTERM interrupt it where it is, as a
+    KeyboardInterrupt, and their earlier handlers are put back when it
+    ends.  A bad checkpoint leaves as exit 65, an interrupted scan as 130."""
     import signal
 
-    from .batch import BatchConfig, ResumeError, ScanCancelled, ScanMode, run_coverage
+    from .batch import BatchConfig, ResumeError, ScanMode, run_coverage
 
     try:
         cfg = BatchConfig(
@@ -118,22 +118,18 @@ def _run_scan(args, mode: str, q_start: int, step: int, size_label: str) -> tupl
         raise UsageError(str(exc).replace("_", "-")) from None  # the flags' spelling
     print(f"qStart = {cfg.q_start}, qMax = {cfg.q_max}, step = {cfg.step}")
     print(f"{size_label} = {cfg.batch_size}")
-    flag, saved = {"stop": False}, {}
-
-    def handler(signum, frame):
-        flag["stop"] = True
-
+    saved = {}
     try:
         for signum in (signal.SIGINT, signal.SIGTERM):
-            saved[signum] = signal.signal(signum, handler)
+            saved[signum] = signal.signal(signum, signal.default_int_handler)
     except ValueError:
         pass  # not the main thread (tests)
     try:
-        return cfg, run_coverage(cfg, cancel=lambda: flag["stop"], resume=args.resume)
+        return cfg, run_coverage(cfg, resume=args.resume)
     except ResumeError as exc:
         raise _Exit(EX_DATAERR, f"error: {exc}") from exc
-    except ScanCancelled as exc:
-        raise _Exit(EX_CANCELLED, f"cancelled: {exc}") from exc
+    except KeyboardInterrupt:
+        raise _Exit(EX_CANCELLED, "cancelled: the scan was interrupted; --resume reruns its unrecorded batches") from None
     finally:
         for signum, old in saved.items():
             if old is not None:  # None: set outside Python, cannot be put back

@@ -139,8 +139,6 @@ def _rho_factor(n: int) -> int:
     the block is replayed one gcd per step; a walk that still only finds n
     is retried with the next c.
     """
-    if n % 2 == 0:
-        return 2
     for c in range(1, 100):
         y, r, prod_, g = 2, 1, 1, 1
         while g == 1:

@@ -1,9 +1,10 @@
 import hashlib
-import itertools
 import json
 import multiprocessing
+import os
 import signal
 import tempfile
+import threading
 import time
 from pathlib import Path
 
@@ -15,7 +16,6 @@ from erdos_straus.batch import (
     MANIFEST_NAME,
     BatchConfig,
     ResumeError,
-    ScanCancelled,
     ScanMode,
     run_coverage,
 )
@@ -28,6 +28,7 @@ from erdos_straus.reports import (
     results_batch_path,
     unsolved_path,
     write_results_batch,
+    write_text,
     write_unsolved,
 )
 from erdos_straus.search import Witness, legacy_coverage_scan, prime_witness_search, wide_search
@@ -191,70 +192,46 @@ def test_full_resume_computes_no_prefix_and_starts_no_pool(tmp_path, monkeypatch
     cfg = _cfg(tmp_path, worker_count=2)
     first = run_coverage(cfg)
     monkeypatch.setattr(batch, "legacy_coverage_scan", _forbidden)
-    monkeypatch.setattr(batch, "Pool", _forbidden)
+    monkeypatch.setattr(multiprocessing.Process, "start", _forbidden)
     second = run_coverage(cfg, resume=True)
     assert all(r.resumed for r in second)
     assert [r.tallies for r in second] == [r.tallies for r in first]
 
 
-class _InlinePool:
-    """Stands in for batch.Pool: records the size asked for, and in `events`
-    each batch submitted and collected; runs the work inline, so a test can ask
-    for any worker count without starting a process."""
-
-    def __init__(self, sizes, processes, events=None):
-        sizes.append(processes)
-        self.events = [] if events is None else events
-        self.submitted = 0
-
-    def map_async(self, fn, items, chunksize=1):
-        self.submitted += 1
-        self.events.append(("submit", self.submitted))
-        return _Submitted(self.events, self.submitted, [fn(item) for item in items])
-
-    def terminate(self):
-        self.events.append(("terminate", self.submitted))
-
-    def close(self):
-        pass
-
-    def join(self):
-        pass
-
-
-class _Submitted:
-    """A batch given to _InlinePool: `get` records its collection."""
-
-    def __init__(self, events, index, results):
-        self.events, self.index, self.results = events, index, results
-
-    def get(self):
-        self.events.append(("collect", self.index))
-        return self.results
-
-
 @pytest.mark.parametrize("workers", [3, 100_000])
 def test_pool_starts_no_more_workers_than_a_batch_has_slices(tmp_path, monkeypatch, workers):
-    sizes = []
-    monkeypatch.setattr(batch, "Pool", lambda processes: _InlinePool(sizes, processes))
+    # the worker count that each scan asks batch._map for, which runs its work
+    # inline here, so that a test can ask for any count without starting a process
+    sizes, inline = [], batch._map
+    monkeypatch.setattr(batch, "_map", lambda processes, fn, work: sizes.append(processes) or inline(1, fn, work))
     cfg = _cfg(tmp_path, q_start=10**6, q_max=10**6 + 2999, batch_size=2000, worker_count=workers)
     reports = run_coverage(cfg)
     slices = [len(batch._slices(range(lo, hi + 1), workers)) for lo, hi in (r.q_range for r in reports)]
     # one slice per worker, each at least as long as its window's 168 primes
     assert slices == {3: [3, 3], 100_000: [12, 6]}[workers]
     assert sizes == [min(workers, 12)]
-    # a scan whose every batch is one slice starts no pool
-    monkeypatch.setattr(batch, "Pool", _forbidden)
+    # a scan whose every batch is one slice starts no worker
     run_coverage(_cfg(tmp_path / "one", q_start=10**6, q_max=10**6 + 99, worker_count=workers))
+    assert sizes == [min(workers, 12), 1]
 
 
 def test_pool_is_given_one_batch_ahead_of_the_one_written(tmp_path, monkeypatch):
     # Batch k+1 is submitted before batch k is collected, so the workers compute
     # while the parent writes batch k; no batch further ahead is submitted, which
     # bounds memory however many batches a scan has.  Batches come back in order.
-    events = []
-    monkeypatch.setattr(batch, "Pool", lambda processes: _InlinePool([], processes, events))
-    write = batch.write_results_batch
+    events, plain_map, write = [], batch._map, batch.write_results_batch
+
+    def logged_map(processes, fn, work):
+        def submitted():
+            for index, items in enumerate(work, start=1):
+                events.append(("submit", index))
+                yield items
+
+        for index, results in enumerate(plain_map(processes, fn, submitted()), start=1):
+            events.append(("collect", index))
+            yield results
+
+    monkeypatch.setattr(batch, "_map", logged_map)
 
     def logged_write(texts, index, *args):
         events.append(("write", index))
@@ -296,8 +273,16 @@ def _faulty_slice(qs):
     return batch._wide_slice(qs)
 
 
+def _interrupt_the_scan():
+    """Interrupt the scan as a terminal's Ctrl-C does: SIGINT to the scan's process,
+    whose default handler raises KeyboardInterrupt there.  From one of the scan's
+    worker processes, which ignore SIGINT, it goes to their parent."""
+    parent = multiprocessing.parent_process()
+    os.kill(os.getpid() if parent is None else parent.pid, signal.SIGINT)
+
+
 @pytest.mark.parametrize("fault, faults, error", [
-    ("cancel", {2: "stall"}, ScanCancelled),  # batch 2 is queued when the cancel comes
+    ("cancel", {2: "stall"}, KeyboardInterrupt),  # the parent waits for batch 2 when it is interrupted
     ("worker", {2: "raise", 3: "stall"}, RuntimeError),
     ("write", {3: "stall"}, OSError),
 ], ids=["cancel", "worker-error", "write-error"])
@@ -314,20 +299,29 @@ def test_a_failed_pooled_scan_stops_its_workers_and_resumes(tmp_path, monkeypatc
         return write(unsolved, index, *args)
 
     monkeypatch.setattr(batch, "write_unsolved", write_unsolved)
-    calls = iter([False, True])  # batch 1 runs, then a cancel
+    write_lines = batch.write_lines
+
+    def journal_then_interrupt(path, lines):  # batch 1's record; the parent then waits for batch 2
+        write_lines(path, lines)
+        threading.Timer(0.2, _interrupt_the_scan).start()
+
+    if fault == "cancel":
+        monkeypatch.setattr(batch, "write_lines", journal_then_interrupt)
 
     def expire(signum, frame):  # not an OSError, which multiprocessing's waits swallow
         raise AssertionError("the failed scan is waiting for its stalled workers")
 
-    # A SIGTERM handler in the parent, as the CLI sets for its cancel, which
-    # forked workers inherit; and a deadline well inside the stalled minute,
+    # A SIGTERM handler in the parent that does not stop a process, which forked
+    # workers inherit, and SIGINT's default handler, which raises
+    # KeyboardInterrupt; and a deadline well inside the stalled minute,
     # repeated each second so that it breaks every wait of the teardown.
     handlers = {signal.SIGTERM: signal.signal(signal.SIGTERM, lambda signum, frame: None),
+                signal.SIGINT: signal.signal(signal.SIGINT, signal.default_int_handler),
                 signal.SIGALRM: signal.signal(signal.SIGALRM, expire)}
     signal.setitimer(signal.ITIMER_REAL, 30, 1)
     try:
         with pytest.raises(error):
-            run_coverage(cfg, cancel=(lambda: next(calls)) if fault == "cancel" else None)
+            run_coverage(cfg)
     finally:
         signal.setitimer(signal.ITIMER_REAL, 0)
         for signum, handler in handlers.items():
@@ -340,6 +334,31 @@ def test_a_failed_pooled_scan_stops_its_workers_and_resumes(tmp_path, monkeypatc
     assert [r.resumed for r in reports] == [True, False, False]
     run_coverage(_cfg(tmp_path / "whole", **_TEARDOWN))
     assert tree_bytes(cfg.output_dir) == tree_bytes(tmp_path / "whole")
+
+
+def _dying_slice(qs):
+    if qs[0] == 10**6 + 1000:  # batch 2's first slice: its worker ends, as a killed one does
+        os._exit(1)
+    return batch._wide_slice(qs)
+
+
+def test_a_pooled_scan_whose_worker_ends_fails_instead_of_waiting(tmp_path, monkeypatch):
+    coverage = batch._MODES[ScanMode.COVERAGE]
+    monkeypatch.setitem(batch._MODES, ScanMode.COVERAGE, coverage._replace(solve=_dying_slice))
+
+    def expire(signum, frame):
+        raise AssertionError("the scan is waiting for a worker that has ended")
+
+    handler = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, 30)
+    try:
+        with pytest.raises(OSError):  # ChildProcessError, or BrokenPipeError if batch 3 is sent after
+            run_coverage(_cfg(tmp_path, **_TEARDOWN))
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, handler)
+    assert multiprocessing.active_children() == []
+    assert list(journal_records(tmp_path)) == [1]
 
 
 def _forget_batches(out, *indexes):
@@ -679,20 +698,46 @@ def test_journal_is_written_whole_once_then_appended(tmp_path, monkeypatch):
         (tmp_path / name).write_bytes(straight)
 
 
-def test_fresh_run_records_only_the_batches_it_wrote(tmp_path):
+def test_fresh_run_records_only_the_batches_it_wrote(tmp_path, monkeypatch):
     cfg = _cfg(tmp_path)
     run_coverage(cfg)
-    calls = iter([False, True])  # batch 1 runs, then a cancel
-    with pytest.raises(ScanCancelled):
-        run_coverage(cfg, cancel=lambda: next(calls))
+    write = batch.write_results_batch
+
+    def write_results_batch(text, index, *args):
+        if index == 2:  # batch 1 is written and recorded
+            _interrupt_the_scan()
+        return write(text, index, *args)
+
+    monkeypatch.setattr(batch, "write_results_batch", write_results_batch)
+    with pytest.raises(KeyboardInterrupt):
+        run_coverage(cfg)
     assert list(journal_records(tmp_path)) == [1]
 
 
 def test_cancellation_writes_nothing_for_the_cancelled_batch(tmp_path):
-    cfg = _cfg(tmp_path)
-    with pytest.raises(ScanCancelled):
-        run_coverage(cfg, cancel=lambda: True)
-    assert sorted(p.name for p in tmp_path.iterdir()) == []
+    # batch 1 is interrupted while its q are classified, and while its results
+    # file is written: after the rows, before the rename
+    legacy, write = batch.legacy_coverage_scan, batch.write_results_batch
+
+    def interrupted_scan(qs):
+        for q, w in legacy(qs):
+            if q == 50:
+                _interrupt_the_scan()
+            yield q, w
+
+    def rows_then_interrupt(text):
+        yield from text
+        _interrupt_the_scan()
+
+    def interrupted_write(text, *args):
+        return write(rows_then_interrupt(text), *args)
+
+    for name, interrupted in ("legacy_coverage_scan", interrupted_scan), ("write_results_batch", interrupted_write):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(batch, name, interrupted)
+            with pytest.raises(KeyboardInterrupt):
+                run_coverage(_cfg(tmp_path / name))
+        assert list((tmp_path / name).iterdir()) == []
 
 
 @pytest.mark.parametrize("mode, kw", [
@@ -702,6 +747,7 @@ def test_cancellation_writes_nothing_for_the_cancelled_batch(tmp_path):
     (ScanMode.COVERAGE, dict(step=6, q_start=10**6, q_max=10**6 + 299_994, batch_size=25_000)),
 ], ids=["primes", "cover"])
 def test_a_serial_scan_is_cancelled_between_the_slices_of_a_batch(tmp_path, monkeypatch, mode, kw):
+    # the interrupt stops a serial scan inside a slice: at the check of batch 2's first x = 1 row
     cfg = _cfg(tmp_path / "cancelled", mode=mode, **kw)
     solved = []
     plain = batch._MODES[mode]
@@ -715,10 +761,18 @@ def test_a_serial_scan_is_cancelled_between_the_slices_of_a_batch(tmp_path, monk
     first = len(solved) // 2  # batch 1's slices
     assert first >= 3 and len(solved) == 2 * first
     solved.clear()
-    with pytest.raises(ScanCancelled) as cancelled:
-        run_coverage(cfg, cancel=lambda: len(solved) > first)  # set once batch 2's first slice is solved
-    assert len(solved) == first + 1  # batch 2 stopped before its second slice
-    assert str(cancelled.value) == f"cancelled before the slice from q = {solved[-1][-1] + 6} was solved"
+    check_value = batch.check_value
+
+    def interrupted(*args):
+        if len(solved) > first:
+            _interrupt_the_scan()
+        return check_value(*args)
+
+    monkeypatch.setattr(batch, "check_value", interrupted)
+    with pytest.raises(KeyboardInterrupt) as cancelled:
+        run_coverage(cfg)
+    assert len(solved) == first + 1  # batch 2 stopped inside its first slice
+    assert plain.solve.__name__ in [entry.name for entry in cancelled.traceback]
     assert list(journal_records(cfg.output_dir)) == [1]
     for path in results_batch_path, unsolved_path:
         assert path(1, mode.value, cfg.output_dir).exists() and not path(2, mode.value, cfg.output_dir).exists()
@@ -737,24 +791,63 @@ _CANCELLED_SCANS = {
     "primes": dict(mode=ScanMode.PRIME_COVERAGE, step=6, q_start=6, q_max=6000, batch_size=1500),
 }
 
+# The points at which the property below interrupts a scan, counted across its
+# processes in _POINTS["count"]: each slice solve, in the parent or a worker,
+# and the parent's calls of reports.write_text (once the text is written, before
+# the rename), of file_digest and of the journal append.  The point numbered
+# _POINTS["stop"] interrupts the scan.
+_POINTS = {}
 
-@given(st.sampled_from(sorted(_CANCELLED_SCANS)), st.lists(st.integers(0, 14), min_size=1, max_size=3))
+
+def _point():
+    count = _POINTS["count"]
+    with count.get_lock():
+        count.value += 1
+        stop = count.value == _POINTS["stop"]
+    if stop:
+        _interrupt_the_scan()
+
+
+def _solve_at_a_point(qs):
+    _point()
+    return _POINTS["solve"](qs)
+
+
+def _point_after(text):
+    yield from text
+    _point()
+
+
+@given(st.sampled_from(sorted(_CANCELLED_SCANS)), st.sampled_from([1, 2]),
+       st.lists(st.integers(1, 40), min_size=1, max_size=3))
 @settings(max_examples=50, deadline=None)
-def test_a_serial_scan_cancelled_anywhere_resumes_to_the_straight_runs_bytes(name, stops):
-    # each run is cancelled after a drawn number of cancel checks (or ends first)
-    # and resumes the last, or starts afresh while no batch is recorded; a last
-    # run resumes to the end
+def test_a_serial_scan_cancelled_anywhere_resumes_to_the_straight_runs_bytes(name, workers, stops):
+    # each run, serial or with 2 workers, is interrupted at a drawn point (or
+    # ends first) and resumes the last, or starts afresh while no batch is
+    # recorded; a last run resumes to the end
     with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as patch:
         patch.setattr(batch, "WINDOW_SPAN", batch.WINDOW_MARGIN + 500)  # a small batch cut into 2-3 slices
-        cfg = _cfg(Path(tmp) / "cancelled", **_CANCELLED_SCANS[name])
-        for stop in [*stops, None]:
-            checks = itertools.count()
-            try:
-                run_coverage(cfg, cancel=None if stop is None else lambda: next(checks) >= stop,
-                             resume=(cfg.output_dir / MANIFEST_NAME).exists())
-            except ScanCancelled:
-                pass
+        cfg = _cfg(Path(tmp) / "cancelled", worker_count=workers, **_CANCELLED_SCANS[name])
         run_coverage(cfg._replace(output_dir=Path(tmp) / "straight"))
+        mode, file_digest, builtin_open = batch._MODES[cfg.mode], batch.file_digest, open
+
+        def open_at_a_point(path, how="r", *args, **kwargs):
+            if how == "a":
+                _point()
+            return builtin_open(path, how, *args, **kwargs)
+
+        patch.setitem(_POINTS, "solve", mode.solve)
+        patch.setitem(batch._MODES, cfg.mode, mode._replace(solve=_solve_at_a_point))
+        patch.setattr("erdos_straus.reports.write_text", lambda path, text: write_text(path, _point_after(text)))
+        patch.setattr(batch, "file_digest", lambda path: _point() or file_digest(path))
+        patch.setattr(batch, "open", open_at_a_point, raising=False)
+        for stop in [*stops, None]:
+            patch.setitem(_POINTS, "count", multiprocessing.Value("i", 0))
+            patch.setitem(_POINTS, "stop", stop)
+            try:
+                run_coverage(cfg, resume=(cfg.output_dir / MANIFEST_NAME).exists())
+            except KeyboardInterrupt:
+                assert multiprocessing.active_children() == []
         assert tree_bytes(cfg.output_dir) == tree_bytes(Path(tmp) / "straight")
 
 
@@ -803,7 +896,7 @@ def test_run_prime_coverage_resume(tmp_path):
 def test_full_prime_resume_starts_no_pool(tmp_path, monkeypatch):
     cfg = _prime_cfg(tmp_path, q_max=600, batch_size=300, worker_count=2)
     first = run_coverage(cfg)
-    monkeypatch.setattr(batch, "Pool", _forbidden)
+    monkeypatch.setattr(multiprocessing.Process, "start", _forbidden)
     second = run_coverage(cfg, resume=True)
     assert all(r.resumed for r in second)
     assert [r.tallies for r in second] == [r.tallies for r in first]

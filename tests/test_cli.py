@@ -1,3 +1,4 @@
+import contextlib
 import json
 import os
 import random
@@ -5,17 +6,18 @@ import signal
 import subprocess
 import sys
 import textwrap
+import time
 from pathlib import Path
 
 import pytest
 
-from erdos_straus import batch, cli
+from erdos_straus import batch, cli, decompose, search
 from erdos_straus.batch import MANIFEST_NAME
 from erdos_straus.cli import build_parser, main
 from erdos_straus.numutil import MR_LIMIT
-from erdos_straus.reports import write_results_batch
+from erdos_straus.reports import file_digest, read_results_q, results_batch_path, unsolved_path, write_results_batch
 
-from .journal import edit_journal, tree_bytes
+from .journal import edit_journal, journal_records, tree_bytes
 from .oracles import Row, rows_text
 
 
@@ -379,9 +381,128 @@ def test_scan_puts_back_the_signal_handlers_it_replaced(capsys, tmp_path, monkey
     finally:
         for s, handler in zip(signums, saved):
             signal.signal(s, handler)
-    # the scans ran under the cancel flag's handlers, not the caller's
+    # the scans ran under the handlers that interrupt a scan, not the caller's
     assert len(during) == 2
     assert all(h is not own_handler and callable(h) for hs in during for h in hs)
+
+
+def _children(pid: int) -> list[int]:
+    """The pids of the processes whose parent is `pid`, read from /proc."""
+    kids = []
+    for entry in os.scandir("/proc"):
+        with contextlib.suppress(OSError):  # a process that ends meanwhile
+            if entry.name.isdigit() and int(Path(entry.path, "stat").read_text().rsplit(")", 1)[1].split()[1]) == pid:
+                kids.append(int(entry.name))
+    return kids
+
+
+def _ignores_sigint(pid: int) -> bool:
+    status = Path(f"/proc/{pid}/status").read_text()
+    ignored = int(status.split("SigIgn:")[1].split()[0], 16)
+    return bool(ignored >> (signal.SIGINT - 1) & 1)
+
+
+def _scan_started(out: Path, pid: int, workers: int, sigint: bool) -> bool:
+    """Whether the scan has made its output directory, which it does under its
+    signal handlers, and its worker processes, if any, are up; for a SIGINT to the
+    process group, also whether they ignore it, as they do past their start."""
+    if not out.exists() or workers == 1:
+        return out.exists()
+    kids = _children(pid)
+    return len(kids) == workers and (not sigint or all(map(_ignores_sigint, kids)))
+
+
+@pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="the test finds the workers in /proc")
+@pytest.mark.parametrize("workers, signum, to_group", [
+    (2, signal.SIGINT, True),  # as a terminal's Ctrl-C: to the whole process group
+    (2, signal.SIGTERM, False),
+    (1, signal.SIGTERM, False),
+], ids=["pooled-sigint-to-group", "pooled-sigterm", "serial-sigterm"])
+def test_an_interrupted_scan_stops_at_once_with_exit_130(tmp_path, workers, signum, to_group):
+    # one batch of 3,000,000 q = 6c + 4 from 10^9, well over 10 s of work for 2 workers
+    out, count = tmp_path / "out", 3_000_000
+    argv = ["cover", "--q-start", "1000000002", "--q-max", str(1000000002 + 6 * (count - 1)), "--step", "6",
+            "--batch-size", str(count), "--workers", str(workers), "--out-dir", str(out)]
+    src = str(Path(cli.__file__).parents[1])
+    proc = subprocess.Popen([sys.executable, "-m", "erdos_straus.cli", *argv], stdout=subprocess.DEVNULL,
+                            stderr=subprocess.PIPE, text=True, start_new_session=True,
+                            env={**os.environ, "PYTHONPATH": src})
+    try:
+        deadline = time.monotonic() + 10
+        while not _scan_started(out, proc.pid, workers, to_group):
+            assert proc.poll() is None and time.monotonic() < deadline
+            time.sleep(0.01)
+        time.sleep(0.2)  # into the batch's slices
+        (os.killpg if to_group else os.kill)(proc.pid, signum)
+        _, err = proc.communicate(timeout=5)
+        assert (proc.returncode, err) == (130, "cancelled: the scan was interrupted; --resume reruns its unrecorded batches\n")
+        with pytest.raises(ProcessLookupError):  # no worker is left in the scan's process group
+            os.killpg(proc.pid, 0)
+        assert list(out.iterdir()) == []  # no results, unsolved or checkpoint file
+    finally:
+        with contextlib.suppress(ProcessLookupError):
+            os.killpg(proc.pid, signal.SIGKILL)
+        proc.communicate()
+
+
+# q that x = 1 leaves, and that each scan is made to leave unsolved.  In the
+# cover scan, x_sweep_bound is 1 for them, so that the sweep finds nothing: 18
+# is in the legacy prefix, and its sweep hits at x = 2 unpatched, so the stale
+# x that it leaves for the next q is the same; 20010 and 20022 are in slices.
+_UNSOLVED = {"cover": (18, 20010, 20022), "primes": (18, 20058, 20082)}
+
+
+@pytest.mark.parametrize("command, workers", [("cover", "1"), ("cover", "2"), ("primes", "1")])
+def test_a_scan_that_leaves_q_unsolved_records_them_and_exits_2(capsys, tmp_path, monkeypatch, command, workers):
+    argv = [command, "--q-max", "30000", "--batch-size", "10000", "--workers", workers, "--out-dir"]
+    code, out, _ = run(capsys, *argv, str(tmp_path / "straight"))
+    assert code == 0
+    chosen = _UNSOLVED[command]
+    if command == "cover":
+        sweep_bound = search.x_sweep_bound
+        monkeypatch.setattr(search, "x_sweep_bound", lambda q: 1 if q in chosen else sweep_bound(q))
+    else:
+        from_x2 = batch.prime_search_from_x2
+        monkeypatch.setattr(batch, "prime_search_from_x2", lambda q: None if q in chosen else from_x2(q))
+    code, out, _ = run(capsys, *argv, str(tmp_path / "out"))
+    assert code == 2
+    mode, straight, records = ("coverage" if command == "cover" else "prime"), journal_records(tmp_path / "straight"), \
+        journal_records(tmp_path / "out")
+    lines = out.splitlines()
+    for index, qs in enumerate(((18,), (), chosen[1:]), start=1):
+        unsolved = unsolved_path(index, mode, tmp_path / "out")
+        assert read_results_q(unsolved) == list(qs)
+        assert (records[index]["unsolved"], records[index]["unsolved_sha256"]) == (len(qs), file_digest(unsolved)[0])
+        header, *rows = results_batch_path(index, mode, tmp_path / "straight").read_text().splitlines(keepends=True)
+        left = [row for row in rows if int(row.split(",")[0]) in qs]
+        assert results_batch_path(index, mode, tmp_path / "out").read_text() == "".join(
+            [header, *(row for row in rows if row not in left)])
+        families = [row.rstrip().split(",")[-1] if mode == "coverage" else "p2" for row in left]
+        assert records[index]["tallies"] == [
+            n - families.count(f"p{p}") for p, n in enumerate(straight[index]["tallies"], start=1)]
+        if command == "cover":
+            assert f"Unsolved q in batch {index}: {len(qs)}" in lines
+    assert read_results_q(unsolved_path(None, mode, tmp_path / "out")) == list(chosen)
+    if command == "primes":
+        assert [line for line in lines if line.startswith("Unsolved q: ")] == ["Unsolved q: 1", "Unsolved q: 0",
+                                                                               "Unsolved q: 2"]
+        assert "Total unsolved q: 3" in lines
+
+    # the resume, unpatched, reloads the unsolved q that each batch recorded
+    monkeypatch.undo()
+    written = tree_bytes(tmp_path / "out")
+    code, resumed, _ = run(capsys, *argv, str(tmp_path / "out"), "--resume")
+    assert code == 2
+    assert [line for line in resumed.splitlines() if not line.startswith("time:")] == [
+        line for line in lines if not line.startswith("time:")]
+    assert tree_bytes(tmp_path / "out") == written
+
+
+def test_an_exhausted_witness_search_exits_3(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "staged_search", lambda q: None)
+    monkeypatch.setattr(decompose, "staged_search", lambda q: None)
+    assert run(capsys, "witness", "13") == (3, "no witness found for q = 13\n", "")
+    assert run(capsys, "decompose", "53") == (3, "", "unsolved: no family witness found for q=13 (a=53)\n")
 
 
 def test_decompose(capsys):
