@@ -43,7 +43,6 @@ from .search import (
 
 if TYPE_CHECKING:
     from multiprocessing.connection import Connection
-    from queue import SimpleQueue
 
 MANIFEST_NAME = "checkpoint.jsonl"  # the scan's parameters, then one record per completed batch
 
@@ -109,72 +108,69 @@ class BatchReport(NamedTuple):
     resumed: bool = False
 
 
-def _worker(conn: Connection, fn) -> None:
+def _worker(conn: Connection, parent_end: Connection, fn) -> None:
     """A scan's worker process: `fn` of each item its parent sends on `conn`, or the
-    exception it raised, sent back in order until the parent sends None.  It ignores
-    SIGINT, which a terminal's Ctrl-C sends the whole process group, and takes SIGTERM's
-    default action, not the parent's handler: the parent alone is interrupted."""
+    exception it raised with this process's traceback, sent back in order until the
+    parent sends None or is gone.  It ignores SIGINT, which a terminal's Ctrl-C sends
+    the whole process group, and takes SIGTERM's default action, not the parent's
+    handler: the parent alone is interrupted."""
     signal.signal(signal.SIGINT, signal.SIG_IGN)
     signal.signal(signal.SIGTERM, signal.SIG_DFL)
-    while (item := conn.recv()) is not None:
-        try:
-            conn.send(fn(item))
-        except Exception as exc:  # the parent raises it
-            conn.send(exc)
-
-
-def _receive(conn: Connection, results: SimpleQueue) -> None:
-    """Each result a worker sends, onto `results`, so that it computes on while the parent
-    writes; once the worker has ended, an error for a `get` past its last result."""
+    parent_end.close()  # the copy that fork gave it: the parent's exit, even a crash, ends the pipe
     try:
-        while True:
-            results.put(conn.recv())
-    except (EOFError, ConnectionResetError):  # ended; reset if it had items still unread
-        results.put(ChildProcessError("a scan's worker process ended"))
+        while (item := conn.recv()) is not None:
+            try:
+                conn.send(fn(item))
+            except Exception as exc:  # the parent raises it
+                from multiprocessing.pool import ExceptionWithTraceback
+
+                conn.send(ExceptionWithTraceback(exc, exc.__traceback__))
+    except (EOFError, BrokenPipeError):  # the parent has gone
+        pass
 
 
 def _map(processes: int, fn, work: Iterable[Sequence]) -> Iterator[list]:
     """`fn` over each batch's items, one list per batch, in batch order: in this process, or
     with `processes` >= 2 in as many workers, item i of a batch in worker i mod `processes`.
     Batch k+1, and none beyond, is sent before batch k is collected, so the workers compute
-    while the parent writes.  Closing the generator early terminates the workers at once:
-    each has a pipe of its own, so that none leaves a lock held or a message cut short that
-    another process waits on.  The parent waits in `SimpleQueue.get`, which an interrupt
-    leaves as it was."""
+    while the parent writes: a worker sends each result as it is done, and blocks only once
+    its pipe is full, after a slice of batch k+1.  Each worker has a pipe of its own, so a
+    worker stopped at any instant leaves no lock held or message cut short that another
+    process waits on: closing the generator early terminates the workers at once, and a
+    worker that ends before its work is done fails the scan with an OSError."""
     if processes < 2:
         yield from ([fn(item) for item in items] for items in work)
         return
     import multiprocessing  # about 10 ms to load, which a serial scan does not pay
-    import threading
-    from queue import SimpleQueue
 
     conns, workers = [], []
-    for _ in range(processes):  # forked on Linux: before any reader thread starts
-        here, there = multiprocessing.Pipe()
-        workers.append(multiprocessing.Process(target=_worker, args=(there, fn), daemon=True))
-        workers[-1].start()
-        there.close()
-        conns.append(here)
-    results = [SimpleQueue() for _ in conns]
-    readers = [threading.Thread(target=_receive, args=pair, daemon=True) for pair in zip(conns, results)]
-    for reader in readers:
-        reader.start()
 
-    def collect(count: int) -> list:
-        batch = [results[i % processes].get() for i in range(count)]
-        if errors := [result for result in batch if isinstance(result, BaseException)]:
-            raise errors[0]
-        return batch
+    def collect(count: int) -> Iterator:
+        for i in range(count):
+            try:
+                result = conns[i % processes].recv()
+            except (EOFError, ConnectionResetError):  # killed from outside, say; reset if work was unread
+                raise ChildProcessError("a scan's worker process ended before its work was done") from None
+            if isinstance(result, BaseException):
+                raise result
+            yield result
 
     try:
+        for _ in range(processes):  # forked, as Linux's default start method does
+            here, there = multiprocessing.Pipe()
+            conns.append(here)
+            worker = multiprocessing.Process(target=_worker, args=(there, here, fn), daemon=True)
+            worker.start()
+            workers.append(worker)
+            there.close()  # the worker's end is in the worker alone, so its exit ends the pipe
         sent = []
         for items in work:
             for i, item in enumerate(items):
                 conns[i % processes].send(item)
             sent.append(len(items))
             if len(sent) == 2:
-                yield collect(sent.pop(0))
-        last = [collect(count) for count in sent]
+                yield list(collect(sent.pop(0)))
+        last = [list(collect(count)) for count in sent]
         for conn in conns:  # the workers end their run before the last batch is written
             conn.send(None)
         for worker in workers:
@@ -184,8 +180,7 @@ def _map(processes: int, fn, work: Iterable[Sequence]) -> Iterator[list]:
         for worker in workers:
             worker.terminate()
             worker.join()
-        for reader, conn in zip(readers, conns):
-            reader.join()
+        for conn in conns:
             conn.close()
 
 

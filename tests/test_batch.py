@@ -320,12 +320,14 @@ def test_a_failed_pooled_scan_stops_its_workers_and_resumes(tmp_path, monkeypatc
                 signal.SIGALRM: signal.signal(signal.SIGALRM, expire)}
     signal.setitimer(signal.ITIMER_REAL, 30, 1)
     try:
-        with pytest.raises(error):
+        with pytest.raises(error) as raised:
             run_coverage(cfg)
     finally:
         signal.setitimer(signal.ITIMER_REAL, 0)
         for signum, handler in handlers.items():
             signal.signal(signum, handler)
+    if fault == "worker":  # the worker's traceback comes with its error
+        assert "in _faulty_slice" in str(raised.value.__cause__)
     assert multiprocessing.active_children() == []
     assert list(journal_records(cfg.output_dir)) == [1]
 
@@ -337,12 +339,19 @@ def test_a_failed_pooled_scan_stops_its_workers_and_resumes(tmp_path, monkeypatc
 
 
 def _dying_slice(qs):
-    if qs[0] == 10**6 + 1000:  # batch 2's first slice: its worker ends, as a killed one does
+    if qs[0] == 10**6 + 2000:  # the last batch's first slice: its worker ends, as a killed one does
         os._exit(1)
     return batch._wide_slice(qs)
 
 
-def test_a_pooled_scan_whose_worker_ends_fails_instead_of_waiting(tmp_path, monkeypatch):
+# each batch of 1000 q cut into 2 slices, one per worker, or with a smaller
+# window cap into 4, so that the worker that ends holds another slice of batch 3,
+# which is collected with no batch sent after it
+@pytest.mark.parametrize("window_span, slices", [(batch.WINDOW_SPAN, 2), (batch.WINDOW_MARGIN + 249, 4)],
+                         ids=["1-slice", "2-slices"])
+def test_a_pooled_scan_whose_worker_ends_fails_instead_of_waiting(tmp_path, monkeypatch, window_span, slices):
+    monkeypatch.setattr(batch, "WINDOW_SPAN", window_span)
+    assert len(batch._slices(range(10**6, 10**6 + 1000), 2)) == slices
     coverage = batch._MODES[ScanMode.COVERAGE]
     monkeypatch.setitem(batch._MODES, ScanMode.COVERAGE, coverage._replace(solve=_dying_slice))
 
@@ -352,13 +361,32 @@ def test_a_pooled_scan_whose_worker_ends_fails_instead_of_waiting(tmp_path, monk
     handler = signal.signal(signal.SIGALRM, expire)
     signal.setitimer(signal.ITIMER_REAL, 30)
     try:
-        with pytest.raises(OSError):  # ChildProcessError, or BrokenPipeError if batch 3 is sent after
+        with pytest.raises(OSError):  # ChildProcessError, or BrokenPipeError if more work was sent to it
             run_coverage(_cfg(tmp_path, **_TEARDOWN))
     finally:
         signal.setitimer(signal.ITIMER_REAL, 0)
         signal.signal(signal.SIGALRM, handler)
     assert multiprocessing.active_children() == []
-    assert list(journal_records(tmp_path)) == [1]
+    # batch 2 is written, unless sending batch 3 to the ended worker fails first
+    assert list(journal_records(tmp_path)) in ([1], [1, 2])
+
+
+def test_a_scan_interrupted_while_its_workers_start_leaves_none(tmp_path, monkeypatch):
+    # the interrupt lands as the second of three workers is about to be forked
+    started, start = [], multiprocessing.Process.start
+
+    def start_then_interrupt(process):
+        if started:
+            raise KeyboardInterrupt
+        started.append(process)
+        start(process)
+
+    monkeypatch.setattr(multiprocessing.Process, "start", start_then_interrupt)
+    with pytest.raises(KeyboardInterrupt):
+        run_coverage(_cfg(tmp_path, **_TEARDOWN | {"worker_count": 3}))
+    assert started[0].exitcode == -signal.SIGTERM  # terminated, not left waiting for work
+    assert multiprocessing.active_children() == []
+    assert list(tmp_path.iterdir()) == []
 
 
 def _forget_batches(out, *indexes):

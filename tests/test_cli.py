@@ -412,6 +412,27 @@ def _scan_started(out: Path, pid: int, workers: int, sigint: bool) -> bool:
     return len(kids) == workers and (not sigint or all(map(_ignores_sigint, kids)))
 
 
+def _start_long_scan(out: Path, workers: int, sigint: bool) -> subprocess.Popen:
+    """A `cover` of one batch of 3,000,000 multiples of 6 from 10^9 + 2, well over 10 s of work
+    for 2 workers, in a session of its own; returned once it is 0.2 s into its slices."""
+    count = 3_000_000
+    argv = ["cover", "--q-start", "1000000002", "--q-max", str(1000000002 + 6 * (count - 1)), "--step", "6",
+            "--batch-size", str(count), "--workers", str(workers), "--out-dir", str(out)]
+    src = str(Path(cli.__file__).parents[1])
+    proc = subprocess.Popen([sys.executable, "-m", "erdos_straus.cli", *argv], stdout=subprocess.DEVNULL,
+                            stderr=subprocess.PIPE, text=True, start_new_session=True,
+                            env={**os.environ, "PYTHONPATH": src})
+    deadline = time.monotonic() + 10
+    while not _scan_started(out, proc.pid, workers, sigint):
+        if proc.poll() is not None or time.monotonic() > deadline:
+            with contextlib.suppress(ProcessLookupError):
+                os.killpg(proc.pid, signal.SIGKILL)
+            raise AssertionError("the scan did not start")
+        time.sleep(0.01)
+    time.sleep(0.2)
+    return proc
+
+
 @pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="the test finds the workers in /proc")
 @pytest.mark.parametrize("workers, signum, to_group", [
     (2, signal.SIGINT, True),  # as a terminal's Ctrl-C: to the whole process group
@@ -419,26 +440,33 @@ def _scan_started(out: Path, pid: int, workers: int, sigint: bool) -> bool:
     (1, signal.SIGTERM, False),
 ], ids=["pooled-sigint-to-group", "pooled-sigterm", "serial-sigterm"])
 def test_an_interrupted_scan_stops_at_once_with_exit_130(tmp_path, workers, signum, to_group):
-    # one batch of 3,000,000 q = 6c + 4 from 10^9, well over 10 s of work for 2 workers
-    out, count = tmp_path / "out", 3_000_000
-    argv = ["cover", "--q-start", "1000000002", "--q-max", str(1000000002 + 6 * (count - 1)), "--step", "6",
-            "--batch-size", str(count), "--workers", str(workers), "--out-dir", str(out)]
-    src = str(Path(cli.__file__).parents[1])
-    proc = subprocess.Popen([sys.executable, "-m", "erdos_straus.cli", *argv], stdout=subprocess.DEVNULL,
-                            stderr=subprocess.PIPE, text=True, start_new_session=True,
-                            env={**os.environ, "PYTHONPATH": src})
+    out = tmp_path / "out"
+    proc = _start_long_scan(out, workers, to_group)
     try:
-        deadline = time.monotonic() + 10
-        while not _scan_started(out, proc.pid, workers, to_group):
-            assert proc.poll() is None and time.monotonic() < deadline
-            time.sleep(0.01)
-        time.sleep(0.2)  # into the batch's slices
         (os.killpg if to_group else os.kill)(proc.pid, signum)
         _, err = proc.communicate(timeout=5)
         assert (proc.returncode, err) == (130, "cancelled: the scan was interrupted; --resume reruns its unrecorded batches\n")
         with pytest.raises(ProcessLookupError):  # no worker is left in the scan's process group
             os.killpg(proc.pid, 0)
         assert list(out.iterdir()) == []  # no results, unsolved or checkpoint file
+    finally:
+        with contextlib.suppress(ProcessLookupError):
+            os.killpg(proc.pid, signal.SIGKILL)
+        proc.communicate()
+
+
+@pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="the test finds the workers in /proc")
+def test_a_pooled_scan_whose_parent_is_killed_leaves_no_worker(tmp_path):
+    # Each worker ends once the slice in hand is solved and its pipe is found
+    # closed, quietly; the workers hold the scan's stderr, so it reads to its
+    # end only once they have all ended.
+    out = tmp_path / "out"
+    proc = _start_long_scan(out, 2, False)
+    try:
+        proc.kill()
+        _, err = proc.communicate(timeout=10)
+        assert (proc.returncode, err) == (-signal.SIGKILL, "")
+        assert list(out.iterdir()) == []
     finally:
         with contextlib.suppress(ProcessLookupError):
             os.killpg(proc.pid, signal.SIGKILL)
