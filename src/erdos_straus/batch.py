@@ -21,6 +21,7 @@ from .families import P1, P2, PolyId, check_value
 from .numutil import MR_LIMIT, FactorWindow, prime_targets, window_prime_count
 from .reports import (
     FAMILY_LABELS,
+    ReportFormatError,
     coverage_line,
     file_digest,
     prime_line,
@@ -54,8 +55,8 @@ class ScanMode(Enum):
     PRIME_COVERAGE = "prime"
 
 
-class ResumeError(Exception):
-    """The checkpoint journal is missing, corrupt, or from another run."""
+class ResumeError(ReportFormatError):
+    """The checkpoint journal, or a batch's files, missing, corrupt or from another run."""
 
 
 class _Config(NamedTuple):
@@ -108,74 +109,77 @@ class BatchReport(NamedTuple):
     resumed: bool = False
 
 
-def _worker(conn: Connection, parent_end: Connection, fn) -> None:
-    """A scan's worker process: `fn` of each item its parent sends on `conn`, or the
-    exception it raised with this process's traceback, sent back in order until the
-    parent sends None or is gone.  It ignores SIGINT, which a terminal's Ctrl-C sends
-    the whole process group, and takes SIGTERM's default action, not the parent's
-    handler: the parent alone is interrupted."""
+_INTERRUPTS = {signal.SIGINT, signal.SIGTERM}
+
+
+def _worker(fn, share: list, conn: Connection, readers: tuple) -> None:
+    """A scan's worker process: `fn` of each item of its share, each result sent on `conn`
+    in order, or the first exception raised with this process's traceback, and then it ends.
+    It ignores SIGINT, which a terminal's Ctrl-C sends the whole process group, and takes
+    SIGTERM's default action, not the parent's handler: the parent alone is interrupted.
+    It was forked with both blocked, and unblocks them once they are set."""
     signal.signal(signal.SIGINT, signal.SIG_IGN)
     signal.signal(signal.SIGTERM, signal.SIG_DFL)
-    parent_end.close()  # the copy that fork gave it: the parent's exit, even a crash, ends the pipe
+    signal.pthread_sigmask(signal.SIG_UNBLOCK, _INTERRUPTS)
+    for reader in readers:  # the copies that fork gave it: the parent's exit, even a crash, ends the pipe
+        reader.close()
     try:
-        while (item := conn.recv()) is not None:
-            try:
-                conn.send(fn(item))
-            except Exception as exc:  # the parent raises it
-                from multiprocessing.pool import ExceptionWithTraceback
-
-                conn.send(ExceptionWithTraceback(exc, exc.__traceback__))
-    except (EOFError, BrokenPipeError):  # the parent has gone
+        for item in share:
+            conn.send(fn(item))
+    except BrokenPipeError:  # the parent has gone
         pass
+    except Exception as exc:  # the parent raises it
+        from multiprocessing.pool import ExceptionWithTraceback
+
+        conn.send(ExceptionWithTraceback(exc, exc.__traceback__))
 
 
-def _map(processes: int, fn, work: Iterable[Sequence]) -> Iterator[list]:
+def _map(processes: int, fn, work: Sequence[Sequence]) -> Iterator[list]:
     """`fn` over each batch's items, one list per batch, in batch order: in this process, or
-    with `processes` >= 2 in as many workers, item i of a batch in worker i mod `processes`.
-    Batch k+1, and none beyond, is sent before batch k is collected, so the workers compute
-    while the parent writes: a worker sends each result as it is done, and blocks only once
-    its pipe is full, after a slice of batch k+1.  Each worker has a pipe of its own, so a
-    worker stopped at any instant leaves no lock held or message cut short that another
-    process waits on: closing the generator early terminates the workers at once, and a
-    worker that ends before its work is done fails the scan with an OSError."""
+    with `processes` >= 2 in as many workers, each forked with its whole share, item i of
+    every batch in worker i mod `processes`.  A worker sends each result on a one-way pipe of
+    its own, which the parent only reads, batch by batch: the workers compute while the
+    parent writes, and a worker waits once an unread result fills its pipe.  A worker
+    stopped at any instant leaves no lock held or message cut short that another process
+    waits on, and one that ends before its work is done fails the scan with a
+    ChildProcessError at the parent's read.  SIGINT and SIGTERM stay blocked until every
+    worker forked is recorded, so an interrupt at any instant, like closing the generator
+    early, terminates them all.  The workers are joined, their exit handlers run, before
+    the last batch is yielded."""
     if processes < 2:
         yield from ([fn(item) for item in items] for items in work)
         return
     import multiprocessing  # about 10 ms to load, which a serial scan does not pay
 
     conns, workers = [], []
-
-    def collect(count: int) -> Iterator:
-        for i in range(count):
-            try:
-                result = conns[i % processes].recv()
-            except (EOFError, ConnectionResetError):  # killed from outside, say; reset if work was unread
-                raise ChildProcessError("a scan's worker process ended before its work was done") from None
-            if isinstance(result, BaseException):
-                raise result
-            yield result
-
+    mask = signal.pthread_sigmask(signal.SIG_BLOCK, ())  # the mask as found, to put back
     try:
-        for _ in range(processes):  # forked, as Linux's default start method does
-            here, there = multiprocessing.Pipe()
-            conns.append(here)
-            worker = multiprocessing.Process(target=_worker, args=(there, here, fn), daemon=True)
-            worker.start()
-            workers.append(worker)
-            there.close()  # the worker's end is in the worker alone, so its exit ends the pipe
-        sent = []
-        for items in work:
-            for i, item in enumerate(items):
-                conns[i % processes].send(item)
-            sent.append(len(items))
-            if len(sent) == 2:
-                yield list(collect(sent.pop(0)))
-        last = [list(collect(count)) for count in sent]
-        for conn in conns:  # the workers end their run before the last batch is written
-            conn.send(None)
-        for worker in workers:
-            worker.join()
-        yield from last
+        try:
+            signal.pthread_sigmask(signal.SIG_BLOCK, _INTERRUPTS)
+            for w in range(processes):  # forked, as Linux's default start method does
+                here, there = multiprocessing.Pipe(duplex=False)
+                conns.append(here)
+                share = [item for items in work for item in items[w::processes]]
+                worker = multiprocessing.Process(target=_worker, args=(fn, share, there, tuple(conns)), daemon=True)
+                worker.start()
+                workers.append(worker)
+                there.close()  # the worker's end is in the worker alone, so its exit ends the pipe
+        finally:
+            signal.pthread_sigmask(signal.SIG_SETMASK, mask)  # an interrupt held meanwhile lands here
+        for k, items in enumerate(work, start=1):
+            results = []
+            for i in range(len(items)):
+                try:
+                    result = conns[i % processes].recv()
+                except (EOFError, OSError):  # the worker's end of the pipe closed, before or inside a result
+                    raise ChildProcessError("a scan's worker process ended before its work was done") from None
+                if isinstance(result, BaseException):
+                    raise result
+                results.append(result)
+            if k == len(work):
+                for worker in workers:
+                    worker.join()
+            yield results
     finally:
         for worker in workers:
             worker.terminate()
@@ -340,21 +344,18 @@ def _coverage_batches(cfg: BatchConfig) -> list[range]:
 
 
 def _prime_batches(cfg: BatchConfig) -> list[range]:
-    """Value-width blocks of q = 6c.
+    """Value-width blocks of q = 6c: block k holds the multiples of 6 from
+    q_start + k * batch_size up to the next block's start, both aligned up
+    to a multiple of 6; a block that holds no q is dropped."""
 
-    Block k starts at q_start + k * batch_size aligned up to a multiple of 6
-    and ends one below the next block's start; starts that align to the
-    same value make one block.
-    """
-    blocks = []
-    lo = cfg.q_start + (-cfg.q_start) % 6
-    while lo <= cfg.q_max:
-        # the first unaligned block start above lo, then aligned
-        nxt = cfg.q_start + ((lo - cfg.q_start) // cfg.batch_size + 1) * cfg.batch_size
-        nxt += (-nxt) % 6
-        blocks.append(range(lo, min(nxt, cfg.q_max + 1), 6))
-        lo = nxt
-    return blocks
+    def up6(n: int) -> int:
+        return n + (-n) % 6
+
+    return [
+        block
+        for lo in range(cfg.q_start, cfg.q_max + 1, cfg.batch_size)
+        if (block := range(up6(lo), min(up6(lo + cfg.batch_size), cfg.q_max + 1), 6))
+    ]
 
 
 class _Mode(NamedTuple):
@@ -420,8 +421,8 @@ def run_coverage(cfg: BatchConfig, resume: bool = False) -> list[BatchReport]:
     record.  In coverage mode, small q (below the cube-probe horizon) are
     classified sequentially with the legacy scan semantics so the artifacts
     match the reference CSVs.  The rest of each batch is cut into one
-    contiguous range slice per worker, sent to the workers while the parent
-    runs the prefix and writes the batch before; each comes back as CSV
+    contiguous range slice per worker, solved by the workers while the
+    parent runs the prefix and writes the batch before; each comes back as CSV
     text, its unsolved q and its per-family counts, and the texts are
     written in q order.  The prefix and the workers are only set up when a
     batch that needs them runs; a scan inside the prefix needs no workers.
@@ -483,7 +484,7 @@ def run_coverage(cfg: BatchConfig, resume: bool = False) -> list[BatchReport]:
                 )
             )
     finally:
-        solved.close()  # a queued batch must not run on after the scan failed or was interrupted
+        solved.close()  # the workers must not run on after the scan failed or was interrupted
 
     if mode.aggregate:
         write_results_aggregate(

@@ -46,14 +46,6 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EX_USAGE, f"{self.prog}: error: {message}\n")
 
 
-def _out_dir(args) -> Path:
-    """--out-dir, else $ERDOS_STRAUS_OUT_DIR, else the working directory; the
-    environment is read when the command runs, not when the parser is built."""
-    if args.out_dir is not None:
-        return args.out_dir
-    return Path(os.environ.get("ERDOS_STRAUS_OUT_DIR", "."))
-
-
 @functools.cache
 def build_parser() -> _Parser:
     """The command line parser, built once per process and shared by every
@@ -68,7 +60,7 @@ def build_parser() -> _Parser:
             sp.add_argument("--step", type=int, default=1)
         sp.add_argument("--batch-size", type=int, default=1_000_000)
         sp.add_argument("--workers", type=int, default=os.cpu_count() or 1)
-        sp.add_argument("--out-dir", type=Path)
+        sp.add_argument("--out-dir", type=Path, default=Path("."))
         sp.add_argument("--resume", action="store_true", help="skip batches recorded complete")
 
     sp = sub.add_parser("cover", help="classify every q in a range")
@@ -89,7 +81,7 @@ def build_parser() -> _Parser:
 
     sp = sub.add_parser("split", help="split a coverage file by family")
     sp.add_argument("path", type=Path)
-    sp.add_argument("--out-dir", type=Path)
+    sp.add_argument("--out-dir", type=Path, default=Path("."))
     return p
 
 
@@ -99,10 +91,11 @@ def _run_scan(args, mode: str, q_start: int, step: int, size_label: str) -> tupl
     these two commands import the scan driver, `batch`, and `signal`.
     While the scan runs, SIGINT and SIGTERM interrupt it where it is, as a
     KeyboardInterrupt, and their earlier handlers are put back when it
-    ends.  A bad checkpoint leaves as exit 65, an interrupted scan as 130."""
+    ends.  An interrupted scan leaves as exit 130; a bad checkpoint, a
+    batch.ResumeError, is a ReportFormatError and leaves as 65."""
     import signal
 
-    from .batch import BatchConfig, ResumeError, ScanMode, run_coverage
+    from .batch import BatchConfig, ScanMode, run_coverage
 
     try:
         cfg = BatchConfig(
@@ -112,7 +105,7 @@ def _run_scan(args, mode: str, q_start: int, step: int, size_label: str) -> tupl
             batch_size=args.batch_size,
             mode=ScanMode(mode),
             worker_count=args.workers,
-            output_dir=_out_dir(args),
+            output_dir=args.out_dir,
         )
     except ValueError as exc:
         raise UsageError(str(exc).replace("_", "-")) from None  # the flags' spelling
@@ -126,8 +119,6 @@ def _run_scan(args, mode: str, q_start: int, step: int, size_label: str) -> tupl
         pass  # not the main thread (tests)
     try:
         return cfg, run_coverage(cfg, resume=args.resume)
-    except ResumeError as exc:
-        raise _Exit(EX_DATAERR, f"error: {exc}") from exc
     except KeyboardInterrupt:
         raise _Exit(EX_CANCELLED, "cancelled: the scan was interrupted; --resume reruns its unrecorded batches") from None
     finally:
@@ -233,7 +224,7 @@ def _cmd_verify_csv(args) -> int:
 
 
 def _cmd_split(args) -> int:
-    print(*split_by_family(args.path, _out_dir(args)), sep="\n")
+    print(*split_by_family(args.path, args.out_dir), sep="\n")
     return 0
 
 

@@ -67,6 +67,22 @@ def wide_slice_per_q(qs):
     return _coverage_result((q, wide_search(q)) for q in qs)
 
 
+def prime_batches_by_loop(q_start: int, q_max: int, batch_size: int) -> list[range]:
+    """A prime scan's value-width blocks of q = 6c as a loop over the aligned
+    block starts, the way the scan driver first cut them: block k starts at
+    q_start + k * batch_size aligned up to a multiple of 6 and ends one below
+    the next block's start; starts that align to the same value make one block."""
+    blocks = []
+    lo = q_start + (-q_start) % 6
+    while lo <= q_max:
+        # the first unaligned block start above lo, then aligned
+        nxt = q_start + ((lo - q_start) // batch_size + 1) * batch_size
+        nxt += (-nxt) % 6
+        blocks.append(range(lo, min(nxt, q_max + 1), 6))
+        lo = nxt
+    return blocks
+
+
 def sweep_by_solvers(q: int):
     """search.sweep_from_x2 through the public per-family solvers: P1, then
     P2, then P3 at each 2 <= x <= x_sweep_bound(q), then the x(x-1) check."""

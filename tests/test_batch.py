@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from erdos_straus import batch
+from erdos_straus import batch, search
 from erdos_straus.batch import (
     MANIFEST_NAME,
     BatchConfig,
@@ -34,7 +34,7 @@ from erdos_straus.reports import (
 from erdos_straus.search import Witness, legacy_coverage_scan, prime_witness_search, wide_search
 
 from .journal import edit_journal, journal_records, tree_bytes
-from .oracles import Row, rows_text, wide_slice_per_q, witness_to_row
+from .oracles import Row, prime_batches_by_loop, rows_text, wide_slice_per_q, witness_to_row
 from .test_search import _Q_FAR
 
 
@@ -156,9 +156,9 @@ def test_run_coverage_tallies_match_rows(tmp_path):
 
 def test_run_coverage_worker_counts_byte_identical(tmp_path):
     # Every file, the journal included, on scans of several batches whose
-    # last batch is short, so that pooled batches are queued ahead of the one
-    # being written: cover --q-max 7000 --batch-size 2000 has 4 batches, and
-    # the prime scan 3 blocks.
+    # last batch is short, so that the workers run ahead of the batch being
+    # written: cover --q-max 7000 --batch-size 2000 has 4 batches, and the
+    # prime scan 3 blocks.
     scans = {
         "cover-2200": dict(q_max=2200),
         "cover-7000": dict(q_max=7000, batch_size=2000),
@@ -215,51 +215,49 @@ def test_pool_starts_no_more_workers_than_a_batch_has_slices(tmp_path, monkeypat
     assert sizes == [min(workers, 12), 1]
 
 
-def test_pool_is_given_one_batch_ahead_of_the_one_written(tmp_path, monkeypatch):
-    # Batch k+1 is submitted before batch k is collected, so the workers compute
-    # while the parent writes batch k; no batch further ahead is submitted, which
-    # bounds memory however many batches a scan has.  Batches come back in order.
-    events, plain_map, write = [], batch._map, batch.write_results_batch
+# the slices each scan has solved, counted across its processes
+_SOLVED = {}
 
-    def logged_map(processes, fn, work):
-        def submitted():
-            for index, items in enumerate(work, start=1):
-                events.append(("submit", index))
-                yield items
 
-        for index, results in enumerate(plain_map(processes, fn, submitted()), start=1):
-            events.append(("collect", index))
-            yield results
+def _counted_slice(qs):
+    result = batch._wide_slice(qs)
+    with _SOLVED["count"].get_lock():
+        _SOLVED["count"].value += 1
+    return result
 
-    monkeypatch.setattr(batch, "_map", logged_map)
 
-    def logged_write(texts, index, *args):
-        events.append(("write", index))
+def test_a_worker_runs_ahead_only_until_its_pipe_is_full(tmp_path, monkeypatch):
+    # 6 batches of 8000 q from 10^6, 2 slices each, one per worker.  A slice's result,
+    # about 88 KB, is more than a 64 KiB pipe holds, so a worker that has solved one
+    # slice past those the parent has read waits in its send.  Each batch's write
+    # stalls, so that the workers solve what they may meanwhile: at the end of batch
+    # k's write, the 2k slices read and at most one more per worker.  Batches come
+    # back in order, the same as a serial scan's.
+    monkeypatch.setitem(_SOLVED, "count", multiprocessing.Value("i", 0))
+    coverage = batch._MODES[ScanMode.COVERAGE]
+    monkeypatch.setitem(batch._MODES, ScanMode.COVERAGE, coverage._replace(solve=_counted_slice))
+    write, solved = batch.write_results_batch, []
+
+    def slow_write(texts, index, *args):
+        time.sleep(0.5)
+        solved.append(_SOLVED["count"].value)
         return write(texts, index, *args)
 
-    monkeypatch.setattr(batch, "write_results_batch", logged_write)
-    scan = dict(q_start=10**6, q_max=10**6 + 4999, batch_size=1000)
+    monkeypatch.setattr(batch, "write_results_batch", slow_write)
+    scan = dict(q_start=10**6, q_max=10**6 + 6 * 8000 - 1, batch_size=8000)
     run_coverage(_cfg(tmp_path / "pooled", worker_count=2, **scan))
-    assert events == [
-        ("submit", 1), ("submit", 2), ("collect", 1), ("write", 1),
-        ("submit", 3), ("collect", 2), ("write", 2),
-        ("submit", 4), ("collect", 3), ("write", 3),
-        ("submit", 5), ("collect", 4), ("write", 4),
-        ("collect", 5), ("write", 5),
-    ]
-    submitted = collected = 0
-    for event, index in events:
-        submitted += event == "submit"
-        collected += event == "collect"
-        assert submitted - collected <= 2
+    assert len(solved) == 6 and solved[-1] == 12
+    assert all(2 * k <= count <= 2 * k + 2 for k, count in enumerate(solved, start=1)), solved
+    assert any(count > 2 * k for k, count in enumerate(solved, start=1)), solved  # the workers ran ahead
+    monkeypatch.undo()
     run_coverage(_cfg(tmp_path / "inline", **scan))
     assert tree_bytes(tmp_path / "pooled") == tree_bytes(tmp_path / "inline")
 
 
 # The teardown scans: 3 batches of 1000 q from 10^6, 2 slices each.  _FAULTS
 # names what the slices of a batch do instead of solving: "raise", or "stall"
-# for a minute before solving, so that a scan which lets a queued batch run
-# on after it has failed takes that long to return.
+# for a minute before solving, so that a scan which lets its workers run on
+# after it has failed takes that long to return.
 _TEARDOWN = dict(q_start=10**6, q_max=10**6 + 2999, batch_size=1000, worker_count=2)
 _FAULTS: dict[int, str] = {}
 
@@ -345,8 +343,7 @@ def _dying_slice(qs):
 
 
 # each batch of 1000 q cut into 2 slices, one per worker, or with a smaller
-# window cap into 4, so that the worker that ends holds another slice of batch 3,
-# which is collected with no batch sent after it
+# window cap into 4, so that the worker that ends holds another slice of batch 3
 @pytest.mark.parametrize("window_span, slices", [(batch.WINDOW_SPAN, 2), (batch.WINDOW_MARGIN + 249, 4)],
                          ids=["1-slice", "2-slices"])
 def test_a_pooled_scan_whose_worker_ends_fails_instead_of_waiting(tmp_path, monkeypatch, window_span, slices):
@@ -361,14 +358,13 @@ def test_a_pooled_scan_whose_worker_ends_fails_instead_of_waiting(tmp_path, monk
     handler = signal.signal(signal.SIGALRM, expire)
     signal.setitimer(signal.ITIMER_REAL, 30)
     try:
-        with pytest.raises(OSError):  # ChildProcessError, or BrokenPipeError if more work was sent to it
+        with pytest.raises(ChildProcessError):  # at the parent's read of batch 3
             run_coverage(_cfg(tmp_path, **_TEARDOWN))
     finally:
         signal.setitimer(signal.ITIMER_REAL, 0)
         signal.signal(signal.SIGALRM, handler)
     assert multiprocessing.active_children() == []
-    # batch 2 is written, unless sending batch 3 to the ended worker fails first
-    assert list(journal_records(tmp_path)) in ([1], [1, 2])
+    assert list(journal_records(tmp_path)) == [1, 2]
 
 
 def test_a_scan_interrupted_while_its_workers_start_leaves_none(tmp_path, monkeypatch):
@@ -384,7 +380,27 @@ def test_a_scan_interrupted_while_its_workers_start_leaves_none(tmp_path, monkey
     monkeypatch.setattr(multiprocessing.Process, "start", start_then_interrupt)
     with pytest.raises(KeyboardInterrupt):
         run_coverage(_cfg(tmp_path, **_TEARDOWN | {"worker_count": 3}))
-    assert started[0].exitcode == -signal.SIGTERM  # terminated, not left waiting for work
+    assert started[0].exitcode == -signal.SIGTERM  # terminated, not left running its share
+    assert multiprocessing.active_children() == []
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_an_interrupt_just_after_a_fork_leaves_no_worker(tmp_path, monkeypatch):
+    # SIGINT reaches the parent right after each worker is forked, before the
+    # parent has recorded it: the interrupt waits until every worker is recorded
+    start = multiprocessing.Process.start
+
+    def start_then_interrupt(process):
+        start(process)
+        os.kill(os.getpid(), signal.SIGINT)
+
+    monkeypatch.setattr(multiprocessing.Process, "start", start_then_interrupt)
+    handler = signal.signal(signal.SIGINT, signal.default_int_handler)
+    try:
+        with pytest.raises(KeyboardInterrupt):
+            run_coverage(_cfg(tmp_path, **_TEARDOWN))
+    finally:
+        signal.signal(signal.SIGINT, handler)
     assert multiprocessing.active_children() == []
     assert list(tmp_path.iterdir()) == []
 
@@ -772,10 +788,12 @@ def test_cancellation_writes_nothing_for_the_cancelled_batch(tmp_path):
     # 2 batches of 50,000 q = 6c, each cut into 5 slices of at most 10,913 q
     (ScanMode.PRIME_COVERAGE, dict(step=6, q_start=6, q_max=600_000, batch_size=300_000)),
     # 2 batches of 25,000 q = 6c past the legacy prefix, 3 slices each
-    (ScanMode.COVERAGE, dict(step=6, q_start=10**6, q_max=10**6 + 299_994, batch_size=25_000)),
+    (ScanMode.COVERAGE, dict(step=6, q_start=10**6 + 2, q_max=10**6 + 299_996, batch_size=25_000)),
 ], ids=["primes", "cover"])
 def test_a_serial_scan_is_cancelled_between_the_slices_of_a_batch(tmp_path, monkeypatch, mode, kw):
-    # the interrupt stops a serial scan inside a slice: at the check of batch 2's first x = 1 row
+    # the interrupt stops a serial scan inside batch 2's first slice: in the prime scan at the
+    # check of its first x = 1 row, in the cover scan, whose q = 6c x = 1 leaves to the sweep
+    # from x = 2, at the check of its first witness there
     cfg = _cfg(tmp_path / "cancelled", mode=mode, **kw)
     solved = []
     plain = batch._MODES[mode]
@@ -789,18 +807,21 @@ def test_a_serial_scan_is_cancelled_between_the_slices_of_a_batch(tmp_path, monk
     first = len(solved) // 2  # batch 1's slices
     assert first >= 3 and len(solved) == 2 * first
     solved.clear()
-    check_value = batch.check_value
+    module, name, inside = {ScanMode.PRIME_COVERAGE: (batch, "check_value", []),
+                            ScanMode.COVERAGE: (search, "_checked_witness", ["sweep_from_x2"])}[mode]
+    checked = getattr(module, name)
 
     def interrupted(*args):
         if len(solved) > first:
             _interrupt_the_scan()
-        return check_value(*args)
+        return checked(*args)
 
-    monkeypatch.setattr(batch, "check_value", interrupted)
+    monkeypatch.setattr(module, name, interrupted)
     with pytest.raises(KeyboardInterrupt) as cancelled:
         run_coverage(cfg)
     assert len(solved) == first + 1  # batch 2 stopped inside its first slice
-    assert plain.solve.__name__ in [entry.name for entry in cancelled.traceback]
+    called = [entry.name for entry in cancelled.traceback]
+    assert all(f in called for f in [plain.solve.__name__, *inside, "interrupted"]), called
     assert list(journal_records(cfg.output_dir)) == [1]
     for path in results_batch_path, unsolved_path:
         assert path(1, mode.value, cfg.output_dir).exists() and not path(2, mode.value, cfg.output_dir).exists()
@@ -953,6 +974,16 @@ def test_prime_batches_keep_blocks_of_multiples_of_6(tmp_path):
             (s, min(s + size - 1, q_max)) for s in lo
         ]
         assert blocks[-1].stop - 1 == q_max
+
+
+def test_prime_batches_match_the_block_loop(tmp_path):
+    # every block's (start, stop) as the loop over aligned block starts cuts them
+    for q_start in range(1, 40):
+        for q_max in range(q_start, 130):
+            for size in [*range(1, 40), 100, 1000]:
+                blocks = batch._prime_batches(_prime_cfg(tmp_path, q_start, q_max=q_max, batch_size=size))
+                expected = prime_batches_by_loop(q_start, q_max, size)
+                assert [(r.start, r.stop) for r in blocks] == [(r.start, r.stop) for r in expected]
 
 
 # sha256 of reference-scan artifacts, pinned so that a changed witness

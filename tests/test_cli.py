@@ -698,24 +698,20 @@ def test_split_writes_nothing_when_the_last_row_is_malformed(capsys, tmp_path):
     assert {p.name: p.read_bytes() for p in out.iterdir()} == before
 
 
-def test_out_dir_from_environment(capsys, tmp_path, monkeypatch):
-    monkeypatch.setenv("ERDOS_STRAUS_OUT_DIR", str(tmp_path))
-    code, _, _ = run(capsys, "cover", "--q-max", "20", "--workers", "1")
-    assert code == 0
-    assert (tmp_path / "results_batch1.csv").exists()
-
-
-def test_one_parser_reads_the_environment_per_command(capsys, tmp_path, monkeypatch):
+def test_one_parser_serves_each_command_its_own_out_dir(capsys, tmp_path, monkeypatch):
     assert build_parser() is build_parser()
     for name in ("first", "second"):
-        monkeypatch.setenv("ERDOS_STRAUS_OUT_DIR", str(tmp_path / name))
-        code, _, _ = run(capsys, "cover", "--q-max", "20", "--workers", "1")
+        code, _, _ = run(capsys, "cover", "--q-max", "20", "--workers", "1", "--out-dir", str(tmp_path / name))
         assert code == 0
         assert (tmp_path / name / "results_batch1.csv").exists()
-    source = tmp_path / "first" / "results_batch1.csv"
-    code, _, _ = run(capsys, "split", str(source))
-    assert code == 0
-    assert (tmp_path / "second" / "q_with_p1.csv").exists()
+    # with no --out-dir, a command writes to the working directory it runs in
+    for name, argv in (("scan", ["cover", "--q-max", "20", "--workers", "1"]),
+                       ("split", ["split", str(tmp_path / "first" / "results_batch1.csv")])):
+        (tmp_path / name).mkdir()
+        monkeypatch.chdir(tmp_path / name)
+        assert run(capsys, *argv)[0] == 0
+    assert (tmp_path / "scan" / "results_batch1.csv").exists()
+    assert (tmp_path / "split" / "q_with_p1.csv").exists() and not (tmp_path / "scan" / "q_with_p1.csv").exists()
 
 
 # Modules that answering one a or one q has no use for: the scan driver, and
