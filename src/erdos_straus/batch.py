@@ -386,9 +386,10 @@ _MODES = {
 }
 
 
-def _reload(cfg: BatchConfig, index: int, qs: range, record: dict) -> tuple[dict[PolyId, int], list[int]]:
-    """A completed batch's tallies, from its journal record, and unsolved q, once
-    its files match the record's digests and counts; no result row is parsed."""
+def _reload(cfg: BatchConfig, index: int, qs: range, record: dict) -> BatchReport:
+    """A completed batch's report, its tallies from its journal record and its unsolved
+    q from its file, once its files match the record's digests and counts; no result
+    row is parsed."""
     label, where = cfg.mode.value, f"batch {index}, q in [{qs.start}, {qs.stop - 1}]"
     paths = results_batch_path(index, label, cfg.output_dir), unsolved_path(index, label, cfg.output_dir)
     (digest, newlines), (unsolved_digest, _) = map(file_digest, paths)
@@ -410,7 +411,8 @@ def _reload(cfg: BatchConfig, index: int, qs: range, record: dict) -> tuple[dict
         first = fh.readline() and fh.readline()  # past the header
     if first and int(first.split(b",")[0]) not in qs or any(q not in qs for q in unsolved):
         raise ResumeError(f"{where}: its files hold q outside the batch")
-    return dict(zip(PolyId, record["tallies"])), unsolved
+    tallies = dict(zip(PolyId, record["tallies"]))
+    return BatchReport(index, (qs.start, qs.stop - 1), solved, tallies, unsolved, 0.0, resumed=True)
 
 
 def run_coverage(cfg: BatchConfig, resume: bool = False) -> list[BatchReport]:
@@ -418,73 +420,61 @@ def run_coverage(cfg: BatchConfig, resume: bool = False) -> list[BatchReport]:
 
     With `resume`, a batch the journal in output_dir records complete is
     not rerun: `_reload` checks its files and takes its tallies from the
-    record.  In coverage mode, small q (below the cube-probe horizon) are
+    record.  Every such batch is checked before any batch is solved, so a
+    failed check raises ResumeError having started no worker and written
+    nothing.  In coverage mode, small q (below the cube-probe horizon) are
     classified sequentially with the legacy scan semantics so the artifacts
     match the reference CSVs.  The rest of each batch is cut into one
     contiguous range slice per worker, solved by the workers while the
-    parent runs the prefix and writes the batch before; each comes back as CSV
-    text, its unsolved q and its per-family counts, and the texts are
-    written in q order.  The prefix and the workers are only set up when a
-    batch that needs them runs; a scan inside the prefix needs no workers.
-    An exception, an interrupt's too, stops the scan and terminates the
-    workers; the batch in progress leaves no record, and `resume` reruns it.
+    parent writes the batches before; each comes back as CSV text, its
+    unsolved q and its per-family counts, and the texts are written in q
+    order.  The prefix is classified once the parent holds the slices of the
+    first batch that needs it, while the workers solve later batches.  The
+    prefix and the workers are only set up when a batch that needs them
+    runs; a scan inside the prefix needs no workers.  An exception, an
+    interrupt's too, stops the scan and terminates the workers; the batch
+    in progress leaves no record, and `resume` reruns it.
     """
     mode, label = _MODES[cfg.mode], cfg.mode.value
     batches = mode.batches(cfg)
     recorded = _read_manifest(cfg, len(batches)) if resume else {}
+    done = {b: _reload(cfg, b, batches[b - 1], recorded[b]) for b in sorted(recorded)}  # before any solve
     _prepare_output(cfg)
-    journal, journal_written = cfg.output_dir / MANIFEST_NAME, False
+    journal = cfg.output_dir / MANIFEST_NAME
     # The legacy scan carries state from q to q, so it always runs over the
-    # whole prefix, reloaded batches included, once a batch to run needs it.
+    # whole prefix, reloaded batches included, once a batch to solve needs it.
     top = min(cfg.q_max, LEGACY_PROBE_LIMIT) if mode.legacy_prefix else 0
     small, prefix = range(cfg.q_start, top + 1, cfg.step), {}
-    # per batch to run: how many prefix values lead it, and the rest cut into
+    # per batch to solve: how many prefix values lead it, and the rest cut into
     # one slice per worker; no more workers start than a batch has slices
-    work = {}
-    for index, qs in enumerate(batches, start=1):
-        if index not in recorded:
-            lead = len(range(qs.start, min(qs.stop, top + 1), qs.step))
-            work[index] = lead, _slices(qs[lead:], cfg.worker_count)
-    processes = min(cfg.worker_count, max((len(slices) for _, slices in work.values()), default=0))
-    solved = _map(processes, mode.solve, [slices for _, slices in work.values()])
-    reports = []
+    todo = [(index, qs, len(range(qs.start, min(qs.stop, top + 1), qs.step)))
+            for index, qs in enumerate(batches, start=1) if index not in done]
+    work = [_slices(qs[lead:], cfg.worker_count) for _, qs, lead in todo]
+    solved = _map(min(cfg.worker_count, max(map(len, work), default=0)), mode.solve, work)
     try:
-        for index, qs in enumerate(batches, start=1):
-            resumed = index in recorded
+        for index, qs, lead in todo:
             t0 = time.perf_counter()
-            if resumed:
-                tallies, unsolved = _reload(cfg, index, qs, recorded[index])
+            pieces = next(solved)
+            if lead:
+                prefix = prefix or dict(legacy_coverage_scan(small))
+                pieces.insert(0, _coverage_result((q, prefix[q]) for q in qs[:lead]))
+            unsolved = [q for r in pieces for q in r.unsolved]
+            tallies = {p: sum(r.counts[p - 1] for r in pieces) for p in PolyId}
+            results = write_results_batch((r.text for r in pieces), index, label, cfg.output_dir)
+            unsolved_file = write_unsolved(unsolved, index, label, cfg.output_dir)
+            record = {"batch": index, "tallies": list(tallies.values()), "sha256": file_digest(results)[0],
+                      "unsolved": len(unsolved), "unsolved_sha256": file_digest(unsolved_file)[0]}
+            if index == todo[0][0]:  # the run's first batch writes the whole journal, records in batch order
+                recorded[index] = record
+                write_lines(journal, map(json.dumps, [_manifest_params(cfg), *map(recorded.get, sorted(recorded))]))
             else:
-                pieces = next(solved)
-                if lead := work[index][0]:
-                    prefix = prefix or dict(legacy_coverage_scan(small))
-                    pieces.insert(0, _coverage_result((q, prefix[q]) for q in qs[:lead]))
-                unsolved = [q for r in pieces for q in r.unsolved]
-                tallies = {p: sum(r.counts[p - 1] for r in pieces) for p in PolyId}
-                results = write_results_batch((r.text for r in pieces), index, label, cfg.output_dir)
-                unsolved_file = write_unsolved(unsolved, index, label, cfg.output_dir)
-                record = {"batch": index, "tallies": list(tallies.values()), "sha256": file_digest(results)[0],
-                          "unsolved": len(unsolved), "unsolved_sha256": file_digest(unsolved_file)[0]}
-                if journal_written:
-                    with open(journal, "a", encoding="ascii") as fh:
-                        fh.write(json.dumps(record) + "\n")
-                else:  # the run's first batch writes the whole journal, records in batch order
-                    recorded[index] = record
-                    write_lines(journal, map(json.dumps, [_manifest_params(cfg), *map(recorded.get, sorted(recorded))]))
-                    journal_written = True
-            reports.append(
-                BatchReport(
-                    batch_index=index,
-                    q_range=(qs.start, qs.stop - 1),
-                    solved_count=sum(tallies.values()),
-                    tallies=tallies,
-                    unsolved=unsolved,
-                    elapsed_seconds=0.0 if resumed else time.perf_counter() - t0,
-                    resumed=resumed,
-                )
-            )
+                with open(journal, "a", encoding="ascii") as fh:
+                    fh.write(json.dumps(record) + "\n")
+            done[index] = BatchReport(index, (qs.start, qs.stop - 1), sum(tallies.values()), tallies, unsolved,
+                                      time.perf_counter() - t0)
     finally:
         solved.close()  # the workers must not run on after the scan failed or was interrupted
+    reports = [done[index] for index in sorted(done)]
 
     if mode.aggregate:
         write_results_aggregate(

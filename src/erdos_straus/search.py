@@ -175,11 +175,6 @@ def x_sweep_bound(q: int) -> int:
     return (1 + isqrt(4 * q + 1)) // 2
 
 
-def _x1_prime(n: int) -> Optional[int]:
-    """The least prime p % 3 == 2 dividing n, or None: 2 for even n."""
-    return 2 if n % 2 == 0 else least_prime_factor(n, 3, 2)
-
-
 def x1_yz(n: int, p: int) -> tuple[int, int]:
     """(y, z) at x = 1 from a prime p | n = q+1: P1's for p = 3, else P2's."""
     return (p + 1) // 3, n // p
@@ -190,14 +185,14 @@ def wide_search(q: int) -> Optional[Witness]:
     classification of q > LEGACY_PROBE_LIMIT in an ascending scan.
 
     x = 1 is settled in closed form.  With n = q+1, P1 hits for 3 | n, else
-    P2 at the prime p = _x1_prime(n), as each divisor d % 3 == 2 of n has a
-    prime factor p % 3 == 2 <= d; P3 needs 2 | n, where P2 hits first.  The
-    q it leaves run `sweep_from_x2`.  `batch._wide_slice` applies the same
-    rule in its loop, with no call per q."""
+    P2 at the least prime p % 3 == 2 dividing n (2 for even n), as each divisor
+    d % 3 == 2 of n has a prime factor p % 3 == 2 <= d; P3 needs 2 | n, where
+    P2 hits first.  The q it leaves run `sweep_from_x2`.  `batch._wide_slice`
+    applies the same rule in its loop, with no call per q."""
     if q < 1:
         raise ValueError("q must be >= 1")
     n = q + 1
-    p = 3 if n % 3 == 0 else _x1_prime(n)
+    p = 3 if n % 3 == 0 else least_prime_factor(n, 3, 2)
     if p is None:
         return sweep_from_x2(q)
     return _checked_witness(q, P1 if p == 3 else P2, WitnessTriple(1, *x1_yz(n, p)))
@@ -263,12 +258,12 @@ def prime_witness_search(q: int) -> Optional[WitnessTriple]:
     the least divisor in a residue class, then x in [4, xmax].  The
     identity is the second family's 4*P2 + 1, so the x stages are
     `solve_p2_given_x`, and a witness is checked as P2(x, y, z) = q.  x = 1
-    is the P2 half of `wide_search`'s closed form, at p = _x1_prime(q + 1);
-    the q it leaves run `prime_search_from_x2`.
+    is the P2 half of `wide_search`'s closed form, at p =
+    least_prime_factor(q + 1, 3, 2); the q it leaves run `prime_search_from_x2`.
     """
     if q < 1:
         raise ValueError("q must be >= 1")
-    p = _x1_prime(q + 1)
+    p = least_prime_factor(q + 1, 3, 2)
     return prime_search_from_x2(q) if p is None else _checked_p2(q, 1, *x1_yz(q + 1, p))
 
 

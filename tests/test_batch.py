@@ -9,7 +9,7 @@ import time
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, reject, settings, strategies as st
 
 from erdos_straus import batch, search
 from erdos_straus.batch import (
@@ -680,6 +680,50 @@ def test_resume_rejects_a_batch_the_scan_has_not(tmp_path, stray):
     assert {p.name: p.read_bytes() for p in path.parent.iterdir()} == before
 
 
+# Three batches of 3000 values each, whose every batch has 2 slices; the cover
+# scan's first batch also holds the whole legacy prefix
+_CHECKED_SCANS = {
+    "cover": dict(q_max=9000, batch_size=3000),
+    "primes": dict(mode=ScanMode.PRIME_COVERAGE, step=6, q_start=6, q_max=9000, batch_size=3000),
+}
+
+
+def _change_a_byte(out, mode):
+    path = results_batch_path(2, mode.value, out)
+    data = bytearray(path.read_bytes())
+    data[len(data) // 2] ^= 1
+    path.write_bytes(bytes(data))
+
+
+def _append_an_unsolved_q(out, mode):
+    with open(unsolved_path(2, mode.value, out), "a") as fh:
+        fh.write("7\n")
+
+
+def _edit_the_tallies(out, mode):
+    _edit_record(out, 2, _raise_tally(PolyId.P2))
+
+
+@pytest.mark.parametrize("damage", [_change_a_byte, _append_an_unsolved_q, _edit_the_tallies],
+                         ids=["results-byte", "unsolved-line", "record-tallies"])
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("name", sorted(_CHECKED_SCANS))
+def test_a_resume_checks_every_recorded_batch_before_it_solves_any(tmp_path, monkeypatch, name, workers, damage):
+    # batch 1 unrecorded, so a resume would rerun it, and batch 2 damaged: the resume
+    # fails on batch 2 having started no worker, solved nothing and written nothing
+    cfg = _cfg(tmp_path, worker_count=workers, **_CHECKED_SCANS[name])
+    assert len(run_coverage(cfg)) == 3
+    _forget_batches(tmp_path, 1)
+    damage(tmp_path, cfg.mode)
+    before = tree_bytes(tmp_path)
+    monkeypatch.setattr(multiprocessing.Process, "start", _forbidden)
+    monkeypatch.setitem(batch._MODES, cfg.mode, batch._MODES[cfg.mode]._replace(solve=_forbidden))
+    monkeypatch.setattr(batch, "legacy_coverage_scan", _forbidden)
+    with pytest.raises(ResumeError, match=r"^batch 2, q in "):
+        run_coverage(cfg, resume=True)
+    assert tree_bytes(tmp_path) == before
+
+
 def test_checkpoint_resume_errors(tmp_path):
     cfg = _cfg(tmp_path / "out")
     with pytest.raises(ResumeError):
@@ -844,8 +888,11 @@ _CANCELLED_SCANS = {
 # processes in _POINTS["count"]: each slice solve, in the parent or a worker,
 # and the parent's calls of reports.write_text (once the text is written, before
 # the rename), of file_digest and of the journal append.  The point numbered
-# _POINTS["stop"] interrupts the scan.
+# _POINTS["stop"] interrupts the scan: in the parent, _POINTS["pid"], it raises
+# KeyboardInterrupt there, as SIGINT's handler would; in a worker it sends the
+# parent SIGINT.  _POINTS["reached"] records where it was reached.
 _POINTS = {}
+_IN_PARENT, _IN_WORKER = 1, 2
 
 
 def _point():
@@ -854,6 +901,10 @@ def _point():
         count.value += 1
         stop = count.value == _POINTS["stop"]
     if stop:
+        in_parent = os.getpid() == _POINTS["pid"]
+        _POINTS["reached"].value = _IN_PARENT if in_parent else _IN_WORKER
+        if in_parent:
+            raise KeyboardInterrupt
         _interrupt_the_scan()
 
 
@@ -873,7 +924,9 @@ def _point_after(text):
 def test_a_serial_scan_cancelled_anywhere_resumes_to_the_straight_runs_bytes(name, workers, stops):
     # each run, serial or with 2 workers, is interrupted at a drawn point (or
     # ends first) and resumes the last, or starts afresh while no batch is
-    # recorded; a last run resumes to the end
+    # recorded; a last run resumes to the end.  A run that reached its point
+    # ends in KeyboardInterrupt, unless a worker's SIGINT landed where Python
+    # drops the exception (in a gc callback, say): that example is rejected.
     with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as patch:
         patch.setattr(batch, "WINDOW_SPAN", batch.WINDOW_MARGIN + 500)  # a small batch cut into 2-3 slices
         cfg = _cfg(Path(tmp) / "cancelled", worker_count=workers, **_CANCELLED_SCANS[name])
@@ -890,13 +943,19 @@ def test_a_serial_scan_cancelled_anywhere_resumes_to_the_straight_runs_bytes(nam
         patch.setattr("erdos_straus.reports.write_text", lambda path, text: write_text(path, _point_after(text)))
         patch.setattr(batch, "file_digest", lambda path: _point() or file_digest(path))
         patch.setattr(batch, "open", open_at_a_point, raising=False)
+        patch.setitem(_POINTS, "pid", os.getpid())
         for stop in [*stops, None]:
             patch.setitem(_POINTS, "count", multiprocessing.Value("i", 0))
             patch.setitem(_POINTS, "stop", stop)
+            patch.setitem(_POINTS, "reached", reached := multiprocessing.Value("i", 0))
             try:
                 run_coverage(cfg, resume=(cfg.output_dir / MANIFEST_NAME).exists())
             except KeyboardInterrupt:
-                assert multiprocessing.active_children() == []
+                assert reached.value and multiprocessing.active_children() == []
+            else:
+                assert reached.value != _IN_PARENT
+                if reached.value == _IN_WORKER:
+                    reject()
         assert tree_bytes(cfg.output_dir) == tree_bytes(Path(tmp) / "straight")
 
 

@@ -1,5 +1,6 @@
 import contextlib
 import json
+import multiprocessing
 import os
 import random
 import signal
@@ -19,6 +20,7 @@ from erdos_straus.reports import file_digest, read_results_q, results_batch_path
 
 from .journal import edit_journal, journal_records, tree_bytes
 from .oracles import Row, rows_text
+from .test_batch import _forbidden
 
 
 def run(capsys, *argv):
@@ -225,6 +227,28 @@ def test_resume_rejects_a_malformed_batch_index(capsys, tmp_path, edit, message)
     code, _, err = _cover_then_tamper(capsys, tmp_path, tamper)
     assert code == 65
     assert "corrupt checkpoint manifest" in err and message in err
+    assert tree_bytes(tmp_path) == before
+
+
+@pytest.mark.parametrize("workers", ["1", "2"])
+def test_a_failed_resume_starts_no_worker_and_writes_nothing(capsys, tmp_path, monkeypatch, workers):
+    # batch 1 unrecorded, so the resume would rerun it, and a byte of batch 2's results
+    # changed: it exits 65 on batch 2 before it solves batch 1 or starts a worker
+    argv = ["cover", "--q-max", "9000", "--batch-size", "3000", "--workers", workers, "--out-dir", str(tmp_path)]
+    assert run(capsys, *argv)[0] == 0
+    edit_journal(tmp_path, lambda records: records.pop(1))
+    path = tmp_path / "results_batch2.csv"
+    path.write_bytes(path.read_bytes().replace(b"\n3001,", b"\n3001,2"))
+    before = tree_bytes(tmp_path)
+    monkeypatch.setattr(multiprocessing.Process, "start", _forbidden)
+    monkeypatch.setitem(batch._MODES, batch.ScanMode.COVERAGE,
+                        batch._MODES[batch.ScanMode.COVERAGE]._replace(solve=_forbidden))
+    monkeypatch.setattr(batch, "legacy_coverage_scan", _forbidden)
+    code, out, err = run(capsys, *argv, "--resume")
+    assert code == 65
+    assert err == ("error: batch 2, q in [3001, 6000]: results_batch2.csv is not the file the checkpoint "
+                   "recorded (sha256 differs)\n")
+    assert out == "qStart = 1, qMax = 9000, step = 1\nBatch size (number of q values per batch) = 3000\n"
     assert tree_bytes(tmp_path) == before
 
 

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from math import isqrt
 
 import pytest
 from hypothesis import given, strategies as st
@@ -109,6 +110,23 @@ def test_p1_p2_strictly_increasing_in_x(x, y, z):
     hi = WitnessTriple(x + 1, y, z)
     assert eval_poly(PolyId.P1, hi) > eval_poly(PolyId.P1, lo)
     assert eval_poly(PolyId.P2, hi) > eval_poly(PolyId.P2, lo)
+
+
+def _is_square(n):
+    return isqrt(n) ** 2 == n
+
+
+# 4*P2 + 1 is never a perfect square: with u = 4x-1 and M = u(4y-1) - 1, it is
+# zM - u, and -u is a quadratic non-residue mod M (Jacobi reciprocity, then mod 8)
+@given(st.integers(1, 10**6), st.integers(1, 10**6), st.integers(1, 10**6))
+def test_4_p2_plus_1_is_never_a_square(x, y, z):
+    assert not _is_square(shifted_value(PolyId.P2, WitnessTriple(x, y, z)))
+
+
+def test_4_p2_plus_1_is_no_square_on_a_small_cube():
+    points = [WitnessTriple(x, y, z) for x in range(1, 60) for y in range(1, 60) for z in range(1, 60)]
+    assert len(points) == 205_379
+    assert not any(_is_square(shifted_value(PolyId.P2, t)) for t in points)
 
 
 @pytest.mark.parametrize("p,expected", [

@@ -181,7 +181,7 @@ def _sweep_from_x1(q):
 def _x1_closed_form(q, window=None):
     """P2's (y, z) at x = 1 by wide_search's rule; with `window`, by its
     least prime 2 mod 3, as a coverage slice looks it up (2 for even q+1)."""
-    p = search_module._x1_prime(q + 1) if window is None else window.least_prime_factor(q + 1, 3, 2)
+    p = (least_prime_factor if window is None else window.least_prime_factor)(q + 1, 3, 2)
     return None if p is None else search_module.x1_yz(q + 1, p)
 
 
@@ -522,6 +522,19 @@ def test_p4_classification_of_oblong_numbers():
     # 13110 is oblong (114*115) but the third family reaches it first
     w = staged_search(13110)
     assert w == Witness(13110, PolyId.P3, WitnessTriple(58, 29, 1))
+
+
+def test_an_oblong_q_needs_p4_exactly_when_every_prime_of_2x_minus_1_is_1_mod_8():
+    # 4q+1 = (2X-1)^2 is a square, which 4*P2 + 1 never is (test_families); P1 and
+    # P3 miss it just when every prime factor of 2X-1 is 1 mod 8, and P4 is x = X
+    needs_p4 = 0
+    for big_x in range(2, 1001):
+        w = wide_search(big_x * (big_x - 1))
+        criterion = all(p % 8 == 1 for p in factorize(2 * big_x - 1))
+        assert (w.poly is PolyId.P4) == criterion, big_x
+        assert not criterion or w.triple == (big_x, 1, 1), big_x
+        needs_p4 += criterion
+    assert needs_p4 == 75
 
 
 def test_prime_witness_search_small():
