@@ -191,7 +191,9 @@ def _map(processes: int, fn, work: Sequence[Sequence]) -> Iterator[list]:
 # A coverage slice's factor window spans [q_first + 1, q_last + WINDOW_MARGIN]:
 # the sweep asks for the divisors of q + x, and nearly every q in the hard
 # class is classified at x <= WINDOW_MARGIN (larger x fall back to per-n
-# factorization).  WINDOW_SPAN caps the window, which bounds worker memory.
+# factorization; an oblong q, whose sweep would run to x ~ sqrt(q), asks for
+# no q + x, as `sweep_from_x2` answers it in closed form).  WINDOW_SPAN caps
+# the window, which bounds worker memory.
 WINDOW_MARGIN = 64
 WINDOW_SPAN = 1 << 16
 

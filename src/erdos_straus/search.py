@@ -20,7 +20,9 @@ i.e. nothing beyond q ~ 1400 can ever be touched.
 
 Both searches have one shape: the x = 1 closed form, then one routine from
 x = 2 on, which is all a slice solver calls for the q its own x = 1 rows
-leave.  `wide_search` is x = 1, then `sweep_from_x2`.  `prime_witness_search`,
+leave.  `wide_search` is x = 1, then `sweep_from_x2`, which answers an
+oblong q = X(X-1) (4q+1 a square, the sweep's far tail, where it would run
+to x = X) in closed form from the divisors of 4q+1.  `prime_witness_search`,
 the prime program's staged second-family search, is x = 1, then
 `prime_search_from_x2`: each later stage a least-divisor lookup, and at
 y = 1 and z = 1, where that divisor is a prime, a `least_prime_factor`
@@ -200,8 +202,14 @@ def wide_search(q: int) -> Optional[Witness]:
 
 def sweep_from_x2(q: int, window: Optional[FactorWindow] = None) -> Optional[Witness]:
     """wide_search for a q that x = 1 leaves: the sweep over 2 <= x <=
-    x_sweep_bound(q), P1 then P2 then P3 at each x, then the x(x-1) check;
-    each x is solved inline as `solve_p*_given_x` solves it (n > 0, so m | n gives n >= m)."""
+    x_sweep_bound(q), P1 then P2 then P3 at each x, then the x(x-1) check.
+    An oblong q, 4q+1 = s^2, takes that answer from the divisors of s^2
+    (`_oblong_sweep`), with no x stepped; no other q passes the x(x-1) check.
+    Any other q steps x, each solved inline as `solve_p*_given_x` solves it
+    (n > 0, so m | n gives n >= m)."""
+    s = isqrt(4 * q + 1)
+    if s * s == 4 * q + 1:
+        return _oblong_sweep(q, s)
     for x in range(2, x_sweep_bound(q) + 1):
         m, n = 4 * x - 1, q + x
         if n % m == 0:
@@ -211,10 +219,33 @@ def sweep_from_x2(q: int, window: Optional[FactorWindow] = None) -> Optional[Wit
             return _checked_witness(q, P2, WitnessTriple(x, (d + x) // m, n // d))
         if (q + 3 * x - 2) % (8 * x - 6) == 0:
             return _checked_witness(q, P3, WitnessTriple(x, (q + 3 * x - 2) // (8 * x - 6), 1))
-    x = check_p4(q)
-    if x is not None:
-        return _checked_witness(q, P4, WitnessTriple(x, 1, 1))
     return None
+
+
+def _oblong_sweep(q: int, s: int) -> Optional[Witness]:
+    """`sweep_from_x2` for q = X(X-1), whose 4q+1 = s^2 is a square.
+
+    4(q+x) = s^2 + (4x-1), so P1 hits at x = (d+1)/4 just when d = 4x-1 >= 7
+    divides s^2.  P2 never hits, as 4*P2 + 1 is never a square (README, "What
+    P1-P3 cannot cover").  P3 hits at x just when s^2 = (4x-3)(8y-3), and as
+    s^2 is 1 mod 8, just when d = 4x-3 is a divisor 5 mod 8 of s^2, x =
+    (d+3)/4.  The sweep's answer is the least such x up to x_sweep_bound(q),
+    P1 first on a tie, with the triple the sweep builds; else the x(x-1) check.
+    """
+    xmax = x_sweep_bound(q)
+    best = (xmax + 1, P1)
+    for d in divisors_of({p: 2 * e for p, e in factorize(s).items()}):
+        if d % 4 == 3 and d > 3:
+            best = min(best, ((d + 1) // 4, P1))
+        elif d % 8 == 5:
+            best = min(best, ((d + 3) // 4, P3))
+    x, poly = best
+    if x <= xmax:
+        if poly is P1:
+            return _checked_witness(q, P1, WitnessTriple(x, 1, (q + x) // (4 * x - 1)))
+        return _checked_witness(q, P3, WitnessTriple(x, (q + 3 * x - 2) // (8 * x - 6), 1))
+    x = check_p4(q)
+    return None if x is None else _checked_witness(q, P4, WitnessTriple(x, 1, 1))
 
 
 def staged_search(q: int) -> Optional[Witness]:

@@ -104,6 +104,22 @@ def sweep_by_solvers(q: int):
     return None if x is None else Witness(q, PolyId.P4, WitnessTriple(x, 1, 1))
 
 
+def p4_count_by_sieve(q_max: int) -> int:
+    """How many q <= q_max need P4: the oblong q = X(X-1) whose s = 2X-1 has
+    every prime factor 1 mod 8 (README, "What P1-P3 cannot cover").  4q+1 =
+    s^2, so these are the odd 3 <= s <= isqrt(4 q_max + 1) that no prime
+    other than 1 mod 8 divides, counted by striking the multiples of each
+    such prime."""
+    top = isqrt(4 * q_max + 1)
+    composite, struck = bytearray(top + 1), bytearray(top + 1)
+    for p in range(2, top + 1):
+        if not composite[p]:
+            composite[p * p :: p] = b"\1" * len(range(p * p, top + 1, p))
+            if p % 8 != 1:
+                struck[p::p] = b"\1" * len(range(p, top + 1, p))
+    return sum(not struck[s] for s in range(3, top + 1, 2))
+
+
 def _naive_xmax(q: int) -> int:
     # largest x with (2x-1)^2 <= 4q+1, found by counting up
     x = 1

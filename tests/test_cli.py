@@ -603,6 +603,18 @@ def test_witness(capsys):
     assert code == 64
 
 
+def test_the_slowest_oblong_inputs_answer_at_once(capsys):
+    # a = 4q+1 = 2000671^2: the sweep's loop stepped x to about 10^6 on it
+    assert run(capsys, "witness", "1000671112560") == (0, "p1 x=500168 y=1 z=500168\n", "")
+    assert run(capsys, "decompose", "4002684450241") == (0, (
+        "a = 4002684450241\n"
+        "provenance = CaseP1\n"
+        "witness = p1 (500168,1,500168)\n"
+        "b c d = 2502518595303078792 1000671612728 10010069377856252199\n"
+        "4/4002684450241 = 1/2502518595303078792 + 1/1000671612728 + 1/10010069377856252199 (verified exact)\n"
+    ), "")
+
+
 def test_verify_csv_good(capsys, tmp_path):
     rows = [Row(2, 1, 1, 1, "p1"), Row(6, 2, 1, None, "p3")]
     path = write_results_batch(rows_text(rows), 1, "coverage", tmp_path)

@@ -37,6 +37,7 @@ from .oracles import (
     naive_cube,
     naive_staged_classification,
     p2_divisor_instance,
+    p4_count_by_sieve,
     prime_candidate_by_sweep,
     stale_square_by_loop,
     sweep_by_solvers,
@@ -236,15 +237,31 @@ def test_sweep_from_x2_matches_the_solver_loop_at_scale(q, with_window):
 
 @pytest.mark.parametrize("with_window", [False, True])
 def test_sweep_from_x2_matches_the_solver_loop_on_oblong_q(with_window):
-    # q = x(x-1): 4q+1 is a square, and the sweep runs to its end on the P4 q
+    # every q = X(X-1) < 10^7 (X <= 3162), windowed to X = 1000: 4q+1 is a square,
+    # which sweep_from_x2 answers in closed form and the loop by stepping x to X
+    top, p4_from_x2 = (1000, 77) if with_window else (3162, 217)
     p4 = 0
-    for x in range(2, 1001):
-        q = x * (x - 1)
+    for big_x in range(2, top + 1):
+        q = big_x * (big_x - 1)
         window = FactorWindow(q + 1, q + 64) if with_window else None
         expect = sweep_by_solvers(q)
         assert sweep_from_x2(q, window) == expect, q
         p4 += expect.poly is PolyId.P4
-    assert p4 > 20
+    assert p4 == p4_from_x2
+
+
+@given(st.integers(2, 3 * 10**4))
+@settings(max_examples=50, deadline=None)
+def test_sweep_from_x2_matches_the_solver_loop_on_far_oblong_q(big_x):
+    q = big_x * (big_x - 1)
+    assert sweep_from_x2(q) == sweep_by_solvers(q), q
+
+
+def test_the_oblong_closed_form_keeps_the_sweep_bound():
+    # q = 20, s = 9: 27 is the least divisor 3 mod 4 above 3 of 81, but its x = 7
+    # is past x_sweep_bound(20) = 5, so the sweep ends at the x(x-1) check
+    assert sweep_from_x2(20) == Witness(20, PolyId.P4, WitnessTriple(5, 1, 1))
+    assert wide_search(20) == Witness(20, PolyId.P1, WitnessTriple(1, 1, 7))
 
 
 @pytest.mark.parametrize("n", [
@@ -527,14 +544,22 @@ def test_p4_classification_of_oblong_numbers():
 def test_an_oblong_q_needs_p4_exactly_when_every_prime_of_2x_minus_1_is_1_mod_8():
     # 4q+1 = (2X-1)^2 is a square, which 4*P2 + 1 never is (test_families); P1 and
     # P3 miss it just when every prime factor of 2X-1 is 1 mod 8, and P4 is x = X
-    needs_p4 = 0
-    for big_x in range(2, 1001):
+    needs_p4 = []
+    for big_x in range(2, 3163):  # every q = X(X-1) < 10^7
         w = wide_search(big_x * (big_x - 1))
         criterion = all(p % 8 == 1 for p in factorize(2 * big_x - 1))
         assert (w.poly is PolyId.P4) == criterion, big_x
         assert not criterion or w.triple == (big_x, 1, 1), big_x
-        needs_p4 += criterion
-    assert needs_p4 == 75
+        if criterion:
+            needs_p4.append(big_x)
+    # 2 fewer than sweep_from_x2's 217: q = 2 and 20 hit P1 at x = 1
+    assert len(needs_p4) == p4_count_by_sieve(10**7) == 215
+    assert sum(x <= 1000 for x in needs_p4) == p4_count_by_sieve(10**6) == 75
+
+
+def test_the_p4_count_sieve_gives_the_readme_table():
+    # the q <= Q that need P4, for Q = 10^3 .. 10^10
+    assert [p4_count_by_sieve(10**k) for k in range(3, 11)] == [2, 8, 27, 75, 215, 641, 1869, 5504]
 
 
 def test_prime_witness_search_small():
@@ -719,6 +744,17 @@ def test_wrong_witness_raises_under_python_O():
                 continue
             sys.exit(f"{fn.__name__} accepted a wrong least divisor")
         search._least_divisor = least_divisor
+        # q = 72 = 9*8, 4q+1 = 17^2: the closed form must check what a wrong
+        # divisor of 17^2, 3 mod 4 (P1 at x = 2) or 5 mod 8 (P3 at x = 4), gives
+        divisors_of = search.divisors_of
+        for wrong in (7, 13):
+            search.divisors_of = lambda factors, d=wrong: [1, d]
+            try:
+                search.sweep_from_x2(72)
+            except AssertionError:
+                continue
+            sys.exit(f"sweep_from_x2 accepted a wrong divisor {wrong} of an oblong q")
+        search.divisors_of = divisors_of
         search.solve_p2_given_x = lambda q, x: (1, 1)
         try:
             search.prime_witness_search(36)
