@@ -280,10 +280,10 @@ def _prime_slice(qs: range) -> SliceResult:
             y, z = x1_yz(q + 1, p)
             check_value(P2, (1, y, z), q)
             lines.append(f"{q},1,{y},{z}\n")
-        elif (t := prime_search_from_x2(q)) is None:
+        elif (w := prime_search_from_x2(q)) is None:
             unsolved.append(q)
         else:
-            lines.append(prime_line(q, t))
+            lines.append(prime_line(w))
     return SliceResult("".join(lines), unsolved, [0, len(lines), 0, 0])
 
 

@@ -212,12 +212,12 @@ def _cmd_verify_csv(args) -> int:
     # One pass: the first bad row in file order decides the exit code, 1 or 65.
     mode, witnesses = open_results(args.path)
     prime = mode == "prime"  # rows of prime targets 4q+1
+    line_of = prime_line if prime else coverage_line
     rows = 0
     for rows, w in enumerate(witnesses, start=1):
         a = 4 * w.q + 1  # unproven, hence unverified, from MR_LIMIT on
         if eval_poly(w.poly, w.triple) != w.q or (prime and not (a < MR_LIMIT and is_prime(a))):
-            line = prime_line(w.q, w.triple) if prime else coverage_line(w)
-            print(f"{args.path}:{rows + 1}: invalid row {line.rstrip()}")
+            print(f"{args.path}:{rows + 1}: invalid row {line_of(w).rstrip()}")
             return 1
     print(f"{args.path}: {rows} rows verified")
     return 0

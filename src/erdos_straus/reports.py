@@ -6,7 +6,8 @@ Coverage batch files are named results_batch<B>.csv with an unpadded index
 at the output root; prime batch files are results_batch<BBB>.csv, zero
 padded to three digits, under a Results/ subdirectory.  Fields are plain
 ASCII, comma separated, never quoted; rows end with a newline.  Rows are
-written as text by `coverage_line` and `prime_line`, and by the slice
+written as text from a `Witness` by `coverage_line` and `prime_line` (a
+prime row is a P2 witness's, without its label), and by the slice
 solvers `batch._wide_slice` and `batch._prime_slice`, which format their
 x = 1 rows themselves; the tests `test_coverage_slice_text_is_the_row_rendering`
 and `test_prime_slice_text_is_the_row_rendering` keep those rows equal to
@@ -47,9 +48,10 @@ def coverage_line(w: Witness) -> str:
     return f"{q},{x},{y},{z},{FAMILY_LABELS[poly - 1]}\n"
 
 
-def prime_line(q: int, t: WitnessTriple) -> str:
-    """A prime target's row as newline-terminated CSV text."""
-    return f"{q},{t.x},{t.y},{t.z}\n"
+def prime_line(w: Witness) -> str:
+    """A prime target's P2 witness's row as newline-terminated CSV text."""
+    t = w.triple
+    return f"{w.q},{t.x},{t.y},{t.z}\n"
 
 
 def results_batch_path(batch_index: int, mode: str, out_dir: Path) -> Path:
@@ -178,6 +180,7 @@ def read_results(path: Path, mode: Optional[str] = None) -> Iterator[Witness]:
 def _witnesses(path: Path, rows: Iterator, prime: bool) -> Iterator[Witness]:
     # tuple.__new__ skips the named tuples' Python-level __new__, a sixth of a row's cost
     new = tuple.__new__
+    line_of = prime_line if prime else coverage_line
     for lineno, line in rows:
         try:
             if prime:
@@ -187,7 +190,7 @@ def _witnesses(path: Path, rows: Iterator, prime: bool) -> Iterator[Witness]:
                 q, x, y, z, label = line.split(",")
                 q, x, y, z, poly = int(q), int(x), int(y or 1), int(z or 1), _POLY_OF_LABEL_LF[label]
             w = new(Witness, (q, poly, new(WitnessTriple, (x, y, z))))
-            text = prime_line(q, w.triple) if prime else coverage_line(w)
+            text = line_of(w)
         except (ValueError, KeyError):
             text = None
         if text != line or q < 1 or x < 1 or y < 1 or z < 1:

@@ -26,8 +26,8 @@ to x = X) in closed form from the divisors of 4q+1.  `prime_witness_search`,
 the prime program's staged second-family search, is x = 1, then
 `prime_search_from_x2`: each later stage a least-divisor lookup, and at
 y = 1 and z = 1, where that divisor is a prime, a `least_prime_factor`
-lookup, as at x = 1.  Every witness any of these searches returns has
-passed `families.check_value`.
+lookup, as at x = 1.  Every search returns a `Witness` (P2 from the prime
+searches) or None, each built by `_checked_witness`, the searches' one check.
 """
 
 from __future__ import annotations
@@ -56,7 +56,7 @@ LEGACY_PROBE_LIMIT = 2048
 
 def _checked_witness(q: int, poly: PolyId, t: WitnessTriple) -> Witness:
     check_value(poly, t, q)
-    return Witness(q, poly, t)
+    return tuple.__new__(Witness, (q, poly, t))  # skips Witness's Python-level __new__, 40% of its cost
 
 
 def _cube_table(xs: Iterable[int]) -> dict[int, tuple[PolyId, WitnessTriple]]:
@@ -222,30 +222,29 @@ def sweep_from_x2(q: int, window: Optional[FactorWindow] = None) -> Optional[Wit
     return None
 
 
-def _oblong_sweep(q: int, s: int) -> Optional[Witness]:
+def _oblong_sweep(q: int, s: int) -> Witness:
     """`sweep_from_x2` for q = X(X-1), whose 4q+1 = s^2 is a square.
 
     4(q+x) = s^2 + (4x-1), so P1 hits at x = (d+1)/4 just when d = 4x-1 >= 7
     divides s^2.  P2 never hits, as 4*P2 + 1 is never a square (README, "What
     P1-P3 cannot cover").  P3 hits at x just when s^2 = (4x-3)(8y-3), and as
     s^2 is 1 mod 8, just when d = 4x-3 is a divisor 5 mod 8 of s^2, x =
-    (d+3)/4.  The sweep's answer is the least such x up to x_sweep_bound(q),
-    P1 first on a tie, with the triple the sweep builds; else the x(x-1) check.
+    (d+3)/4.  The sweep's answer is the least such x up to x_sweep_bound(q) =
+    X = (s+1)/2, P1 first on a tie, with the triple the sweep builds; else P4
+    at x = X, which the x(x-1) check always finds.
     """
-    xmax = x_sweep_bound(q)
-    best = (xmax + 1, P1)
+    best = ((s + 1) // 2, P4)  # a tie at x = X goes to P1 or P3, as in the sweep
     for d in divisors_of({p: 2 * e for p, e in factorize(s).items()}):
         if d % 4 == 3 and d > 3:
             best = min(best, ((d + 1) // 4, P1))
         elif d % 8 == 5:
             best = min(best, ((d + 3) // 4, P3))
     x, poly = best
-    if x <= xmax:
-        if poly is P1:
-            return _checked_witness(q, P1, WitnessTriple(x, 1, (q + x) // (4 * x - 1)))
+    if poly is P1:
+        return _checked_witness(q, P1, WitnessTriple(x, 1, (q + x) // (4 * x - 1)))
+    if poly is P3:
         return _checked_witness(q, P3, WitnessTriple(x, (q + 3 * x - 2) // (8 * x - 6), 1))
-    x = check_p4(q)
-    return None if x is None else _checked_witness(q, P4, WitnessTriple(x, 1, 1))
+    return _checked_witness(q, P4, WitnessTriple(x, 1, 1))
 
 
 def staged_search(q: int) -> Optional[Witness]:
@@ -274,39 +273,33 @@ def legacy_coverage_scan(qs: Iterable[int]) -> Iterator[tuple[int, Optional[Witn
         yield q, hit
 
 
-def _checked_p2(q: int, x: int, y: int, z: int) -> WitnessTriple:
-    t = WitnessTriple(x, y, z)
-    check_value(P2, t, q)
-    return t
-
-
-def prime_witness_search(q: int) -> Optional[WitnessTriple]:
-    """Witness (x, y, z) with (4x-1)(4yz-1) - 4xz = 4q+1, staged.
+def prime_witness_search(q: int) -> Optional[Witness]:
+    """P2 witness (x, y, z), (4x-1)(4yz-1) - 4xz = 4q+1, staged.
 
     Callers gate on 4q+1 being prime; the search itself only needs q >= 1.
     Stage order matches the original prime program: x in {1,2,3}, then
     y in {1,2,3} and z in {1,2,3}, each taking its smallest x <= xmax from
     the least divisor in a residue class, then x in [4, xmax].  The
     identity is the second family's 4*P2 + 1, so the x stages are
-    `solve_p2_given_x`, and a witness is checked as P2(x, y, z) = q.  x = 1
+    `solve_p2_given_x`, and every witness is a checked P2 `Witness`.  x = 1
     is the P2 half of `wide_search`'s closed form, at p =
     least_prime_factor(q + 1, 3, 2); the q it leaves run `prime_search_from_x2`.
     """
     if q < 1:
         raise ValueError("q must be >= 1")
     p = least_prime_factor(q + 1, 3, 2)
-    return prime_search_from_x2(q) if p is None else _checked_p2(q, 1, *x1_yz(q + 1, p))
+    return prime_search_from_x2(q) if p is None else _checked_witness(q, P2, WitnessTriple(1, *x1_yz(q + 1, p)))
 
 
-def prime_search_from_x2(q: int) -> Optional[WitnessTriple]:
+def prime_search_from_x2(q: int) -> Optional[Witness]:
     """prime_witness_search for a q that x = 1 leaves: the prime program's
-    stages after x = 1, in its order; a triple is checked as P2(x, y, z) = q,
-    as `sweep_from_x2` checks its Witness.  A prime slice calls it on each
-    target whose q+1 `numutil.prime_targets` finds no prime 2 mod 3 for."""
+    stages after x = 1, in its order, each P2 `Witness` checked as
+    `sweep_from_x2` checks its own.  A prime slice calls it on each target
+    whose q+1 `numutil.prime_targets` finds no prime 2 mod 3 for."""
     for x in (2, 3):
         yz = solve_p2_given_x(q, x)
         if yz is not None:
-            return _checked_p2(q, x, *yz)
+            return _checked_witness(q, P2, WitnessTriple(x, *yz))
     a = 4 * q + 1
     xmax = x_sweep_bound(q)
     # y: with k = 4y-1, E = (4x-1)k - 1 divides a+4x-1 iff it divides ka+1, as
@@ -316,26 +309,26 @@ def prime_search_from_x2(q: int) -> Optional[WitnessTriple]:
     # in wide_search.
     p = least_prime_factor(3 * q + 1, 3, 2)
     if p is not None and (p + 1) // 3 <= xmax:
-        return _checked_p2(q, (p + 1) // 3, 1, (q + (p + 1) // 3) // p)
+        return _checked_witness(q, P2, WitnessTriple((p + 1) // 3, 1, (q + (p + 1) // 3) // p))
     for y in (2, 3):
         k = 4 * y - 1
         e = _least_divisor(k * a + 1, 4 * k, 3 * k - 1)
         if e is not None and (e + k + 1) // (4 * k) <= xmax:
             x = (e + k + 1) // (4 * k)
-            return _checked_p2(q, x, y, (a + 4 * x - 1) // e)
+            return _checked_witness(q, P2, WitnessTriple(x, y, (a + 4 * x - 1) // e))
     # z: with f = 4x-1, 4zf divides a-1+4x(z+1) = (a+z) + f(z+1) iff f divides
     # a+z and 4z divides (a+z)/f + z+1.  At z = 1, the odd f divides a+1 =
     # 2(2q+1) iff it divides 2q+1, and then (a+1)/f is 2 mod 4, so f is the
     # least prime 3 mod 4 of 2q+1: each divisor 3 mod 4 has such a prime factor.
     f = least_prime_factor(2 * q + 1, 4, 3)
     if f is not None and (f + 1) // 4 <= xmax:
-        return _checked_p2(q, (f + 1) // 4, ((a + 1) // f + 2) // 4, 1)
+        return _checked_witness(q, P2, WitnessTriple((f + 1) // 4, ((a + 1) // f + 2) // 4, 1))
     for z in (2, 3):
         f = _least_divisor(a + z, 4, 3, 4 * z, -(z + 1) % (4 * z))
         if f is not None and (f + 1) // 4 <= xmax:
-            return _checked_p2(q, (f + 1) // 4, ((a + z) // f + z + 1) // (4 * z), z)
+            return _checked_witness(q, P2, WitnessTriple((f + 1) // 4, ((a + z) // f + z + 1) // (4 * z), z))
     for x in range(4, xmax + 1):
         yz = solve_p2_given_x(q, x)
         if yz is not None:
-            return _checked_p2(q, x, *yz)
+            return _checked_witness(q, P2, WitnessTriple(x, *yz))
     return None

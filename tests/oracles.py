@@ -120,6 +120,26 @@ def p4_count_by_sieve(q_max: int) -> int:
     return sum(not struck[s] for s in range(3, top + 1, 2))
 
 
+def is_four_form_survivor(q: int) -> bool:
+    """Whether no factored identity settles q (README, "Which q the identities
+    settle"), by factorize: every prime of 4q+1 is 1 mod 8, so P1 and P3 miss
+    q (Lemma A); every prime of q+1 and of 3q+1 is 1 mod 3, and every prime of
+    2q+1 is 1 mod 4, so P2 misses q at x = 1, y = 1 and z = 1 (Lemma B)."""
+    from erdos_straus.numutil import factorize
+
+    return (all(p % 8 == 1 for p in factorize(4 * q + 1))
+            and all(p % 3 == 1 for p in factorize(q + 1))
+            and all(p % 3 == 1 for p in factorize(3 * q + 1))
+            and all(p % 4 == 1 for p in factorize(2 * q + 1)))
+
+
+def four_form_survivors(q_max: int) -> list[int]:
+    """The survivors q <= q_max: only multiples of 6, by the reduction, so
+    only those are tried; for q = 6c the four forms are 24c+1, 6c+1, 18c+1
+    and 12c+1."""
+    return [q for q in range(6, q_max + 1, 6) if is_four_form_survivor(q)]
+
+
 def _naive_xmax(q: int) -> int:
     # largest x with (2x-1)^2 <= 4q+1, found by counting up
     x = 1
@@ -236,31 +256,32 @@ def p2_divisor_instance(a: int, x: int):
 def prime_candidate_by_sweep(q: int):
     """The prime program's staged second-family search with its O(sqrt q)
     sweeps over x: x in {1,2,3} by divisors, then y in {1,2,3} and
-    z in {1,2,3} by testing every x <= xmax, then x in [4, xmax]."""
-    from erdos_straus.search import solve_p2_given_x, x_sweep_bound
+    z in {1,2,3} by testing every x <= xmax, then x in [4, xmax]; the P2
+    Witness of the first hit."""
+    from erdos_straus.search import Witness, solve_p2_given_x, x_sweep_bound
 
     a = 4 * q + 1
     xmax = x_sweep_bound(q)
     for x in (1, 2, 3):
         yz = solve_p2_given_x(q, x)
         if yz is not None:
-            return WitnessTriple(x, *yz)
+            return Witness(q, PolyId.P2, WitnessTriple(x, *yz))
     for y in (1, 2, 3):
         for x in range(1, xmax + 1):
             e = (4 * x - 1) * (4 * y - 1) - 1
             n = a + 4 * x - 1
             if n % e == 0:
-                return WitnessTriple(x, y, n // e)
+                return Witness(q, PolyId.P2, WitnessTriple(x, y, n // e))
     for z in (1, 2, 3):
         for x in range(1, xmax + 1):
             den = 4 * z * (4 * x - 1)
             num = a - 1 + 4 * x + 4 * x * z
             if num % den == 0:
-                return WitnessTriple(x, num // den, z)
+                return Witness(q, PolyId.P2, WitnessTriple(x, num // den, z))
     for x in range(4, xmax + 1):
         yz = solve_p2_given_x(q, x)
         if yz is not None:
-            return WitnessTriple(x, *yz)
+            return Witness(q, PolyId.P2, WitnessTriple(x, *yz))
     return None
 
 

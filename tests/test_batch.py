@@ -31,7 +31,7 @@ from erdos_straus.reports import (
     write_text,
     write_unsolved,
 )
-from erdos_straus.search import Witness, legacy_coverage_scan, prime_witness_search, wide_search
+from erdos_straus.search import legacy_coverage_scan, prime_witness_search, wide_search
 
 from .journal import edit_journal, journal_records, tree_bytes
 from .oracles import Row, prime_batches_by_loop, rows_text, wide_slice_per_q, witness_to_row
@@ -533,9 +533,9 @@ def test_prime_slice_text_is_the_row_rendering():
                _around(65537**2 - 1, 2000), _around(_Q_FAR, 2000)):
         got = batch._prime_slice(qs)
         found = [(q, prime_witness_search(q)) for q in qs if is_prime(4 * q + 1)]
-        rows = [Row(q, *t) for q, t in found if t is not None]
+        rows = [Row(q, *w.triple) for q, w in found if w is not None]
         assert got.text == "".join(rows_text(rows)), qs
-        assert (got.unsolved, got.counts) == ([q for q, t in found if t is None], [0, len(rows), 0, 0]), qs
+        assert (got.unsolved, got.counts) == ([q for q, w in found if w is None], [0, len(rows), 0, 0]), qs
         assert {r.x == 1 for r in rows} == {True, False}, qs  # rows the sieve settles and rows searched
 
 
@@ -981,9 +981,9 @@ def test_run_prime_coverage_small(tmp_path):
     expected = []
     for q in range(6, 601, 6):
         if is_prime(4 * q + 1):
-            expected.append((q, prime_witness_search(q)))
+            expected.append(prime_witness_search(q))
     rows = list(read_results(tmp_path / "Results" / "all_solutions.csv"))
-    assert rows == [Witness(q, PolyId.P2, t) for q, t in expected]
+    assert rows == expected
     assert sum(r.solved_count for r in reports) == len(expected)
     assert read_results_q(tmp_path / "Results" / "all_unsolved.csv") == []
     assert (tmp_path / "Results" / "results_batch001.csv").exists()

@@ -500,8 +500,9 @@ def test_a_pooled_scan_whose_parent_is_killed_leaves_no_worker(tmp_path):
 # q that x = 1 leaves, and that each scan is made to leave unsolved.  In the
 # cover scan, x_sweep_bound is 1 for them, so that the sweep finds nothing: 18
 # is in the legacy prefix, and its sweep hits at x = 2 unpatched, so the stale
-# x that it leaves for the next q is the same; 20010 and 20022 are in slices.
-_UNSOLVED = {"cover": (18, 20010, 20022), "primes": (18, 20058, 20082)}
+# x that it leaves for the next q is the same; 20010 (a P2 row) and 20046 (a P1
+# row) are in slices.  None is oblong: an oblong q always has its P4 witness.
+_UNSOLVED = {"cover": (18, 20010, 20046), "primes": (18, 20058, 20082)}
 
 
 @pytest.mark.parametrize("command, workers", [("cover", "1"), ("cover", "2"), ("primes", "1")])

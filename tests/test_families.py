@@ -123,6 +123,14 @@ def test_4_p2_plus_1_is_never_a_square(x, y, z):
     assert not _is_square(shifted_value(PolyId.P2, WitnessTriple(x, y, z)))
 
 
+# Lemma B (README): P2 factors at x = 1, y = 1 and z = 1
+@given(st.integers(1, 10**9), st.integers(1, 10**9), st.integers(1, 10**9))
+def test_p2_factors_at_x_1_y_1_and_z_1(x, y, z):
+    assert eval_poly(PolyId.P2, WitnessTriple(1, y, z)) + 1 == z * (3 * y - 1)
+    assert 3 * eval_poly(PolyId.P2, WitnessTriple(x, 1, z)) + 1 == (3 * x - 1) * (3 * z - 1)
+    assert 2 * eval_poly(PolyId.P2, WitnessTriple(x, y, 1)) + 1 == (4 * x - 1) * (2 * y - 1)
+
+
 def test_4_p2_plus_1_is_no_square_on_a_small_cube():
     points = [WitnessTriple(x, y, z) for x in range(1, 60) for y in range(1, 60) for z in range(1, 60)]
     assert len(points) == 205_379

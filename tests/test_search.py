@@ -18,6 +18,7 @@ from erdos_straus.search import (
     Witness,
     check_p4,
     legacy_coverage_scan,
+    prime_search_from_x2,
     prime_witness_search,
     small_cube_search,
     solve_p1_given_x,
@@ -32,6 +33,8 @@ from erdos_straus.search import (
 from .oracles import (
     _family_hits,
     _naive_xmax,
+    four_form_survivors,
+    is_four_form_survivor,
     least_divisor_by_sorted_list,
     legacy_scan_by_loop,
     naive_cube,
@@ -562,8 +565,38 @@ def test_the_p4_count_sieve_gives_the_readme_table():
     assert [p4_count_by_sieve(10**k) for k in range(3, 11)] == [2, 8, 27, 75, 215, 641, 1869, 5504]
 
 
+def test_p1_or_p3_reaches_q_exactly_when_4q_plus_1_has_a_prime_not_1_mod_8():
+    # Lemma A (README): some x <= x_sweep_bound(q) solves P1 or P3
+    only_1_mod_8 = 0
+    for q in range(1, 5 * 10**4 + 1):
+        xs = range(1, x_sweep_bound(q) + 1)
+        reached = any(solve_p1_given_x(q, x) is not None or solve_p3_given_x(q, x) is not None for x in xs)
+        assert reached == any(p % 8 != 1 for p in factorize(4 * q + 1)), q
+        only_1_mod_8 += not reached
+    assert only_1_mod_8 == 5504
+
+
+def test_the_survivors_are_multiples_of_6():
+    # the reduction (README): an identity settles every q that is not 6c
+    assert [q for q in range(1, 10**5 + 1) if is_four_form_survivor(q)] == four_form_survivors(10**5)
+
+
+def test_p2_covers_every_non_square_survivor():
+    # the survivors q <= 10^3 .. 10^6, and the squares among them, which are
+    # the q that need P4 (README's table); every other one has a P2 witness
+    survivors = four_form_survivors(10**6)
+    squares = [q for q in survivors if isqrt(4 * q + 1) ** 2 == 4 * q + 1]
+    assert [sum(q <= 10**k for q in survivors) for k in range(3, 7)] == [12, 76, 565, 3728]
+    assert [sum(q <= 10**k for q in squares) for k in range(3, 7)] == [2, 8, 27, 75]
+    assert {wide_search(q).poly for q in squares} == {PolyId.P4}
+    for q in survivors:
+        if q not in squares:
+            w = prime_search_from_x2(q)
+            assert w is not None and w.poly is PolyId.P2, q
+
+
 def test_prime_witness_search_small():
-    assert prime_witness_search(36) == (2, 3, 2)
+    assert prime_witness_search(36) == Witness(36, PolyId.P2, WitnessTriple(2, 3, 2))
     assert prime_witness_search(6) is None  # 4*6+1 = 25 is composite
 
 
@@ -573,8 +606,8 @@ def test_prime_witness_search_covers_prime_targets():
         if not is_prime(a):
             continue
         got = prime_witness_search(q)
-        assert got is not None, q
-        x, y, z = got
+        assert got is not None and got.poly is PolyId.P2, q
+        x, y, z = got.triple
         assert min(x, y, z) >= 1
         assert (4 * x - 1) * (4 * y * z - 1) - 4 * x * z == a, q
 
@@ -755,6 +788,35 @@ def test_wrong_witness_raises_under_python_O():
                 continue
             sys.exit(f"sweep_from_x2 accepted a wrong divisor {wrong} of an oblong q")
         search.divisors_of = divisors_of
+        # one prime target per stage of prime_search_from_x2, with the lookup
+        # that answers it: (stage, q, lookup, its n, m, r), a = 4q+1.  No q that
+        # x = 1 leaves hits at z = 3 (each divisor of q+1 is 1 mod 3); q = 4230
+        # passes it on the way to x = 4.  A lookup that lies there, with the least
+        # member of its class, or the next one if the least is the answer, must raise.
+        for stage, q, lookup, n, m, r in (
+            ("x = 2", 18, "_least_divisor", 18 + 2, 7, 5),
+            ("x = 3", 60, "_least_divisor", 60 + 3, 11, 8),
+            ("y = 1", 300, "least_prime_factor", 3 * 300 + 1, 3, 2),
+            ("y = 2", 672, "_least_divisor", 7 * 2689 + 1, 28, 20),
+            ("y = 3", 2412, "_least_divisor", 11 * 9649 + 1, 44, 32),
+            ("z = 1", 5130, "least_prime_factor", 2 * 5130 + 1, 4, 3),
+            ("z = 2", 630, "_least_divisor", 2521 + 2, 4, 3),
+            ("z = 3", 4230, "_least_divisor", 16921 + 3, 4, 3),
+            ("x >= 4", 4230, "_least_divisor", 4230 + 4, 15, 11),
+        ):
+            real = getattr(search, lookup)
+            def lying(*args, real=real, at=(n, m, r), **kw):
+                d = real(*args, **kw)
+                if args[:3] != at:
+                    return d
+                return at[2] + at[1] if d == at[2] else at[2]
+            setattr(search, lookup, lying)
+            try:
+                search.prime_search_from_x2(q)
+            except AssertionError:
+                setattr(search, lookup, real)
+                continue
+            sys.exit(f"prime_search_from_x2 accepted a lying lookup at {stage} for q = {q}")
         search.solve_p2_given_x = lambda q, x: (1, 1)
         try:
             search.prime_witness_search(36)
