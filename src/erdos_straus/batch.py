@@ -82,8 +82,8 @@ class BatchConfig(_Config):
         if self.step < 1 or self.batch_size < 1 or self.worker_count < 1:
             raise ValueError("step, batch_size and worker_count must be >= 1")
         # the largest n whose primality a scan may test: 4q+1, and in the prime
-        # search's y = 3 stage 11(4q+1) + 1
-        top = 44 * self.q_max + 12 if self.mode is ScanMode.PRIME_COVERAGE else 4 * self.q_max + 1
+        # search the n its y = 3 stage factors, 11q+3
+        top = 11 * self.q_max + 3 if self.mode is ScanMode.PRIME_COVERAGE else 4 * self.q_max + 1
         if top >= MR_LIMIT:
             raise ValueError(f"q_max = {self.q_max} is too large: primality is proven only below {MR_LIMIT}")
         if self.mode is ScanMode.PRIME_COVERAGE and self.step != 6:

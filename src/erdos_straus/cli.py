@@ -108,7 +108,7 @@ def _run_scan(args, mode: str, q_start: int, step: int, size_label: str) -> tupl
             output_dir=args.out_dir,
         )
     except ValueError as exc:
-        raise UsageError(str(exc).replace("_", "-")) from None  # the flags' spelling
+        raise UsageError(str(exc).replace("worker_count", "workers").replace("_", "-")) from None  # the flags' spelling
     print(f"qStart = {cfg.q_start}, qMax = {cfg.q_max}, step = {cfg.step}")
     print(f"{size_label} = {cfg.batch_size}")
     saved = {}

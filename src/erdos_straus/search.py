@@ -24,10 +24,11 @@ leave.  `wide_search` is x = 1, then `sweep_from_x2`, which answers an
 oblong q = X(X-1) (4q+1 a square, the sweep's far tail, where it would run
 to x = X) in closed form from the divisors of 4q+1.  `prime_witness_search`,
 the prime program's staged second-family search, is x = 1, then
-`prime_search_from_x2`: each later stage a least-divisor lookup, and at
-y = 1 and z = 1, where that divisor is a prime, a `least_prime_factor`
-lookup, as at x = 1.  Every search returns a `Witness` (P2 from the prime
-searches) or None, each built by `_checked_witness`, the searches' one check.
+`prime_search_from_x2`: each later stage a least-divisor lookup (at y = 2, 3
+`solve_p2_given_x` on (4y-1)q), and at y = 1 and z = 1, where that divisor
+is a prime, a `least_prime_factor` lookup, as at x = 1.  Every search returns
+a `Witness` (P2 from the prime searches) or None, each built by
+`_checked_witness`, the searches' one check.
 """
 
 from __future__ import annotations
@@ -128,24 +129,23 @@ def solve_p2_given_x(q: int, x: int) -> Optional[tuple[int, int]]:
 _CLASS_SCAN = 12
 
 
-def _least_divisor(n: int, m: int, r: int, cm: int = 1, cr: int = 0,
-                   window: Optional[FactorWindow] = None) -> Optional[int]:
-    """Smallest divisor d of n with d % m == r and (n // d) % cm == cr, 0 < r < m.
+def _least_divisor(n: int, m: int, r: int, window: Optional[FactorWindow] = None) -> Optional[int]:
+    """Smallest divisor d of n with d % m == r, 0 < r < m.
 
     The class's _CLASS_SCAN least members, up to n, are tried in ascending
-    order, so the first to divide n with a qualifying cofactor is the answer;
-    if they reach n, there is none.  Else every qualifying divisor is at least
-    r + _CLASS_SCAN*m, so the least multiplied out of n's factorization
-    (`window`'s if given) is exact; it is kept in one pass over the divisors.
+    order, so the first to divide n is the answer; if they reach n, there is
+    none.  Else every divisor of the class is at least r + _CLASS_SCAN*m, so
+    the least multiplied out of n's factorization (`window`'s if given) is
+    exact; it is kept in one pass over the divisors.
     """
     for d in range(r, min(n, r + (_CLASS_SCAN - 1) * m) + 1, m):
-        if n % d == 0 and n // d % cm == cr:
+        if n % d == 0:
             return d
     if n < r + _CLASS_SCAN * m:
         return None
     least = None
     for d in divisors_of(factorize(n) if window is None else window.factorize(n)):
-        if d % m == r and (least is None or d < least) and n // d % cm == cr:
+        if d % m == r and (least is None or d < least):
             least = d
     return least
 
@@ -278,10 +278,11 @@ def prime_witness_search(q: int) -> Optional[Witness]:
 
     Callers gate on 4q+1 being prime; the search itself only needs q >= 1.
     Stage order matches the original prime program: x in {1,2,3}, then
-    y in {1,2,3} and z in {1,2,3}, each taking its smallest x <= xmax from
-    the least divisor in a residue class, then x in [4, xmax].  The
-    identity is the second family's 4*P2 + 1, so the x stages are
-    `solve_p2_given_x`, and every witness is a checked P2 `Witness`.  x = 1
+    y in {1,2,3} and z in {1,2} (its z = 3 stage never hits a q that x = 1
+    leaves), each taking its smallest x <= xmax from the least divisor in a
+    residue class, then x in [4, xmax].  The identity is the second family's
+    4*P2 + 1, so the x stages are `solve_p2_given_x`, and every witness is a
+    checked P2 `Witness`.  x = 1
     is the P2 half of `wide_search`'s closed form, at p =
     least_prime_factor(q + 1, 3, 2); the q it leaves run `prime_search_from_x2`.
     """
@@ -300,33 +301,30 @@ def prime_search_from_x2(q: int) -> Optional[Witness]:
         yz = solve_p2_given_x(q, x)
         if yz is not None:
             return _checked_witness(q, P2, WitnessTriple(x, *yz))
-    a = 4 * q + 1
     xmax = x_sweep_bound(q)
-    # y: with k = 4y-1, E = (4x-1)k - 1 divides a+4x-1 iff it divides ka+1, as
-    # k(a+4x-1) = ka+1 + E and gcd(k, E) = 1; E is 3k-1 mod 4k and grows with x.
-    # At y = 1, E = 4(3x-1) divides 3a+1 = 4(3q+1) iff 3x-1 divides 3q+1, so
-    # 3x-1 is the least prime p = 2 mod 3 of 3q+1, by the argument of x = 1
-    # in wide_search.
+    # y: (4y-1) P2(x, y, z) = P2(y, x, w), w = (4y-1)z - 1, so P2(x, y, z) = q
+    # at the least x is solve_p2_given_x((4y-1)q, y), whose every w is -1 mod
+    # 4y-1.  At y = 1 its divisor 3x-1 is the least 2 mod 3 of 3q+1, which is
+    # its least prime 2 mod 3, by the argument of x = 1 in wide_search.
     p = least_prime_factor(3 * q + 1, 3, 2)
     if p is not None and (p + 1) // 3 <= xmax:
         return _checked_witness(q, P2, WitnessTriple((p + 1) // 3, 1, (q + (p + 1) // 3) // p))
     for y in (2, 3):
-        k = 4 * y - 1
-        e = _least_divisor(k * a + 1, 4 * k, 3 * k - 1)
-        if e is not None and (e + k + 1) // (4 * k) <= xmax:
-            x = (e + k + 1) // (4 * k)
-            return _checked_witness(q, P2, WitnessTriple(x, y, (a + 4 * x - 1) // e))
-    # z: with f = 4x-1, 4zf divides a-1+4x(z+1) = (a+z) + f(z+1) iff f divides
-    # a+z and 4z divides (a+z)/f + z+1.  At z = 1, the odd f divides a+1 =
-    # 2(2q+1) iff it divides 2q+1, and then (a+1)/f is 2 mod 4, so f is the
-    # least prime 3 mod 4 of 2q+1: each divisor 3 mod 4 has such a prime factor.
+        xw = solve_p2_given_x((4 * y - 1) * q, y)
+        if xw is not None and xw[0] <= xmax:
+            return _checked_witness(q, P2, WitnessTriple(xw[0], y, (xw[1] + 1) // (4 * y - 1)))
+    # z: 4q+1+z = f(4yz-z-1), f = 4x-1.  At z = 1, 2q+1 = f(2y-1), so f is the
+    # least divisor 3 mod 4 of 2q+1, its least prime 3 mod 4: each divisor 3
+    # mod 4 has such a prime factor.  At z = 2, 4q+3 = f(8y-3), a cofactor 5
+    # mod 8, so f is the least divisor of 4q+3 that is 5(4q+3) = 4q+7 mod 8.
+    # z = 3 never hits: 4q+4 = 4f(3y-1) needs a divisor 2 mod 3 of q+1, and
+    # x = 1 left q because q+1 has none.
     f = least_prime_factor(2 * q + 1, 4, 3)
     if f is not None and (f + 1) // 4 <= xmax:
-        return _checked_witness(q, P2, WitnessTriple((f + 1) // 4, ((a + 1) // f + 2) // 4, 1))
-    for z in (2, 3):
-        f = _least_divisor(a + z, 4, 3, 4 * z, -(z + 1) % (4 * z))
-        if f is not None and (f + 1) // 4 <= xmax:
-            return _checked_witness(q, P2, WitnessTriple((f + 1) // 4, ((a + z) // f + z + 1) // (4 * z), z))
+        return _checked_witness(q, P2, WitnessTriple((f + 1) // 4, ((2 * q + 1) // f + 1) // 2, 1))
+    f = _least_divisor(4 * q + 3, 8, (4 * q + 7) % 8)
+    if f is not None and (f + 1) // 4 <= xmax:
+        return _checked_witness(q, P2, WitnessTriple((f + 1) // 4, ((4 * q + 3) // f + 3) // 8, 2))
     for x in range(4, xmax + 1):
         yz = solve_p2_given_x(q, x)
         if yz is not None:

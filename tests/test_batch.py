@@ -64,9 +64,9 @@ def test_config_validation(tmp_path):
     with pytest.raises(ValueError):
         _cfg(tmp_path, worker_count=0)
     # every number a scan tests for primality stays below the proven bound:
-    # 4q+1, and 11(4q+1) + 1 in the prime search
+    # 4q+1, and in the prime search 11q+3, which its y = 3 stage factors
     for mode, step, top in ((ScanMode.COVERAGE, 1, (MR_LIMIT - 1) // 4),
-                            (ScanMode.PRIME_COVERAGE, 6, -(-(MR_LIMIT - 12) // 44))):
+                            (ScanMode.PRIME_COVERAGE, 6, -(-(MR_LIMIT - 3) // 11))):
         assert _cfg(tmp_path, q_start=top - 1, q_max=top - 1, mode=mode, step=step)
         with pytest.raises(ValueError, match="q_max"):
             _cfg(tmp_path, q_start=top - 1, q_max=top, mode=mode, step=step)

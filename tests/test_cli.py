@@ -64,6 +64,9 @@ def test_bad_scan_arguments_are_usage_errors(capsys, tmp_path, argv):
     assert err.startswith("error: ") and out == ""
     if "--q-start" in argv:  # the message names the value typed
         assert f"got {argv[argv.index('--q-start') + 1]} and 10" in err
+    for flag in ("--step", "--batch-size", "--workers"):  # and the flag as typed
+        if flag in argv:
+            assert flag[2:] in err
     assert not any(tmp_path.iterdir())
 
 

@@ -129,6 +129,11 @@ def test_p2_factors_at_x_1_y_1_and_z_1(x, y, z):
     assert eval_poly(PolyId.P2, WitnessTriple(1, y, z)) + 1 == z * (3 * y - 1)
     assert 3 * eval_poly(PolyId.P2, WitnessTriple(x, 1, z)) + 1 == (3 * x - 1) * (3 * z - 1)
     assert 2 * eval_poly(PolyId.P2, WitnessTriple(x, y, 1)) + 1 == (4 * x - 1) * (2 * y - 1)
+    # the prime search's y and z stages: P2 at fixed y is P2 at x = y, and
+    # 4*P2 + 1 + z factors
+    p2 = eval_poly(PolyId.P2, WitnessTriple(x, y, z))
+    assert (4 * y - 1) * p2 == eval_poly(PolyId.P2, WitnessTriple(y, x, (4 * y - 1) * z - 1))
+    assert 4 * p2 + 1 + z == (4 * x - 1) * (4 * y * z - z - 1)
 
 
 def test_4_p2_plus_1_is_no_square_on_a_small_cube():

@@ -298,22 +298,19 @@ def test_wide_search_matches_the_plain_sweep(q):
     assert wide_search(q) == _sweep_from_x1(q)
 
 
-# (m, r, cm, cr) of every least-divisor lookup: the sweep's and the prime
-# search's x stages up to x = 12, the y stages and the z stages
-_DIVISOR_CLASSES = (
-    [(4 * x - 1, 3 * x - 1, 1, 0) for x in range(1, 13)]
-    + [(4 * k, 3 * k - 1, 1, 0) for k in (3, 7, 11)]
-    + [(4, 3, 4 * z, -(z + 1) % (4 * z)) for z in (1, 2, 3)]
-)
+# (m, r) of every least-divisor lookup: the sweep's and the prime search's
+# x stages up to x = 16, which hold the y = 2, 3 stages' (7, 5) and (11, 8),
+# and the z = 2 stage's two classes mod 8
+_DIVISOR_CLASSES = [(4 * x - 1, 3 * x - 1) for x in range(1, 17)] + [(8, 3), (8, 7)]
 
 
 @pytest.mark.parametrize("with_window", [False, True])
 def test_least_divisor_matches_the_sorted_list(with_window):
     window = FactorWindow(1, 5000) if with_window else None
     for n in range(1, 5000):
-        for m, r, cm, cr in _DIVISOR_CLASSES:
-            expect = least_divisor_by_sorted_list(n, m, r, cm, cr)
-            assert search_module._least_divisor(n, m, r, cm, cr, window=window) == expect, (n, m, r)
+        for m, r in _DIVISOR_CLASSES:
+            expect = least_divisor_by_sorted_list(n, m, r)
+            assert search_module._least_divisor(n, m, r, window=window) == expect, (n, m, r)
 
 
 def _prime_above(n):
@@ -347,10 +344,10 @@ def _counting_factorizations(monkeypatch, window):
     return calls
 
 
-def _with_least_class_divisor(d, m, r, cm, cr):
+def _with_least_class_divisor(d, m, r):
     """An n = d*c, c >= 10^6, whose least divisor of the class is d."""
     for c in range(10**6, 10**6 + 10**4):
-        if least_divisor_by_sorted_list(d * c, m, r, cm, cr) == d:
+        if least_divisor_by_sorted_list(d * c, m, r) == d:
             return d * c
     raise AssertionError(f"no n found for d = {d}")
 
@@ -368,7 +365,7 @@ _SCAN_ENDS = [
 @pytest.mark.parametrize("with_window", [False, True])
 def test_least_divisor_at_the_end_of_the_class_scan(monkeypatch, divisor_class, members, with_window):
     # only a least divisor past the scanned members needs n factored
-    m, r = divisor_class[:2]
+    m, r = divisor_class
     d = r + members * m
     n = _with_least_class_divisor(d, *divisor_class)
     window = FactorWindow(n - 5, n + 5) if with_window else None
@@ -382,31 +379,12 @@ def test_least_divisor_below_the_end_of_the_class_scan(monkeypatch, divisor_clas
     # n < r + _CLASS_SCAN*m: the scan stops at n, having tried every class
     # member up to it, so neither a hit (n itself included) nor a miss
     # needs a factorization
-    m, r = divisor_class[:2]
+    m, r = divisor_class
     calls = _counting_factorizations(monkeypatch, None)
     for n in range(1, r + _K * m):
         expect = least_divisor_by_sorted_list(n, *divisor_class)
         assert search_module._least_divisor(n, *divisor_class) == expect, n
         assert calls == [], n
-
-
-@pytest.mark.parametrize("with_window", [False, True])
-def test_least_divisor_skips_a_member_failing_the_cofactor_test(with_window):
-    # z stages: the cofactor test 4z | (a+z)/f + z+1 can reject a member f
-    # dividing n, and a later member pass
-    seen = 0
-    for m, r, cm, cr in _DIVISOR_CLASSES:
-        if cm == 1:
-            continue
-        for n in range(1, 3000):
-            first = next((d for d in range(r, n + 1, m) if n % d == 0), None)
-            expect = least_divisor_by_sorted_list(n, m, r, cm, cr)
-            if first is None or expect in (None, first):
-                continue
-            seen += 1
-            window = FactorWindow(1, 3000) if with_window else None
-            assert search_module._least_divisor(n, m, r, cm, cr, window=window) == expect, (n, cm)
-    assert seen > 100
 
 
 @given(st.one_of(st.integers(10**9 - 10**6, 10**9 + 10**6),
@@ -648,13 +626,37 @@ def _y1_z1_by_divisors(q):
     return least_divisor_by_sorted_list(3 * a + 1, 12, 8), least_divisor_by_sorted_list(a + 1, 4, 3, 4, 2)
 
 
+def _y23_z2_as_searched(q):
+    """The prime search's y = 2, 3 and z = 2 divisors as it takes them: E = 4d,
+    d the least divisor 3y-1 mod 4y-1 of (4y-1)q + y, `solve_p2_given_x`'s at x = y,
+    and f, the least divisor 4q+7 mod 8 of 4q+3."""
+    ds = [search_module._least_divisor((4 * y - 1) * q + y, 4 * y - 1, 3 * y - 1) for y in (2, 3)]
+    return (*(None if d is None else 4 * d for d in ds),
+            search_module._least_divisor(4 * q + 3, 8, (4 * q + 7) % 8))
+
+
+def _y23_z2_by_divisors(q):
+    """The same divisors by their definition: the least E = 3k-1 mod 4k of
+    ka+1, k = 4y-1, and the least f = 3 mod 4 of a+2 with (a+2)/f = 5 mod 8."""
+    a = 4 * q + 1
+    return (*(least_divisor_by_sorted_list(k * a + 1, 4 * k, 3 * k - 1) for k in (7, 11)),
+            least_divisor_by_sorted_list(a + 2, 4, 3, 8, 5))
+
+
 def test_y1_and_z1_stages_are_least_prime_lookups_for_every_small_q():
-    found = [0, 0]
+    # and the y = 2, 3 and z = 2 stages are their old lookups, and z = 3's,
+    # the least f = 3 mod 4 of a+3 with (a+3)/f = 8 mod 12, never hits a q
+    # that x = 1 leaves
+    found, left = [0] * 5, 0
     for q in range(1, 10**5 + 1):
-        got = _y1_z1_by_least_primes(q)
-        assert got == _y1_z1_by_divisors(q), q
+        got = _y1_z1_by_least_primes(q) + _y23_z2_as_searched(q)
+        assert got == _y1_z1_by_divisors(q) + _y23_z2_by_divisors(q), q
         found = [n + (d is not None) for n, d in zip(found, got)]
+        if least_prime_factor(q + 1, 3, 2) is None:
+            left += 1
+            assert least_divisor_by_sorted_list(4 * q + 4, 4, 3, 12, 8) is None, q
     assert 0 < min(found) and max(found) < 10**5  # each stage both hits and misses
+    assert left > 10**4
 
 
 def _q_past_2_16(s, a, b, d):
@@ -769,7 +771,7 @@ def test_wrong_witness_raises_under_python_O():
         least_divisor = search._least_divisor
         # the least divisor of any class would be its least member: 37 has no
         # prime 2 mod 3, so q = 36 reaches the x = 2 stage of either search
-        search._least_divisor = lambda n, m, r, cm=1, cr=0, window=None: r
+        search._least_divisor = lambda n, m, r, window=None: r
         for fn in (search.prime_witness_search, search.sweep_from_x2):
             try:
                 fn(36)
@@ -789,19 +791,17 @@ def test_wrong_witness_raises_under_python_O():
             sys.exit(f"sweep_from_x2 accepted a wrong divisor {wrong} of an oblong q")
         search.divisors_of = divisors_of
         # one prime target per stage of prime_search_from_x2, with the lookup
-        # that answers it: (stage, q, lookup, its n, m, r), a = 4q+1.  No q that
-        # x = 1 leaves hits at z = 3 (each divisor of q+1 is 1 mod 3); q = 4230
-        # passes it on the way to x = 4.  A lookup that lies there, with the least
-        # member of its class, or the next one if the least is the answer, must raise.
+        # that answers it: (stage, q, lookup, its n, m, r).  A lookup that lies
+        # there, with the least member of its class, or the next one if the
+        # least is the answer, must raise.
         for stage, q, lookup, n, m, r in (
             ("x = 2", 18, "_least_divisor", 18 + 2, 7, 5),
             ("x = 3", 60, "_least_divisor", 60 + 3, 11, 8),
             ("y = 1", 300, "least_prime_factor", 3 * 300 + 1, 3, 2),
-            ("y = 2", 672, "_least_divisor", 7 * 2689 + 1, 28, 20),
-            ("y = 3", 2412, "_least_divisor", 11 * 9649 + 1, 44, 32),
+            ("y = 2", 672, "_least_divisor", 7 * 672 + 2, 7, 5),
+            ("y = 3", 2412, "_least_divisor", 11 * 2412 + 3, 11, 8),
             ("z = 1", 5130, "least_prime_factor", 2 * 5130 + 1, 4, 3),
-            ("z = 2", 630, "_least_divisor", 2521 + 2, 4, 3),
-            ("z = 3", 4230, "_least_divisor", 16921 + 3, 4, 3),
+            ("z = 2", 630, "_least_divisor", 4 * 630 + 3, 8, 7),
             ("x >= 4", 4230, "_least_divisor", 4230 + 4, 15, 11),
         ):
             real = getattr(search, lookup)
