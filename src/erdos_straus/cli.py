@@ -20,7 +20,7 @@ from pathlib import Path
 from .decompose import UnsolvedError, decompose_any, verify_exact
 from .families import PolyId, eval_poly
 from .numutil import MR_LIMIT, is_prime
-from .reports import ReportFormatError, coverage_line, open_results, prime_line, split_by_family
+from .reports import _PRIME_DIR, ReportFormatError, coverage_line, open_results, prime_line, split_by_family
 from .search import staged_search
 
 EX_UNSOLVED = 2
@@ -162,7 +162,7 @@ def _cmd_primes(args) -> int:
     print("Processing complete!")
     print(f"Total solutions found: {sum(r.solved_count for r in reports)}")
     print(f"Total unsolved q: {sum(len(r.unsolved) for r in reports)}")
-    print(f"All results saved to: {cfg.output_dir / 'Results'}")
+    print(f"All results saved to: {cfg.output_dir / _PRIME_DIR}")
     return EX_UNSOLVED if any(r.unsolved for r in reports) else 0
 
 

@@ -54,10 +54,6 @@ class InadmissiblePointError(DecompositionError):
     """The kappa/z/s integrality condition does not hold at this point."""
 
 
-class DegeneratePointError(DecompositionError):
-    """The master decomposition's denominators vanish at this point."""
-
-
 class UnsolvedError(DecompositionError):
     """No witness was found for a target congruent to 1 mod 4."""
 
@@ -112,7 +108,8 @@ def decompose_kzs(p: KzsPoint) -> UnitFractionTriple:
     """Decomposition of 4/(4q+1) at an admissible (kappa, z, s) point.
 
     Admissible means q = kappa*z - s >= 1 and (4z+1)*kappa*z/(4s-1) is an
-    integer strictly greater than z (otherwise the denominators degenerate).
+    integer.  That integer always exceeds z: q >= 1 gives 4s - 1 <= 4*kappa*z
+    - 5 < (4z+1)*kappa, so w below is positive.
     """
     q = kzs_q(p)
     if q < 1:
@@ -120,11 +117,8 @@ def decompose_kzs(p: KzsPoint) -> UnitFractionTriple:
     cond = kzs_condition(p)
     if cond.denominator != 1:
         raise InadmissiblePointError(f"{p}: condition value {cond} is not an integer")
-    zc = cond.numerator
-    if zc <= p.z:
-        raise DegeneratePointError(f"{p}: condition value {zc} must exceed z={p.z}")
     a = 4 * q + 1
-    w = zc - p.z  # z*(C - 1) with C the condition value divided by z
+    w = cond.numerator - p.z  # z*(C - 1) with C the condition value divided by z
     t = UnitFractionTriple(p.kappa * w, w * a, p.kappa * p.z)
     return _checked(a, t)
 

@@ -29,6 +29,7 @@ from .search import Witness
 COVERAGE_HEADER = "q,x,y,z,pi"
 PRIME_HEADER = "q,x,y,z"
 HEADERS = {"coverage": COVERAGE_HEADER, "prime": PRIME_HEADER}
+_PRIME_DIR = "Results"  # the prime layout's subdirectory of the output root
 
 FAMILY_LABELS = tuple(p.label for p in PolyId)
 _POLY_OF_LABEL_LF = {f"{label}\n": p for label, p in zip(FAMILY_LABELS, PolyId)}  # a label as it ends a row
@@ -56,13 +57,13 @@ def prime_line(w: Witness) -> str:
 
 def results_batch_path(batch_index: int, mode: str, out_dir: Path) -> Path:
     if mode == "prime":
-        return out_dir / "Results" / f"results_batch{batch_index:03d}.csv"
+        return out_dir / _PRIME_DIR / f"results_batch{batch_index:03d}.csv"
     return out_dir / f"results_batch{batch_index}.csv"
 
 
 def unsolved_path(batch_index: Optional[int], mode: str, out_dir: Path) -> Path:
     if mode == "prime":
-        return out_dir / "Results" / ("all_unsolved.csv" if batch_index is None else f"unsolved_batch{batch_index:03d}.csv")
+        return out_dir / _PRIME_DIR / ("all_unsolved.csv" if batch_index is None else f"unsolved_batch{batch_index:03d}.csv")
     return out_dir / ("unsolved_all.csv" if batch_index is None else f"unsolved_batch{batch_index}.csv")
 
 
@@ -86,7 +87,7 @@ def write_results_aggregate(batch_paths: Iterable[Path], out_dir: Path) -> Path:
                 fh.readline()  # its header
                 yield from iter(lambda: fh.read(1 << 20), "")
 
-    path = Path(out_dir) / "Results" / "all_solutions.csv"
+    path = Path(out_dir) / _PRIME_DIR / "all_solutions.csv"
     return write_text(path, text())
 
 

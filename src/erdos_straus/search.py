@@ -210,7 +210,7 @@ def sweep_from_x2(q: int, window: Optional[FactorWindow] = None) -> Optional[Wit
     s = isqrt(4 * q + 1)
     if s * s == 4 * q + 1:
         return _oblong_sweep(q, s)
-    for x in range(2, x_sweep_bound(q) + 1):
+    for x in range(2, (s + 1) // 2 + 1):  # x_sweep_bound(q)
         m, n = 4 * x - 1, q + x
         if n % m == 0:
             return _checked_witness(q, P1, WitnessTriple(x, 1, n // m))
@@ -278,13 +278,12 @@ def prime_witness_search(q: int) -> Optional[Witness]:
 
     Callers gate on 4q+1 being prime; the search itself only needs q >= 1.
     Stage order matches the original prime program: x in {1,2,3}, then
-    y in {1,2,3} and z in {1,2} (its z = 3 stage never hits a q that x = 1
-    leaves), each taking its smallest x <= xmax from the least divisor in a
-    residue class, then x in [4, xmax].  The identity is the second family's
-    4*P2 + 1, so the x stages are `solve_p2_given_x`, and every witness is a
-    checked P2 `Witness`.  x = 1
-    is the P2 half of `wide_search`'s closed form, at p =
-    least_prime_factor(q + 1, 3, 2); the q it leaves run `prime_search_from_x2`.
+    y in {1,2,3} and z in {1,2}, each taking its smallest x <= xmax from the
+    least divisor in a residue class, then x in [4, xmax].  The identity is
+    the second family's 4*P2 + 1, so the x stages are `solve_p2_given_x`,
+    and every witness is a checked P2 `Witness`.  x = 1 is the P2 half of
+    `wide_search`'s closed form, at p = least_prime_factor(q + 1, 3, 2); the
+    q it leaves run `prime_search_from_x2`.
     """
     if q < 1:
         raise ValueError("q must be >= 1")
@@ -296,33 +295,36 @@ def prime_search_from_x2(q: int) -> Optional[Witness]:
     """prime_witness_search for a q that x = 1 leaves: the prime program's
     stages after x = 1, in its order, each P2 `Witness` checked as
     `sweep_from_x2` checks its own.  A prime slice calls it on each target
-    whose q+1 `numutil.prime_targets` finds no prime 2 mod 3 for."""
+    whose q+1 `numutil.prime_targets` finds no prime 2 mod 3 for.  Such a q
+    is even: for odd q, 2 is the least prime 2 mod 3 of q+1."""
     for x in (2, 3):
         yz = solve_p2_given_x(q, x)
         if yz is not None:
             return _checked_witness(q, P2, WitnessTriple(x, *yz))
-    xmax = x_sweep_bound(q)
     # y: (4y-1) P2(x, y, z) = P2(y, x, w), w = (4y-1)z - 1, so P2(x, y, z) = q
     # at the least x is solve_p2_given_x((4y-1)q, y), whose every w is -1 mod
     # 4y-1.  At y = 1 its divisor 3x-1 is the least 2 mod 3 of 3q+1, which is
-    # its least prime 2 mod 3, by the argument of x = 1 in wide_search.
+    # its least prime 2 mod 3, by the argument of x = 1 in wide_search.  As
+    # 3q+1 is 1 mod 3, its primes 2 mod 3 pair up, so p*p <= 3q+1 and x =
+    # (p+1)/3 <= (isqrt(3q+1)+1)/3 <= xmax: the stage needs no bound check.
     p = least_prime_factor(3 * q + 1, 3, 2)
-    if p is not None and (p + 1) // 3 <= xmax:
+    if p is not None:
         return _checked_witness(q, P2, WitnessTriple((p + 1) // 3, 1, (q + (p + 1) // 3) // p))
+    xmax = x_sweep_bound(q)
     for y in (2, 3):
         xw = solve_p2_given_x((4 * y - 1) * q, y)
         if xw is not None and xw[0] <= xmax:
             return _checked_witness(q, P2, WitnessTriple(xw[0], y, (xw[1] + 1) // (4 * y - 1)))
     # z: 4q+1+z = f(4yz-z-1), f = 4x-1.  At z = 1, 2q+1 = f(2y-1), so f is the
     # least divisor 3 mod 4 of 2q+1, its least prime 3 mod 4: each divisor 3
-    # mod 4 has such a prime factor.  At z = 2, 4q+3 = f(8y-3), a cofactor 5
-    # mod 8, so f is the least divisor of 4q+3 that is 5(4q+3) = 4q+7 mod 8.
-    # z = 3 never hits: 4q+4 = 4f(3y-1) needs a divisor 2 mod 3 of q+1, and
-    # x = 1 left q because q+1 has none.
+    # mod 4 has such a prime factor.  As q is even, 2q+1 is 1 mod 4, so its
+    # primes 3 mod 4 pair up, f*f <= 2q+1 and x = (f+1)/4 <= xmax, unchecked.
+    # At z = 2, 4q+3 = f(8y-3), a cofactor 5 mod 8, so f is the least divisor
+    # of 4q+3 that is 5(4q+3) = 4q+7 = 7 mod 8, q being even.
     f = least_prime_factor(2 * q + 1, 4, 3)
-    if f is not None and (f + 1) // 4 <= xmax:
+    if f is not None:
         return _checked_witness(q, P2, WitnessTriple((f + 1) // 4, ((2 * q + 1) // f + 1) // 2, 1))
-    f = _least_divisor(4 * q + 3, 8, (4 * q + 7) % 8)
+    f = _least_divisor(4 * q + 3, 8, 7)
     if f is not None and (f + 1) // 4 <= xmax:
         return _checked_witness(q, P2, WitnessTriple((f + 1) // 4, ((4 * q + 3) // f + 3) // 8, 2))
     for x in range(4, xmax + 1):

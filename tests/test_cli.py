@@ -501,9 +501,9 @@ def test_a_pooled_scan_whose_parent_is_killed_leaves_no_worker(tmp_path):
 
 
 # q that x = 1 leaves, and that each scan is made to leave unsolved.  In the
-# cover scan, x_sweep_bound is 1 for them, so that the sweep finds nothing: 18
-# is in the legacy prefix, and its sweep hits at x = 2 unpatched, so the stale
-# x that it leaves for the next q is the same; 20010 (a P2 row) and 20046 (a P1
+# cover scan, the sweep finds nothing for them, and x_sweep_bound is 1: 18 is
+# in the legacy prefix, and its sweep hits at x = 2 unpatched, so the stale x
+# that it leaves for the next q is the same; 20010 (a P2 row) and 20046 (a P1
 # row) are in slices.  None is oblong: an oblong q always has its P4 witness.
 _UNSOLVED = {"cover": (18, 20010, 20046), "primes": (18, 20058, 20082)}
 
@@ -515,7 +515,9 @@ def test_a_scan_that_leaves_q_unsolved_records_them_and_exits_2(capsys, tmp_path
     assert code == 0
     chosen = _UNSOLVED[command]
     if command == "cover":
-        sweep_bound = search.x_sweep_bound
+        sweep, sweep_bound = search.sweep_from_x2, search.x_sweep_bound
+        for module in (search, batch):
+            monkeypatch.setattr(module, "sweep_from_x2", lambda q, window=None: None if q in chosen else sweep(q, window))
         monkeypatch.setattr(search, "x_sweep_bound", lambda q: 1 if q in chosen else sweep_bound(q))
     else:
         from_x2 = batch.prime_search_from_x2

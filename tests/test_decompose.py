@@ -19,7 +19,7 @@ from erdos_straus.decompose import (
     decompose_square,
     verify_exact,
 )
-from erdos_straus.families import KzsPoint, PolyId, WitnessTriple, shifted_value
+from erdos_straus.families import KzsPoint, PolyId, WitnessTriple, kzs_condition, kzs_q, shifted_value
 
 from .oracles import rational_identity_holds
 
@@ -73,6 +73,8 @@ def test_residue_identity_domain_errors():
         decompose_4q2(-1)
     with pytest.raises(ValueError):
         decompose_4q3(-1)
+    with pytest.raises(ValueError, match="kappa, z, s must all be >= 1"):
+        decompose_kzs(KzsPoint(3, 0, 1))
 
 
 def test_kzs_example():
@@ -87,6 +89,22 @@ def test_kzs_inadmissible():
 def test_kzs_requires_positive_q():
     with pytest.raises(ValueError):
         decompose_kzs(KzsPoint(1, 1, 5))  # q = 1*1 - 5 < 1
+
+
+def test_kzs_condition_exceeds_z_wherever_q_is_positive():
+    # q >= 1 gives s <= kappa*z - 1, so 4s - 1 < (4z+1)*kappa and the integer
+    # condition (4z+1)*kappa*z/(4s-1) exceeds z: decompose_kzs needs no check
+    integral = 0
+    for kappa in range(1, 60):
+        for z in range(1, 60):
+            numerator = (4 * z + 1) * kappa * z
+            for s in range(1, kappa * z):
+                if numerator % (4 * s - 1) == 0:
+                    integral += 1
+                    p = KzsPoint(kappa, z, s)
+                    assert kzs_condition(p) > z, p
+                    assert rational_identity_holds(4 * kzs_q(p) + 1, decompose_kzs(p)), p
+    assert integral == 23_325
 
 
 # kappa = (4s-1) * k makes the admissibility quotient an integer for any z,
@@ -104,6 +122,7 @@ admissible_points = st.builds(
 def test_kzs_admissible_family(p):
     q = p.kappa * p.z - p.s
     assert q >= 1
+    assert kzs_condition(p) > p.z
     t = decompose_kzs(p)
     assert rational_identity_holds(4 * q + 1, t)
 

@@ -58,6 +58,13 @@ def test_rejects_nonpositive_coordinates():
             for bad in [(0, 1, 1), (1, 0, 1), (1, 1, -2)]:
                 with pytest.raises(ValueError, match="coordinates must all be >= 1"):
                     fn(poly, WitnessTriple(*bad))
+    for fn in (kzs_q, kzs_condition):
+        for bad in [(0, 1, 1), (1, 0, 1), (1, 1, 0)]:
+            with pytest.raises(ValueError, match="kappa, z, s must all be >= 1"):
+                fn(KzsPoint(*bad))
+    for fn, bad in [(odd_family, 0), (even_6c4_family, -1), (even_6c2_family, -1)]:
+        with pytest.raises(ValueError, match="must be >= "):
+            fn(bad)
 
 
 @given(triples, st.sampled_from(list(PolyId)))

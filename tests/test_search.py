@@ -629,10 +629,9 @@ def _y1_z1_by_divisors(q):
 def _y23_z2_as_searched(q):
     """The prime search's y = 2, 3 and z = 2 divisors as it takes them: E = 4d,
     d the least divisor 3y-1 mod 4y-1 of (4y-1)q + y, `solve_p2_given_x`'s at x = y,
-    and f, the least divisor 4q+7 mod 8 of 4q+3."""
+    and f, the least divisor 7 mod 8 of 4q+3, which is 4q+7 mod 8 for even q."""
     ds = [search_module._least_divisor((4 * y - 1) * q + y, 4 * y - 1, 3 * y - 1) for y in (2, 3)]
-    return (*(None if d is None else 4 * d for d in ds),
-            search_module._least_divisor(4 * q + 3, 8, (4 * q + 7) % 8))
+    return (*(None if d is None else 4 * d for d in ds), search_module._least_divisor(4 * q + 3, 8, 7))
 
 
 def _y23_z2_by_divisors(q):
@@ -644,19 +643,34 @@ def _y23_z2_by_divisors(q):
 
 
 def test_y1_and_z1_stages_are_least_prime_lookups_for_every_small_q():
-    # and the y = 2, 3 and z = 2 stages are their old lookups, and z = 3's,
-    # the least f = 3 mod 4 of a+3 with (a+3)/f = 8 mod 12, never hits a q
-    # that x = 1 leaves
-    found, left = [0] * 5, 0
+    # and the y = 2, 3 and z = 2 stages are their old lookups (z = 2 for even
+    # q), and z = 3's, the least f = 3 mod 4 of a+3 with (a+3)/f = 8 mod 12,
+    # never hits a q that x = 1 leaves.  Each such q is even, so 3q+1 is 1
+    # mod 3 and 2q+1 is 1 mod 4, the y = 1 and z = 1 primes of the class pair
+    # up, p*p <= 3q+1 and f*f <= 2q+1: their x is at most xmax, and the search
+    # checks no bound there.  The y = 2, y = 3 and z = 2 bounds it checks
+    # each reject a hit, first at q = 1248, 456 and 38.
+    found, left, first_bound = [0] * 5, 0, {}
     for q in range(1, 10**5 + 1):
         got = _y1_z1_by_least_primes(q) + _y23_z2_as_searched(q)
-        assert got == _y1_z1_by_divisors(q) + _y23_z2_by_divisors(q), q
+        compared = 5 if q % 2 == 0 else 4
+        assert got[:compared] == (_y1_z1_by_divisors(q) + _y23_z2_by_divisors(q))[:compared], q
         found = [n + (d is not None) for n, d in zip(found, got)]
         if least_prime_factor(q + 1, 3, 2) is None:
             left += 1
+            assert q % 2 == 0, q
             assert least_divisor_by_sorted_list(4 * q + 4, 4, 3, 12, 8) is None, q
+            e1, f1, e2, e3, f2 = got
+            assert e1 is None or (e1 // 4) ** 2 <= 3 * q + 1, q
+            assert f1 is None or f1 * f1 <= 2 * q + 1, q
+            xs = {"y = 2": e2 and (e2 // 4 + 2) // 7, "y = 3": e3 and (e3 // 4 + 3) // 11,
+                  "z = 2": f2 and (f2 + 1) // 4}
+            for stage, x in xs.items():
+                if x is not None and x > x_sweep_bound(q):
+                    first_bound.setdefault(stage, q)
     assert 0 < min(found) and max(found) < 10**5  # each stage both hits and misses
     assert left > 10**4
+    assert first_bound == {"y = 2": 1248, "y = 3": 456, "z = 2": 38}
 
 
 def _q_past_2_16(s, a, b, d):
